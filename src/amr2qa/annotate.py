@@ -212,12 +212,6 @@ class Alignment:
     def __contains__(self, node: CondensedNode) -> bool:
         return node in self._spans
 
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def items(self):
-        return self._spans.items()
-
 
 def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
     """Match each condensed node to sentence tokens.

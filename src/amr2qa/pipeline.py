@@ -3,7 +3,10 @@ write.
 
 Sentences are independent units of work, so generation fans out over a
 bounded thread pool; results are collected in input order, which makes the
-output file byte-identical regardless of worker count. A failure inside one
+output file byte-identical regardless of worker count. Every question text
+is scored through a run-scoped memo, so a text that recurs across sentences
+reaches the scorer once per run (up to ``MEMO_CAPACITY`` texts held at a
+time); fallback scores are never stored. A failure inside one
 sentence (malformed graph, missing annotation, any generation error) is
 logged and counted, never fatal. Errors before processing starts (unreadable
 files, bad template resources, count mismatches) do abort.
@@ -12,7 +15,9 @@ files, bad template resources, count mismatches) do abort.
 from __future__ import annotations
 
 import logging
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +35,7 @@ from .corpus import (
 )
 from .preprocess import PreprocessConfig, preorder, preprocess
 from .qgen import best_question, generate_candidates, sense_question
-from .scorer import make_scorer
+from .scorer import QuestionScore, make_scorer
 from .templates import (
     TemplateStore,
     bundled_mapping_path,
@@ -39,6 +44,10 @@ from .templates import (
 )
 
 logger = logging.getLogger("amr2qa")
+
+# Texts the score memo holds at once; bounds its memory whatever the
+# corpus size.
+MEMO_CAPACITY = 4096
 
 
 @dataclass
@@ -71,6 +80,7 @@ class RunReport:
     skipped_no_template: int = 0
     skipped_duplicate: int = 0
     scorer_fallbacks: int = 0
+    scorer_memo_hits: int = 0
     wall_time_seconds: float = 0.0
 
     @property
@@ -87,8 +97,48 @@ class RunReport:
             f"  skipped no-template {self.skipped_no_template}",
             f"  skipped duplicate   {self.skipped_duplicate}",
             f"scorer fallbacks      {self.scorer_fallbacks}",
+            f"scorer memo hits      {self.scorer_memo_hits}",
             f"wall time             {self.wall_time_seconds:.2f}s",
         ]
+
+
+class _ScoreMemo:
+    """Run-scoped, bounded memo in front of a scorer, with the same
+    ``score(text)`` contract.
+
+    Only scores from the configured scorer (``scorer_id``) are stored. A
+    fallback score is returned but never reused, so the text's next
+    occurrence tries the configured scorer again. When full, the oldest
+    entry is evicted. The lock is never held across a scorer call: two
+    threads that miss on one text may both score it, and either stores the
+    configured scorer's score for that text.
+    """
+
+    def __init__(self, scorer, scorer_id: str):
+        self._scorer = scorer
+        self._scorer_id = scorer_id
+        # OrderedDict, not dict: evicting a plain dict's first key scans
+        # the deleted slots left at its front, which costs more than a
+        # baseline score.
+        self._scores: OrderedDict[str, QuestionScore] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+
+    def score(self, text: str) -> QuestionScore:
+        # One dict read is atomic, so a lookup skips the lock; the hit
+        # count and every update take it.
+        cached = self._scores.get(text)
+        if cached is not None:
+            with self._lock:
+                self.hits += 1
+            return cached
+        result = self._scorer.score(text)
+        if result.scorer_id == self._scorer_id:
+            with self._lock:
+                self._scores[text] = result
+                if len(self._scores) > MEMO_CAPACITY:
+                    self._scores.popitem(last=False)
+        return result
 
 
 @dataclass
@@ -188,6 +238,7 @@ def run_generate(config: RunConfig) -> RunReport:
                        config.mapping_path or bundled_mapping_path())
     scorer = make_scorer(config.scorer, config.scorer_url,
                          timeout=config.scorer_timeout)
+    memo = _ScoreMemo(scorer, config.scorer)
 
     with open(config.amr_path, encoding="utf-8") as handle:
         blocks = split_blocks(handle.read())
@@ -204,7 +255,7 @@ def run_generate(config: RunConfig) -> RunReport:
             return _SentenceResult(error=f"no annotation with id {label!r}")
         try:
             entry = parse_block(raw)
-            return process_sentence(entry, ann, store, scorer,
+            return process_sentence(entry, ann, store, memo,
                                     config.preprocess)
         except Exception as exc:   # per-sentence skip policy
             return _SentenceResult(error=f"sentence {label!r}: {exc}")
@@ -229,5 +280,6 @@ def run_generate(config: RunConfig) -> RunReport:
 
     write_dataset(pairs, config.output_path)
     report.scorer_fallbacks = getattr(scorer, "fallback_calls", 0)
+    report.scorer_memo_hits = memo.hits
     report.wall_time_seconds = time.perf_counter() - started
     return report

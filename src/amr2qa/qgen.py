@@ -33,12 +33,10 @@ from .annotate import (
 from .corpus import QaPair
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
-from .templates import Template, TemplateStore, select_templates
+from .templates import _BLANK_RE, Template, TemplateStore, select_templates
 
 SENSE_TEMPLATE_ID = "verb-sense"
 SENSE_RELATION = "sense"
-
-_BLANK_RE = re.compile(r"\{(\d+)\}")
 
 
 class ArityMismatch(ValueError):

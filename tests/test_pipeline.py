@@ -1,10 +1,15 @@
 """End-to-end pipeline behavior on small corpora."""
 
 import json
+import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from amr2qa import pipeline
+from amr2qa.annotate import parse_conllu
 from amr2qa.corpus import (
     CountMismatch,
     UnresolvedId,
@@ -12,6 +17,7 @@ from amr2qa.corpus import (
     parse_block,
     read_dataset,
     split_blocks,
+    write_dataset,
 )
 from amr2qa.pipeline import (
     RunConfig,
@@ -19,7 +25,12 @@ from amr2qa.pipeline import (
     process_sentence,
     run_generate,
 )
-from amr2qa.scorer import BaselineScorer
+from amr2qa.scorer import (
+    BaselineScorer,
+    FallbackScorer,
+    QuestionScore,
+    ScorerUnavailable,
+)
 from amr2qa.templates import default_store
 
 from test_qgen import BROKEN
@@ -271,3 +282,148 @@ class TestRunGenerate:
             assert set(record) == {
                 "sentence_id", "question", "answer", "relation", "node",
                 "template_id", "score", "scorer_id"}
+
+
+def repeated_corpus(tmp_path, copies: int = 3) -> tuple[str, str]:
+    """The mini corpus ``copies`` times over, with unique graph ids, so
+    every question text recurs across sentences."""
+    amr = "\n".join(Path(MINI_AMR).read_text().replace("# ::id s",
+                                                       f"# ::id c{k}s")
+                    for k in range(copies))
+    conllu = "\n".join([Path(MINI_CONLLU).read_text()] * copies)
+    amr_path, conllu_path = tmp_path / "rep.amr", tmp_path / "rep.conllu"
+    amr_path.write_text(amr)
+    conllu_path.write_text(conllu)
+    return str(amr_path), str(conllu_path)
+
+
+class CountingScorer:
+    """Wraps a scorer and counts the texts it is asked to score."""
+
+    scorer_id = "baseline"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = Counter()
+        self._lock = threading.Lock()
+
+    def score(self, text):
+        with self._lock:
+            self.texts[text] += 1
+        return self.inner.score(text)
+
+
+class FailsOnceOn:
+    """Primary scorer that fails the first request for each text in
+    ``fail_on`` and answers every other request."""
+
+    scorer_id = "remote"
+
+    def __init__(self, fail_on):
+        self.pending = set(fail_on)
+        self.texts = Counter()
+
+    def score(self, text):
+        self.texts[text] += 1
+        if text in self.pending:
+            self.pending.discard(text)
+            raise ScorerUnavailable("transient")
+        return QuestionScore(-float(len(text)), self.scorer_id)
+
+
+class TestScoreMemo:
+    def test_each_distinct_text_scored_once_per_run(self, tmp_path,
+                                                    monkeypatch, baseline):
+        counting = CountingScorer(baseline)
+        monkeypatch.setattr(pipeline, "make_scorer",
+                            lambda *args, **kwargs: counting)
+        amr, conllu = repeated_corpus(tmp_path)
+        report = run_generate(mini_config(tmp_path / "out.jsonl",
+                                          amr_path=amr, conllu_path=conllu))
+        assert report.sentences_processed == 9
+        assert counting.texts
+        assert set(counting.texts.values()) == {1}
+        assert report.scorer_memo_hits >= 2 * len(counting.texts)
+        assert (f"scorer memo hits      {report.scorer_memo_hits}"
+                in report.lines())
+
+    def test_fallback_score_is_not_reused(self, tmp_path, monkeypatch,
+                                          baseline):
+        flaky_text = "What was broken ?"
+        primary = FailsOnceOn({flaky_text})
+        monkeypatch.setattr(
+            pipeline, "make_scorer",
+            lambda *args, **kwargs: FallbackScorer(primary, baseline))
+        amr, conllu = repeated_corpus(tmp_path)
+        report = run_generate(mini_config(
+            tmp_path / "out.jsonl", amr_path=amr, conllu_path=conllu,
+            scorer="remote", scorer_url="http://unused"))
+        assert report.scorer_fallbacks == 1
+        # the failed first try, then one successful primary score that
+        # the third occurrence reuses
+        assert primary.texts[flaky_text] == 2
+        assert set(primary.texts.values()) == {1, 2}
+
+    def test_memo_holds_at_most_capacity(self, baseline):
+        counting = CountingScorer(baseline)
+        memo = pipeline._ScoreMemo(counting, "baseline")
+        texts = [f"What is item{i} ?" for i in range(pipeline.MEMO_CAPACITY
+                                                    + 100)]
+        for text in texts:
+            memo.score(text)
+        assert len(memo._scores) == pipeline.MEMO_CAPACITY
+        for text in texts[-pipeline.MEMO_CAPACITY:]:
+            memo.score(text)
+        assert memo.hits == pipeline.MEMO_CAPACITY
+        memo.score(texts[0])
+        assert counting.texts[texts[0]] == 2
+        assert len(memo._scores) == pipeline.MEMO_CAPACITY
+
+    def test_concurrent_lookups_and_evictions(self, baseline):
+        counting = CountingScorer(baseline)
+        memo = pipeline._ScoreMemo(counting, "baseline")
+        texts = [f"What is item{i} ?"
+                 for i in range(pipeline.MEMO_CAPACITY + 200)]
+        rounds, workers = 2, 8
+        errors = []
+
+        def work(offset):
+            try:
+                for _ in range(rounds):
+                    for i in range(len(texts)):
+                        memo.score(texts[(i + offset) % len(texts)])
+            except Exception as exc:   # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k * 37,))
+                       for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (memo.hits + sum(counting.texts.values())
+                == rounds * workers * len(texts))
+        assert len(memo._scores) == pipeline.MEMO_CAPACITY
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_bytes_match_unmemoized_run(self, tmp_path, store, baseline,
+                                        copies):
+        amr, conllu = ((MINI_AMR, MINI_CONLLU) if copies == 1
+                       else repeated_corpus(tmp_path, copies))
+        memoized = tmp_path / "memo.jsonl"
+        run_generate(mini_config(memoized, amr_path=amr, conllu_path=conllu))
+        pairs = []
+        blocks = split_blocks(Path(amr).read_text())
+        for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
+            pairs.extend(process_sentence(parse_block(raw), ann, store,
+                                          baseline).pairs)
+        plain = tmp_path / "plain.jsonl"
+        write_dataset(pairs, str(plain))
+        assert memoized.read_bytes() == plain.read_bytes()
