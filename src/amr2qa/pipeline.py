@@ -6,10 +6,10 @@ bounded thread pool; results are collected in input order, which makes the
 output file byte-identical regardless of worker count. Every question text
 is scored through a run-scoped memo, so a text that recurs across sentences
 reaches the scorer once per run (up to ``MEMO_CAPACITY`` texts held at a
-time); fallback scores are never stored. A failure inside one
-sentence (malformed graph, missing annotation, any generation error) is
-logged and counted, never fatal. Errors before processing starts (unreadable
-files, bad template resources, count mismatches) do abort.
+time); a fallback score is never stored and empties the memo. A failure
+inside one sentence (malformed graph, missing annotation, any generation
+error) is logged and counted, never fatal. Errors before processing starts
+(unreadable files, bad template resources, count mismatches) do abort.
 """
 
 from __future__ import annotations
@@ -106,22 +106,25 @@ class _ScoreMemo:
     """Run-scoped, bounded memo in front of a scorer, with the same
     ``score(text)`` contract.
 
-    Only scores from the configured scorer (``scorer_id``) are stored. A
-    fallback score is returned but never reused, so the text's next
-    occurrence tries the configured scorer again. When full, the oldest
-    entry is evicted. The lock is never held across a scorer call: two
-    threads that miss on one text may both score it, and either stores the
-    configured scorer's score for that text.
+    Only scores carrying the scorer's own ``scorer_id`` are stored. A
+    fallback score is returned, never stored, and empties the memo, so
+    from then on every text goes to the scorer as it would without a
+    memo: once a fallback circuit opens, no node mixes memoized scores
+    with fallback ones. A score whose call began before the latest
+    fallback is not stored either. When full, the oldest entry is
+    evicted. The lock is never held across a scorer call: two threads
+    that miss on one text may both score it, and either stores its score.
     """
 
-    def __init__(self, scorer, scorer_id: str):
+    def __init__(self, scorer):
         self._scorer = scorer
-        self._scorer_id = scorer_id
+        self._scorer_id = scorer.scorer_id
         # OrderedDict, not dict: evicting a plain dict's first key scans
         # the deleted slots left at its front, which costs more than a
         # baseline score.
         self._scores: OrderedDict[str, QuestionScore] = OrderedDict()
         self._lock = threading.Lock()
+        self._fallbacks_seen = 0
         self.hits = 0
 
     def score(self, text: str) -> QuestionScore:
@@ -132,9 +135,13 @@ class _ScoreMemo:
             with self._lock:
                 self.hits += 1
             return cached
+        fallbacks_before = self._fallbacks_seen
         result = self._scorer.score(text)
-        if result.scorer_id == self._scorer_id:
-            with self._lock:
+        with self._lock:
+            if result.scorer_id != self._scorer_id:
+                self._fallbacks_seen += 1
+                self._scores.clear()
+            elif fallbacks_before == self._fallbacks_seen:
                 self._scores[text] = result
                 if len(self._scores) > MEMO_CAPACITY:
                     self._scores.popitem(last=False)
@@ -238,7 +245,7 @@ def run_generate(config: RunConfig) -> RunReport:
                        config.mapping_path or bundled_mapping_path())
     scorer = make_scorer(config.scorer, config.scorer_url,
                          timeout=config.scorer_timeout)
-    memo = _ScoreMemo(scorer, config.scorer)
+    memo = _ScoreMemo(scorer)
 
     with open(config.amr_path, encoding="utf-8") as handle:
         blocks = split_blocks(handle.read())

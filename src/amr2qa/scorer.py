@@ -3,7 +3,8 @@
 Two scorers share one contract (``score(text) -> QuestionScore``): a bundled
 add-k smoothed n-gram baseline, and an HTTP client for an external language
 model. A wrapper composes the two so remote failures degrade to the baseline
-instead of aborting a run.
+instead of aborting a run. Every scorer's ``scorer_id`` attribute is the id
+its own (non-fallback) results carry.
 
 Scores are length-normalized (mean per-token log-probability) so candidates
 of different lengths compare fairly. Training pads each corpus line with
@@ -239,11 +240,15 @@ class FallbackScorer:
     After ``max_failures`` consecutive primary failures the circuit opens and
     later calls skip straight to the fallback, so an unreachable service
     costs a bounded number of timeouts per run. Counters are thread-safe.
+
+    ``scorer_id`` is the primary's: a result carrying any other id is a
+    fallback score.
     """
 
     def __init__(self, primary, fallback, max_failures: int = 3):
         self.primary = primary
         self.fallback = fallback
+        self.scorer_id = primary.scorer_id
         self.max_failures = max_failures
         self.fallback_calls = 0
         self.primary_calls = 0

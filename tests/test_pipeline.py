@@ -331,6 +331,39 @@ class FailsOnceOn:
         return QuestionScore(-float(len(text)), self.scorer_id)
 
 
+class FailsFrom:
+    """Primary scorer that answers until it is asked for a text containing
+    ``trigger``, and fails every request from then on."""
+
+    scorer_id = "remote"
+
+    def __init__(self, trigger):
+        self.trigger = trigger
+        self.down = False
+
+    def score(self, text):
+        self.down = self.down or self.trigger in text
+        if self.down:
+            raise ScorerUnavailable("down")
+        return QuestionScore(-float(len(text)), self.scorer_id)
+
+
+TRIGGER_AMR = """# ::id t1
+# ::snt The engine was fixed .
+(f / fix-01
+   :ARG1 (e / engine))
+"""
+
+TRIGGER_CONLLU = """# sent_id = t1
+# text = The engine was fixed .
+1\tThe\tthe\tDET\tDT\tDefinite=Def|PronType=Art\t2\tdet\t_\t_
+2\tengine\tengine\tNOUN\tNN\tNumber=Sing\t4\tnsubj:pass\t_\t_
+3\twas\tbe\tAUX\tVBD\tTense=Past\t4\taux:pass\t_\t_
+4\tfixed\tfix\tVERB\tVBN\tTense=Past|VerbForm=Part\t0\troot\t_\t_
+5\t.\t.\tPUNCT\t.\t_\t4\tpunct\t_\t_
+"""
+
+
 class TestScoreMemo:
     def test_each_distinct_text_scored_once_per_run(self, tmp_path,
                                                     monkeypatch, baseline):
@@ -366,7 +399,7 @@ class TestScoreMemo:
 
     def test_memo_holds_at_most_capacity(self, baseline):
         counting = CountingScorer(baseline)
-        memo = pipeline._ScoreMemo(counting, "baseline")
+        memo = pipeline._ScoreMemo(counting)
         texts = [f"What is item{i} ?" for i in range(pipeline.MEMO_CAPACITY
                                                     + 100)]
         for text in texts:
@@ -381,7 +414,7 @@ class TestScoreMemo:
 
     def test_concurrent_lookups_and_evictions(self, baseline):
         counting = CountingScorer(baseline)
-        memo = pipeline._ScoreMemo(counting, "baseline")
+        memo = pipeline._ScoreMemo(counting)
         texts = [f"What is item{i} ?"
                  for i in range(pipeline.MEMO_CAPACITY + 200)]
         rounds, workers = 2, 8
@@ -427,3 +460,78 @@ class TestScoreMemo:
         plain = tmp_path / "plain.jsonl"
         write_dataset(pairs, str(plain))
         assert memoized.read_bytes() == plain.read_bytes()
+
+    def test_remote_failing_partway_matches_unmemoized_run(
+            self, tmp_path, monkeypatch, store, baseline):
+        # One copy of the mini corpus, a sentence whose texts take the
+        # remote down for good, then two more copies whose texts the memo
+        # already holds.
+        amr, conllu = repeated_corpus(tmp_path, copies=3)
+        amr_text, conllu_text = Path(amr).read_text(), Path(conllu).read_text()
+        cut_amr = amr_text.index("# ::id c1s1")
+        cut_conllu = len(Path(MINI_CONLLU).read_text()) + 1
+        Path(amr).write_text(amr_text[:cut_amr] + TRIGGER_AMR + "\n"
+                             + amr_text[cut_amr:])
+        Path(conllu).write_text(conllu_text[:cut_conllu] + TRIGGER_CONLLU
+                                + "\n" + conllu_text[cut_conllu:])
+
+        monkeypatch.setattr(
+            pipeline, "make_scorer",
+            lambda *args, **kwargs: FallbackScorer(FailsFrom("fixed"),
+                                                   baseline))
+        memoized = tmp_path / "memo.jsonl"
+        report = run_generate(mini_config(
+            memoized, amr_path=amr, conllu_path=conllu,
+            scorer="remote", scorer_url="http://unused"))
+        assert report.sentences_processed == 10
+
+        plain_scorer = FallbackScorer(FailsFrom("fixed"), baseline)
+        pairs = []
+        blocks = split_blocks(Path(amr).read_text())
+        for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
+            pairs.extend(process_sentence(parse_block(raw), ann, store,
+                                          plain_scorer).pairs)
+        plain = tmp_path / "plain.jsonl"
+        write_dataset(pairs, str(plain))
+
+        assert plain_scorer.circuit_open
+        assert memoized.read_bytes() == plain.read_bytes()
+        assert report.scorer_fallbacks == plain_scorer.fallback_calls
+        ids = [p.scorer_id for p in read_dataset(str(memoized))]
+        assert ids[:9] == ["remote"] * 9
+        assert set(ids[9:]) == {"baseline"}
+
+    def test_score_begun_before_a_fallback_is_not_stored(self):
+        class Gated:
+            """Holds "slow" until released; answers any other text with a
+            fallback score."""
+
+            scorer_id = "remote"
+
+            def __init__(self):
+                self.entered = threading.Event()
+                self.release = threading.Event()
+                self.texts = Counter()
+
+            def score(self, text):
+                self.texts[text] += 1
+                if text != "slow":
+                    return QuestionScore(-9.0, "baseline")
+                self.entered.set()
+                self.release.wait(timeout=10)
+                return QuestionScore(-1.0, self.scorer_id)
+
+        gated = Gated()
+        memo = pipeline._ScoreMemo(gated)
+        thread = threading.Thread(target=memo.score, args=("slow",))
+        thread.start()
+        assert gated.entered.wait(timeout=10)
+        assert memo.score("other").scorer_id == "baseline"
+        gated.release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        memo.score("slow")
+        assert gated.texts["slow"] == 2
+        memo.score("slow")
+        assert gated.texts["slow"] == 2
+        assert memo.hits == 1

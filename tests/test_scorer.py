@@ -287,6 +287,11 @@ class TestFallbackScorer:
         assert result.scorer_id == "remote"
         assert scorer.fallback_calls == 0
 
+    def test_scorer_id_is_the_primary_s(self):
+        scorer = FallbackScorer(_StubScorer(scorer_id="remote"),
+                                _StubScorer(scorer_id="baseline"))
+        assert scorer.scorer_id == "remote"
+
     def test_failure_falls_back_and_is_recorded(self):
         scorer = FallbackScorer(_StubScorer(fail=True),
                                 _StubScorer(scorer_id="baseline"))
@@ -336,6 +341,14 @@ class TestMakeScorer:
         assert isinstance(scorer, FallbackScorer)
         assert isinstance(scorer.primary, RemoteScorer)
         assert isinstance(scorer.fallback, BaselineScorer)
+
+    def test_scorer_id_matches_its_own_scores(self, mock_server):
+        # The pipeline's score memo stores only results carrying this id.
+        for scorer in (make_scorer("baseline"),
+                       make_scorer("remote", url=mock_server)):
+            result = scorer.score("What ?")
+            assert result.scorer_id == scorer.scorer_id
+        assert scorer.fallback_calls == 0
 
     def test_remote_requires_url(self):
         with pytest.raises(ValueError):
