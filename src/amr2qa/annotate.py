@@ -9,7 +9,10 @@ token's dependency subtree covers.
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .penman import strip_sense
 from .preprocess import CondensedNode, preorder
@@ -130,33 +133,38 @@ def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
                              sentence_id=sentence_id)
 
 
-def parse_conllu(text: str) -> list[SentenceAnnotation]:
-    """Read CoNLL-U blocks into :class:`SentenceAnnotation` objects.
+def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
+    """Read CoNLL-U blocks into :class:`SentenceAnnotation` objects, one
+    sentence at a time, from ``lines``: the lines of a text-mode file.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
     ``# sent_id`` and ``# text`` comments are captured; a block without
     ``# text`` gets its text rebuilt from surfaces and SpaceAfter. Blocks
     without ``# sent_id`` are numbered by position, starting at 1.
     """
-    sentences: list[SentenceAnnotation] = []
+    count = 0
     tokens: list[Token] = []
     token_lines: list[int] = []
     sent_id: str | None = None
     sent_text: str | None = None
 
-    def flush():
-        nonlocal tokens, token_lines, sent_id, sent_text
+    def flush() -> Iterator[SentenceAnnotation]:
+        nonlocal count, tokens, token_lines, sent_id, sent_text
         if not tokens and sent_id is None and sent_text is None:
             return
-        identifier = sent_id if sent_id is not None else str(len(sentences) + 1)
+        count += 1
+        identifier = sent_id if sent_id is not None else str(count)
         _check_tree(tokens, token_lines, identifier)
         text_value = sent_text if sent_text is not None else _reconstruct_text(tokens)
-        sentences.append(SentenceAnnotation(identifier, text_value, tokens))
+        sentence = SentenceAnnotation(identifier, text_value, tokens)
         tokens, token_lines, sent_id, sent_text = [], [], None, None
+        yield sentence
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # the file's lines split in turn give its text's splitlines()
+    split = chain.from_iterable(line.splitlines() for line in lines)
+    for line_no, line in enumerate(split, start=1):
         if not line.strip():
-            flush()
+            yield from flush()
             continue
         if line.startswith("#"):
             body = line[1:].strip()
@@ -192,8 +200,12 @@ def parse_conllu(text: str) -> list[SentenceAnnotation]:
                             feats=_parse_feats(columns[5]), head=head,
                             deprel=columns[7], space_after=space_after))
         token_lines.append(line_no)
-    flush()
-    return sentences
+    yield from flush()
+
+
+def parse_conllu(text: str) -> list[SentenceAnnotation]:
+    """Every sentence of a whole CoNLL-U text (see :func:`iter_conllu`)."""
+    return list(iter_conllu(io.StringIO(text)))
 
 
 class Alignment:

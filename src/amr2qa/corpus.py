@@ -1,9 +1,8 @@
 """Corpus I/O and dataset bookkeeping.
 
 Reads AMR release files (blank-line-separated blocks of ``# ::key value``
-metadata followed by one PENMAN graph), pairs them with dependency
-annotations, writes the generated question-answer dataset as JSON Lines, and
-computes summary statistics.
+metadata followed by one PENMAN graph) block by block, writes the generated
+question-answer dataset as JSON Lines, and computes summary statistics.
 
 Spans are 1-based inclusive token ranges, matching CoNLL-U indices, so one
 indexing convention holds end-to-end. Statistics are kept exact internally
@@ -12,14 +11,17 @@ indexing convention holds end-to-end. Statistics are kept exact internally
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .agen import CONCEPT_FALLBACK, Answer
-from .annotate import SentenceAnnotation
 from .penman import AmrGraph, PenmanError, parse_penman
 
 
@@ -92,11 +94,28 @@ class RawBlock:
 _METADATA_RE = re.compile(r"^#\s*::(\S+)\s*(.*)$")
 
 
-def split_blocks(text: str) -> list[RawBlock]:
-    blocks: list[RawBlock] = []
-    for chunk in re.split(r"\n\s*\n", text):
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    r"""The text of ``lines`` cut as ``re.split(r"\n\s*\n", text)`` cuts
+    it: at each line but the first that is whitespace up to its newline."""
+    chunk: list[str] = []
+    for number, line in enumerate(lines):
+        if number and line.endswith("\n") and line.isspace():
+            if chunk:
+                yield "".join(chunk)[:-1]
+            chunk = []
+        else:
+            chunk.append(line)
+    yield "".join(chunk)
+
+
+def iter_blocks(lines: Iterable[str]) -> Iterator[RawBlock]:
+    """Blocks of an AMR file, one at a time, from ``lines``: the lines of
+    a text-mode file. Chunks of whitespace alone are skipped."""
+    position = 0
+    for chunk in _chunks(lines):
         if not chunk.strip():
             continue
+        position += 1
         block_id = None
         sentence = None
         for line in chunk.splitlines():
@@ -107,9 +126,13 @@ def split_blocks(text: str) -> list[RawBlock]:
                     block_id = value
                 elif key == "snt" and sentence is None:
                     sentence = value
-        blocks.append(RawBlock(position=len(blocks) + 1, id=block_id,
-                               sentence=sentence, body=chunk))
-    return blocks
+        yield RawBlock(position=position, id=block_id, sentence=sentence,
+                       body=chunk)
+
+
+def split_blocks(text: str) -> list[RawBlock]:
+    """Every block of a whole AMR text (see :func:`iter_blocks`)."""
+    return list(iter_blocks(io.StringIO(text)))
 
 
 def parse_block(raw: RawBlock) -> AmrCorpusEntry:
@@ -123,44 +146,6 @@ def parse_block(raw: RawBlock) -> AmrCorpusEntry:
         raise BlockParseError(str(exc), block=raw.position) from exc
     identifier = raw.id if raw.id is not None else str(raw.position)
     return AmrCorpusEntry(id=identifier, sentence=raw.sentence, graph=graph)
-
-
-def read_amr_corpus(path) -> list[AmrCorpusEntry]:
-    """All blocks of the file, strictly: the first bad block raises. Blocks
-    without ``::id`` are numbered by position from 1, the same scheme the
-    CoNLL-U reader uses for id-less sentences."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return [parse_block(raw) for raw in split_blocks(text)]
-
-
-def pair_annotations(entries: list[AmrCorpusEntry],
-                     annotations: list[SentenceAnnotation],
-                     strategy: str = "by-order"):
-    """Deterministic (entry, annotation) pairs.
-
-    by-order zips the two lists and demands equal lengths; by-id looks each
-    entry id up among annotation ids, which must be unique.
-    """
-    if strategy == "by-order":
-        if len(entries) != len(annotations):
-            raise CountMismatch(
-                f"{len(entries)} graph blocks vs {len(annotations)} annotations")
-        return list(zip(entries, annotations))
-    if strategy == "by-id":
-        index: dict[str, SentenceAnnotation] = {}
-        for ann in annotations:
-            if ann.sentence_id in index:
-                raise UnresolvedId(
-                    f"annotation id {ann.sentence_id!r} is not unique")
-            index[ann.sentence_id] = ann
-        paired = []
-        for entry in entries:
-            if entry.id not in index:
-                raise UnresolvedId(f"no annotation with id {entry.id!r}")
-            paired.append((entry, index[entry.id]))
-        return paired
-    raise ValueError(f"unknown pairing strategy {strategy!r}")
 
 
 def pair_to_json(pair: QaPair) -> dict:
@@ -199,12 +184,22 @@ def pair_from_json(obj: dict) -> QaPair:
     )
 
 
-def write_dataset(pairs: list[QaPair], path) -> None:
-    """One JSON object per line, UTF-8, LF, stable field order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(pair_to_json(pair), ensure_ascii=False))
-            handle.write("\n")
+def write_dataset(pairs: Iterable[QaPair], path) -> None:
+    """One JSON object per line, UTF-8, LF, stable field order, written to
+    ``<path>.tmp`` as ``pairs`` yields them and renamed onto ``path`` once
+    they run out. On any exception the tmp file is removed instead and
+    ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            for pair in pairs:
+                handle.write(json.dumps(pair_to_json(pair), ensure_ascii=False))
+                handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_dataset(path) -> list[QaPair]:

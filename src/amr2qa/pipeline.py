@@ -1,15 +1,19 @@
 """End-to-end generation: read, pair, preprocess, align, generate, answer,
 write.
 
-Sentences are independent units of work, so generation fans out over a
-bounded thread pool; results are collected in input order, which makes the
-output file byte-identical regardless of worker count. Every question text
-is scored through a run-scoped memo, so a text that recurs across sentences
-reaches the scorer once per run (up to ``MEMO_CAPACITY`` texts held at a
-time); a fallback score is never stored and empties the memo. A failure
-inside one sentence (malformed graph, missing annotation, any generation
-error) is logged and counted, never fatal. Errors before processing starts
-(unreadable files, bad template resources, count mismatches) do abort.
+Sentences stream: the AMR file is read block by block and the CoNLL-U file
+sentence by sentence (by-id pairing indexes the annotations, so it holds
+that file), and each sentence's lines are written in input order as soon
+as they are ready. Output bytes do not depend on worker count, and memory
+grows with the sentences in flight, not with the corpus. The dataset is
+renamed from ``<out>.tmp`` onto ``<out>`` only when the run completes.
+Every question text is scored through a run-scoped memo, so a text that
+recurs across sentences reaches the scorer once per run (up to
+``MEMO_CAPACITY`` texts held at a time); a fallback score is never stored
+and empties the memo. A failure inside one sentence (malformed graph,
+missing annotation, any generation error) is logged and counted, never
+fatal. Unreadable files, bad template resources, malformed CoNLL-U and
+count mismatches abort the run.
 """
 
 from __future__ import annotations
@@ -17,20 +21,23 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from itertools import chain, zip_longest
 
 from .agen import extract_answer
-from .annotate import SentenceAnnotation, align_concepts, parse_conllu
+from .annotate import SentenceAnnotation, align_concepts, iter_conllu
 from .corpus import (
     CountMismatch,
     QaPair,
     RawBlock,
     UnresolvedId,
     ZeroSentences,
+    iter_blocks,
     parse_block,
-    split_blocks,
     write_dataset,
 )
 from .preprocess import PreprocessConfig, preorder, preprocess
@@ -48,6 +55,10 @@ logger = logging.getLogger("amr2qa")
 # Texts the score memo holds at once; bounds its memory whatever the
 # corpus size.
 MEMO_CAPACITY = 4096
+
+# Sentences read but not yet written per worker thread, when there are
+# several: keeps each busy behind a slow sentence, and bounds memory.
+IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass
@@ -214,26 +225,54 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
     return result
 
 
-def _pair_blocks(blocks: list[RawBlock], annotations, strategy):
-    """(block, annotation-or-None) work items. A missing by-id annotation
-    becomes a per-sentence failure downstream; count and uniqueness problems
-    abort up front because silent misalignment would corrupt every pair."""
+def _pair_blocks(blocks: Iterable[RawBlock], annotations, strategy):
+    """(block, annotation-or-None) work items, drawn as they are consumed.
+    A missing by-id annotation becomes a per-sentence failure downstream;
+    count and uniqueness problems abort because silent misalignment would
+    corrupt every pair."""
     if strategy == "by-order":
-        if len(blocks) != len(annotations):
-            raise CountMismatch(f"{len(blocks)} graph blocks vs "
-                                f"{len(annotations)} annotations")
-        return list(zip(blocks, annotations))
+        return _lockstep(blocks, annotations)
     if strategy == "by-id":
         index = {}
-        for ann in annotations:
+        for ann in list(annotations):   # any ConlluError before this one
             if ann.sentence_id in index:
                 raise UnresolvedId(
                     f"annotation id {ann.sentence_id!r} is not unique")
             index[ann.sentence_id] = ann
-        return [(raw, index.get(raw.id if raw.id is not None
+        return ((raw, index.get(raw.id if raw.id is not None
                                 else str(raw.position)))
-                for raw in blocks]
+                for raw in blocks)
     raise ValueError(f"unknown pairing strategy {strategy!r}")
+
+
+def _lockstep(blocks: Iterable[RawBlock], annotations) -> Iterator[tuple]:
+    """by-order pairs. The side that is left over is counted to its end
+    for the CountMismatch message; counting annotations reads them all, so
+    a malformed CoNLL-U line raises first."""
+    pairs = zip_longest(blocks, annotations)
+    for count, (raw, ann) in enumerate(pairs):
+        if raw is None or ann is None:
+            longer = count + 1 + sum(1 for _ in pairs)
+            sizes = (count, longer) if raw is None else (longer, count)
+            raise CountMismatch("%d graph blocks vs %d annotations" % sizes)
+        yield raw, ann
+
+
+def _in_order(work: Callable, tasks: Iterable, workers: int) -> Iterator:
+    """``work(task)`` for each task, in input order: in the calling thread
+    for one worker, else on N threads with at most ``IN_FLIGHT_PER_WORKER
+    * N`` tasks read whose results have not been handed over."""
+    if workers == 1:
+        yield from map(work, tasks)
+        return
+    window: deque = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for task in tasks:
+            window.append(pool.submit(work, task))
+            if len(window) == IN_FLIGHT_PER_WORKER * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def run_generate(config: RunConfig) -> RunReport:
@@ -246,14 +285,7 @@ def run_generate(config: RunConfig) -> RunReport:
     scorer = make_scorer(config.scorer, config.scorer_url,
                          timeout=config.scorer_timeout)
     memo = _ScoreMemo(scorer)
-
-    with open(config.amr_path, encoding="utf-8") as handle:
-        blocks = split_blocks(handle.read())
-    if not blocks:
-        raise ZeroSentences("no sentences in the AMR corpus")
-    with open(config.conllu_path, encoding="utf-8") as handle:
-        annotations = parse_conllu(handle.read())
-    tasks = _pair_blocks(blocks, annotations, config.pairing)
+    report = RunReport()
 
     def work(task) -> _SentenceResult:
         raw, ann = task
@@ -267,25 +299,31 @@ def run_generate(config: RunConfig) -> RunReport:
         except Exception as exc:   # per-sentence skip policy
             return _SentenceResult(error=f"sentence {label!r}: {exc}")
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(work, tasks))
+    def counted(results: Iterator[_SentenceResult]) -> Iterator[QaPair]:
+        for result in results:
+            if result.error is not None:
+                report.sentences_failed += 1
+                logger.warning("skipped: %s", result.error)
+                continue
+            report.sentences_processed += 1
+            report.non_root_nodes += result.non_root
+            report.skipped_no_template += result.no_template
+            report.skipped_duplicate += result.duplicate
+            report.sense_questions += result.sense
+            report.questions_emitted += len(result.pairs)
+            yield from result.pairs
 
-    report = RunReport()
-    pairs: list[QaPair] = []
-    for result in results:
-        if result.error is not None:
-            report.sentences_failed += 1
-            logger.warning("skipped: %s", result.error)
-            continue
-        report.sentences_processed += 1
-        report.non_root_nodes += result.non_root
-        report.skipped_no_template += result.no_template
-        report.skipped_duplicate += result.duplicate
-        report.sense_questions += result.sense
-        report.questions_emitted += len(result.pairs)
-        pairs.extend(result.pairs)
+    with open(config.amr_path, encoding="utf-8") as amr:
+        blocks = iter_blocks(amr)
+        first = next(blocks, None)
+        if first is None:
+            raise ZeroSentences("no sentences in the AMR corpus")
+        with open(config.conllu_path, encoding="utf-8") as conllu:
+            tasks = _pair_blocks(chain([first], blocks), iter_conllu(conllu),
+                                 config.pairing)
+            with closing(_in_order(work, tasks, config.workers)) as results:
+                write_dataset(counted(results), config.output_path)
 
-    write_dataset(pairs, config.output_path)
     report.scorer_fallbacks = getattr(scorer, "fallback_calls", 0)
     report.scorer_memo_hits = memo.hits
     report.wall_time_seconds = time.perf_counter() - started

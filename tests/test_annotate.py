@@ -1,5 +1,6 @@
 """Tests for CoNLL-U ingestion, alignment, tense and subtree spans."""
 
+import io
 import random
 
 import pytest
@@ -9,12 +10,17 @@ from hypothesis import strategies as st
 from amr2qa.annotate import (
     BadColumnCount,
     CyclicTree,
+    ConlluError,
     HeadOutOfRange,
     NonIntegerHead,
     SentenceAnnotation,
     Token,
     align_concepts,
+    _check_tree,
+    _parse_feats,
+    _reconstruct_text,
     infer_tense,
+    iter_conllu,
     parse_conllu,
     subtree_span,
 )
@@ -118,6 +124,117 @@ class TestParseConllu:
         ann = sentences()["s2"]
         assert ann.surface_slice(1, 2) == "The engine"
         assert ann.surface_slice(4, 4) == "broken"
+
+
+def whole_text_parse_conllu(text):
+    """The whole-text CoNLL-U reader as it was before the streaming one:
+    the oracle for ``iter_conllu``."""
+    sentences = []
+    tokens, token_lines = [], []
+    sent_id = sent_text = None
+
+    def flush():
+        nonlocal tokens, token_lines, sent_id, sent_text
+        if not tokens and sent_id is None and sent_text is None:
+            return
+        identifier = sent_id if sent_id is not None else str(len(sentences) + 1)
+        _check_tree(tokens, token_lines, identifier)
+        text_value = (sent_text if sent_text is not None
+                      else _reconstruct_text(tokens))
+        sentences.append(SentenceAnnotation(identifier, text_value, tokens))
+        tokens, token_lines, sent_id, sent_text = [], [], None, None
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                key = key.strip()
+                if key == "sent_id":
+                    sent_id = value.strip()
+                elif key == "text":
+                    sent_text = value.strip()
+            continue
+        columns = line.split("\t")
+        if len(columns) != 10:
+            raise BadColumnCount(f"expected 10 columns, found {len(columns)}",
+                                 line=line_no)
+        identifier = columns[0]
+        if "-" in identifier or "." in identifier:
+            continue
+        try:
+            index = int(identifier)
+        except ValueError:
+            raise BadColumnCount(f"token id {identifier!r} is not an integer",
+                                 line=line_no) from None
+        try:
+            head = int(columns[6])
+        except ValueError:
+            raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
+                                 line=line_no) from None
+        tokens.append(Token(index=index, surface=columns[1], lemma=columns[2],
+                            upos=columns[3], xpos=columns[4],
+                            feats=_parse_feats(columns[5]), head=head,
+                            deprel=columns[7],
+                            space_after="SpaceAfter=No" not in columns[9]))
+        token_lines.append(line_no)
+    flush()
+    return sentences
+
+
+def outcome(read):
+    """The sentences ``read()`` returns, or the class, line and message of
+    the ConlluError it raises."""
+    try:
+        return read()
+    except ConlluError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+# token lines (good, bad head, bad column count, bad id, cycle, multiword),
+# comments, whitespace that splitlines() breaks at, and line endings
+CONLLU_PIECES = [
+    "1\tDogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_",
+    "2\tbark\tbark\tVERB\tVBP\tTense=Pres\t0\troot\t_\tSpaceAfter=No",
+    "1\tw\tw\tX\tX\t_\t0\troot\t_\t_",
+    "2\tv\tv\tX\tX\t_\t1\tdep\t_\t_",
+    "2\tv\tv\tX\tX\t_\t2\tdep\t_\t_",
+    "1\tw\tw\tX\tX\t_\tx\tdep\t_\t_",
+    "1-2\tww\t_\t_\t_\t_\t_\t_\t_\t_",
+    "a\tw\tw\tX\tX\t_\t0\troot\t_\t_", "1\tw",
+    "# sent_id = a", "# sent_id = b", "# text = Dogs bark", "# note",
+    "\n", "\n", "\n", " ", "\t", "\x0c", "\x0b", "\x85", "\x1c", "\u2028",
+    "\r", "\r\n", "\xa0",
+]
+conllu_texts = st.lists(st.sampled_from(CONLLU_PIECES), max_size=25).map(
+    "".join)
+
+
+class TestIterConlluMatchesWholeText:
+    @settings(max_examples=400, deadline=None)
+    @given(conllu_texts)
+    def test_same_sentences_or_error_as_the_whole_text_parse(self, text):
+        expected = outcome(lambda: whole_text_parse_conllu(text))
+        assert outcome(lambda: list(iter_conllu(io.StringIO(text)))) == expected
+        assert outcome(lambda: parse_conllu(text)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(conllu_texts)
+    def test_same_sentences_from_a_file_handle(self, text):
+        def handle():
+            return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                    encoding="utf-8")
+        assert (outcome(lambda: list(iter_conllu(handle())))
+                == outcome(lambda: whole_text_parse_conllu(handle().read())))
+
+    def test_sentences_before_a_bad_line_are_yielded(self):
+        sentences = iter_conllu(io.StringIO(SAMPLE + "\n1\tbad\n"))
+        assert [next(sentences).sentence_id for _ in range(8)] == [
+            f"s{k}" for k in range(1, 9)]
+        with pytest.raises(BadColumnCount):
+            next(sentences)
 
 
 class TestAlignConcepts:

@@ -1,30 +1,38 @@
-"""AMR corpus reading, annotation pairing, dataset round-trips and stats."""
+"""AMR corpus reading, annotation pairing, dataset writes and round-trips,
+and stats."""
 
+import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amr2qa.agen import Answer
-from amr2qa.annotate import parse_conllu
+from amr2qa.annotate import iter_conllu
 from amr2qa.corpus import (
+    _METADATA_RE,
     BlockParseError,
     CountMismatch,
     DatasetFormatError,
     MissingSentence,
     QaPair,
+    RawBlock,
     UnresolvedId,
     ZeroSentences,
     compute_stats,
     format_stats_table,
-    pair_annotations,
-    read_amr_corpus,
+    iter_blocks,
+    parse_block,
     read_dataset,
     split_blocks,
     stats_display,
     write_dataset,
 )
+from amr2qa.pipeline import RunConfig, _pair_blocks, run_generate
 
 from helpers import FIXTURES, load_penman_corpus
 
@@ -39,48 +47,56 @@ def write(tmp_path, name, text):
     return path
 
 
+def read_entries(path):
+    with open(path, encoding="utf-8") as handle:
+        return [parse_block(raw) for raw in iter_blocks(handle)]
+
+
 class TestReadAmrCorpus:
+    """Reading an AMR file the way the pipeline does: ``iter_blocks`` over
+    the open file, then ``parse_block`` on each block."""
+
     def test_single_block(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::id x1\n# ::snt Dogs bark .\n(b / bark-01)\n")
-        entries = read_amr_corpus(path)
+        entries = read_entries(path)
         assert len(entries) == 1
         assert entries[0].id == "x1"
         assert entries[0].sentence == "Dogs bark ."
         assert entries[0].graph.root.concept.label == "bark-01"
 
     def test_mini_fixture(self):
-        entries = read_amr_corpus(MINI_AMR)
+        entries = read_entries(MINI_AMR)
         assert [e.id for e in entries] == ["s1", "s2", "s3"]
         assert entries[1].sentence == "Mary visits museums twice ."
 
     def test_order_preserved(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta)\n")
-        entries = read_amr_corpus(path)
+        entries = read_entries(path)
         assert [e.sentence for e in entries] == ["one", "two"]
 
     def test_graph_only_block_rejected(self, tmp_path):
         path = write(tmp_path, "c.amr", "(b / bark-01)\n")
         with pytest.raises(MissingSentence) as e:
-            read_amr_corpus(path)
+            read_entries(path)
         assert e.value.block == 1
 
     def test_empty_snt_rejected(self, tmp_path):
         path = write(tmp_path, "c.amr", "# ::snt\n(b / bark-01)\n")
         with pytest.raises(MissingSentence):
-            read_amr_corpus(path)
+            read_entries(path)
 
     def test_missing_id_numbered_by_position(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta)\n")
-        assert [e.id for e in read_amr_corpus(path)] == ["1", "2"]
+        assert [e.id for e in read_entries(path)] == ["1", "2"]
 
     def test_bad_graph_names_block(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta\n")
         with pytest.raises(BlockParseError) as e:
-            read_amr_corpus(path)
+            read_entries(path)
         assert e.value.block == 2
         assert "block 2" in str(e.value)
 
@@ -89,15 +105,15 @@ class TestReadAmrCorpus:
         text = "\n\n".join(f"# ::snt sentence {i}\n{g}"
                            for i, g in enumerate(graphs))
         path = write(tmp_path, "c.amr", text)
-        assert len(read_amr_corpus(path)) == len(graphs)
+        assert len(read_entries(path)) == len(graphs)
 
     def test_unknown_metadata_ignored(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::id z\n# ::save-date 2020\n# ::snt ok\n(a / alpha)\n")
-        assert read_amr_corpus(path)[0].sentence == "ok"
+        assert read_entries(path)[0].sentence == "ok"
 
     def test_empty_file(self, tmp_path):
-        assert read_amr_corpus(write(tmp_path, "c.amr", "\n\n")) == []
+        assert read_entries(write(tmp_path, "c.amr", "\n\n")) == []
 
     def test_split_blocks_keeps_metadata(self):
         blocks = split_blocks(MINI_AMR.read_text(encoding="utf-8"))
@@ -107,44 +123,113 @@ class TestReadAmrCorpus:
 
 
 def mini_pairs():
-    entries = read_amr_corpus(MINI_AMR)
-    annotations = parse_conllu(MINI_CONLLU.read_text(encoding="utf-8"))
-    return entries, annotations
+    with open(MINI_AMR, encoding="utf-8") as handle:
+        blocks = list(iter_blocks(handle))
+    with open(MINI_CONLLU, encoding="utf-8") as handle:
+        annotations = list(iter_conllu(handle))
+    return blocks, annotations
 
 
 class TestPairAnnotations:
+    """The pipeline's pairing of graph blocks with annotations."""
+
     def test_by_order(self):
-        entries, annotations = mini_pairs()
-        paired = pair_annotations(entries, annotations, "by-order")
-        assert [(e.id, a.sentence_id) for e, a in paired] == [
+        blocks, annotations = mini_pairs()
+        paired = list(_pair_blocks(blocks, annotations, "by-order"))
+        assert [(b.id, a.sentence_id) for b, a in paired] == [
             ("s1", "s1"), ("s2", "s2"), ("s3", "s3")]
 
     def test_by_order_count_mismatch(self):
-        entries, annotations = mini_pairs()
+        blocks, annotations = mini_pairs()
         with pytest.raises(CountMismatch):
-            pair_annotations(entries, annotations[:2], "by-order")
+            list(_pair_blocks(blocks, annotations[:2], "by-order"))
 
     def test_by_id_handles_reordering(self):
-        entries, annotations = mini_pairs()
+        blocks, annotations = mini_pairs()
         shuffled = [annotations[2], annotations[0], annotations[1]]
-        paired = pair_annotations(entries, shuffled, "by-id")
-        assert all(e.id == a.sentence_id for e, a in paired)
-        assert [e.id for e, _ in paired] == ["s1", "s2", "s3"]
+        paired = list(_pair_blocks(blocks, shuffled, "by-id"))
+        assert all(b.id == a.sentence_id for b, a in paired)
+        assert [b.id for b, _ in paired] == ["s1", "s2", "s3"]
 
-    def test_by_id_unresolved(self):
-        entries, annotations = mini_pairs()
-        with pytest.raises(UnresolvedId) as e:
-            pair_annotations(entries, annotations[:2], "by-id")
-        assert "s3" in str(e.value)
+    def test_by_id_unresolved(self, tmp_path, caplog):
+        # an unresolved id fails that sentence alone, named in the log
+        blocks, annotations = mini_pairs()
+        paired = list(_pair_blocks(blocks, annotations[:2], "by-id"))
+        assert [(b.id, a is None) for b, a in paired] == [
+            ("s1", False), ("s2", False), ("s3", True)]
+        conllu = write(tmp_path, "two.conllu", "\n\n".join(
+            MINI_CONLLU.read_text(encoding="utf-8").split("\n\n")[:2]))
+        report = run_generate(RunConfig(
+            amr_path=str(MINI_AMR), conllu_path=str(conllu),
+            output_path=str(tmp_path / "out.jsonl"), pairing="by-id"))
+        assert report.sentences_failed == 1
+        assert "no annotation with id 's3'" in caplog.text
 
     def test_by_id_duplicate_annotation_ids(self):
-        entries, annotations = mini_pairs()
+        blocks, annotations = mini_pairs()
         with pytest.raises(UnresolvedId):
-            pair_annotations(entries, annotations + [annotations[0]], "by-id")
+            list(_pair_blocks(blocks, annotations + [annotations[0]], "by-id"))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            pair_annotations([], [], "by-vibes")
+            _pair_blocks([], [], "by-vibes")
+
+
+def whole_text_split_blocks(text):
+    """The whole-text block splitter as it was before the streaming reader:
+    the oracle for ``iter_blocks``."""
+    blocks = []
+    for chunk in re.split(r"\n\s*\n", text):
+        if not chunk.strip():
+            continue
+        block_id = None
+        sentence = None
+        for line in chunk.splitlines():
+            match = _METADATA_RE.match(line.strip())
+            if match:
+                key, value = match.group(1), match.group(2).strip()
+                if key == "id" and block_id is None:
+                    block_id = value
+                elif key == "snt" and sentence is None:
+                    sentence = value
+        blocks.append(RawBlock(position=len(blocks) + 1, id=block_id,
+                               sentence=sentence, body=chunk))
+    return blocks
+
+
+# whitespace that splitlines() breaks at and \s matches, other whitespace,
+# line endings, and pieces of metadata and graphs
+AMR_PIECES = ["\n", "\n", "\n", " ", "\t", "\x0c", "\x0b", "\x85", "\x1c",
+              "\u2028", "\xa0", "\u3000", "\r", "\r\n", "# ::id a",
+              "# ::id b", "# ::snt one", "# ::snt", "#::snt two ",
+              "(b / bark-01)", "(x", "x"]
+amr_texts = st.lists(st.sampled_from(AMR_PIECES), max_size=30).map("".join)
+
+
+class TestIterBlocksMatchesWholeText:
+    @settings(max_examples=400, deadline=None)
+    @given(amr_texts)
+    def test_same_blocks_as_the_whole_text_split(self, text):
+        expected = whole_text_split_blocks(text)
+        assert list(iter_blocks(io.StringIO(text))) == expected
+        assert split_blocks(text) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(amr_texts)
+    def test_same_blocks_from_a_file_handle(self, text):
+        # a text-mode file translates \r and \r\n to \n on read
+        def handle():
+            return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                    encoding="utf-8")
+        assert (list(iter_blocks(handle()))
+                == whole_text_split_blocks(handle().read()))
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "  \n(a)", "\n  \n(a)", " \n \n(a)", "(a)\n\n  ",
+        "(a)\n \x0c\n(b)", "(a)\x0c\x0c(b)", "(a)\r\n\r\n(b)",
+        "# ::snt one\n(a)\n\n\n\n# ::snt two\n(b)"])
+    def test_edge_cases(self, text):
+        assert split_blocks(text) == whole_text_split_blocks(text)
 
 
 def sample_pair(**overrides):
@@ -217,6 +302,19 @@ class TestDatasetRoundTrip:
         raw = path.read_bytes()
         assert raw.count(b"\n") == 2
         assert b"\r" not in raw
+
+    def test_failure_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"old\n")
+
+        def pairs():
+            yield sample_pair()
+            raise RuntimeError("generation failed")
+
+        with pytest.raises(RuntimeError):
+            write_dataset(pairs(), path)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -1,15 +1,17 @@
 """End-to-end pipeline behavior on small corpora."""
 
+import gc
 import json
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from amr2qa import pipeline
-from amr2qa.annotate import parse_conllu
+from amr2qa import corpus, pipeline
+from amr2qa.annotate import BadColumnCount, parse_conllu
 from amr2qa.corpus import (
     CountMismatch,
     UnresolvedId,
@@ -134,7 +136,7 @@ class TestPairBlocks:
 
     def test_by_order_count_mismatch(self):
         with pytest.raises(CountMismatch):
-            _pair_blocks(self.blocks(), self.anns()[:2], "by-order")
+            list(_pair_blocks(self.blocks(), self.anns()[:2], "by-order"))
 
     def test_by_id_reorders(self):
         anns = self.anns()
@@ -143,7 +145,7 @@ class TestPairBlocks:
             ("s1", "s1"), ("s2", "s2"), ("s3", "s3")]
 
     def test_by_id_missing_annotation_yields_none(self):
-        tasks = _pair_blocks(self.blocks(), self.anns()[:2], "by-id")
+        tasks = list(_pair_blocks(self.blocks(), self.anns()[:2], "by-id"))
         assert tasks[2][1] is None
         assert tasks[0][1] is not None
 
@@ -535,3 +537,199 @@ class TestScoreMemo:
         memo.score("slow")
         assert gated.texts["slow"] == 2
         assert memo.hits == 1
+
+
+OLD_BYTES = b'{"previous": "dataset"}\n'
+
+
+def seeded_out(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(OLD_BYTES)
+    return out
+
+
+def assert_untouched(out):
+    assert out.read_bytes() == OLD_BYTES
+    assert list(out.parent.glob("*.tmp")) == []
+
+
+def corpus_files(tmp_path, amr_copies, conllu_copies, conllu_tail=""):
+    """The mini corpus ``amr_copies`` times over and its annotations
+    ``conllu_copies`` times over, ids unique as in ``repeated_corpus``;
+    ``conllu_tail`` is appended to the last annotation."""
+    amr, _ = repeated_corpus(tmp_path, amr_copies)
+    mini = Path(MINI_CONLLU).read_text()
+    conllu = tmp_path / "annotations.conllu"
+    conllu.write_text("\n".join(mini.replace("# sent_id = s",
+                                             f"# sent_id = c{k}s")
+                                for k in range(conllu_copies))
+                      + conllu_tail)
+    return amr, str(conllu)
+
+
+class TestAtomicPublish:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_write_leaves_old_output(self, tmp_path, monkeypatch,
+                                            workers):
+        out = seeded_out(tmp_path)
+        serialized = []
+        real = corpus.pair_to_json
+
+        def failing(pair):
+            serialized.append(pair)
+            if len(serialized) == 5:
+                raise OSError(28, "No space left on device")
+            return real(pair)
+
+        monkeypatch.setattr(corpus, "pair_to_json", failing)
+        amr, conllu = repeated_corpus(tmp_path, copies=3)
+        threads_before = threading.active_count()
+        with pytest.raises(OSError, match="No space left"):
+            run_generate(mini_config(out, amr_path=amr, conllu_path=conllu,
+                                     workers=workers))
+        assert len(serialized) == 5
+        assert_untouched(out)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("amr_copies, conllu_copies, message", [
+        (3, 2, "9 graph blocks vs 6 annotations"),
+        (2, 3, "6 graph blocks vs 9 annotations"),
+    ])
+    def test_count_mismatch_leaves_old_output(self, tmp_path, amr_copies,
+                                              conllu_copies, message):
+        out = seeded_out(tmp_path)
+        amr, conllu = corpus_files(tmp_path, amr_copies, conllu_copies)
+        with pytest.raises(CountMismatch, match=message):
+            run_generate(mini_config(out, amr_path=amr, conllu_path=conllu))
+        assert_untouched(out)
+
+    def test_bad_conllu_line_in_last_sentence_leaves_old_output(self,
+                                                               tmp_path):
+        out = seeded_out(tmp_path)
+        amr, conllu = corpus_files(tmp_path, 3, 3, conllu_tail="7\tbad\n")
+        with pytest.raises(BadColumnCount) as error:
+            run_generate(mini_config(out, amr_path=amr, conllu_path=conllu))
+        assert error.value.line == len(Path(conllu).read_text().splitlines())
+        assert_untouched(out)
+
+    def test_completed_run_replaces_old_output(self, tmp_path):
+        out = seeded_out(tmp_path)
+        run_generate(mini_config(out))
+        fresh = tmp_path / "fresh.jsonl"
+        run_generate(mini_config(fresh))
+        assert out.read_bytes() == fresh.read_bytes() != OLD_BYTES
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestErrorPrecedence:
+    def test_zero_sentences_before_reading_annotations(self, tmp_path):
+        amr = tmp_path / "empty.amr"
+        amr.write_text("\n \n")
+        out = seeded_out(tmp_path)
+        for conllu in (tmp_path / "missing.conllu",
+                       corpus_files(tmp_path, 1, 1, "7\tbad\n")[1]):
+            with pytest.raises(ZeroSentences):
+                run_generate(mini_config(out, amr_path=str(amr),
+                                         conllu_path=str(conllu)))
+        assert_untouched(out)
+
+    @pytest.mark.parametrize("amr_copies, conllu_copies",
+                             [(1, 3), (3, 2), (3, 3)])
+    def test_malformed_conllu_before_count_mismatch(self, tmp_path,
+                                                   amr_copies,
+                                                   conllu_copies):
+        out = seeded_out(tmp_path)
+        amr, conllu = corpus_files(tmp_path, amr_copies, conllu_copies,
+                                   conllu_tail="7\tbad\n")
+        with pytest.raises(BadColumnCount):
+            run_generate(mini_config(out, amr_path=amr, conllu_path=conllu))
+        assert_untouched(out)
+
+    def test_malformed_conllu_before_duplicate_id(self, tmp_path):
+        out = seeded_out(tmp_path)
+        # the repeated CoNLL-U text repeats its sentence ids
+        amr, conllu = repeated_corpus(tmp_path, copies=2)
+        Path(conllu).write_text(Path(conllu).read_text() + "7\tbad\n")
+        with pytest.raises(BadColumnCount):
+            run_generate(mini_config(out, amr_path=amr, conllu_path=conllu,
+                                     pairing="by-id"))
+        assert_untouched(out)
+
+
+class TestStreaming:
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        def peak(copies):
+            amr, conllu = repeated_corpus(tmp_path, copies)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_generate(mini_config(tmp_path / "out.jsonl",
+                                         amr_path=amr, conllu_path=conllu))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)   # the first run fills lazily built tables
+        assert peak(16) < 1.5 * peak(2)
+
+    def test_sentences_in_flight_stay_within_the_bound(self, tmp_path,
+                                                       monkeypatch):
+        workers = 4
+        amr, conllu = repeated_corpus(tmp_path, copies=20)
+        read: list[str] = []
+        written: set[str] = set()
+        in_flight: list[int] = []   # sampled at each read and each start
+        real_blocks, real_process = pipeline.iter_blocks, process_sentence
+        real_to_json = corpus.pair_to_json
+
+        def blocks(lines):
+            for raw in real_blocks(lines):
+                read.append(raw.id)
+                in_flight.append(len(read) - len(written))
+                yield raw
+
+        def process(entry, *args, **kwargs):
+            in_flight.append(len(read) - len(written))
+            return real_process(entry, *args, **kwargs)
+
+        def to_json(pair):
+            written.add(pair.sentence_id)
+            return real_to_json(pair)
+
+        monkeypatch.setattr(pipeline, "iter_blocks", blocks)
+        monkeypatch.setattr(pipeline, "process_sentence", process)
+        monkeypatch.setattr(corpus, "pair_to_json", to_json)
+        report = run_generate(mini_config(tmp_path / "out.jsonl",
+                                          amr_path=amr, conllu_path=conllu,
+                                          workers=workers))
+        # every sentence has lines, so ``written`` counts sentences whose
+        # lines have started to be written
+        assert report.sentences_processed == len(read) == 60
+        assert written == set(read)
+        assert len(in_flight) == 2 * len(read)
+        assert max(in_flight) == pipeline.IN_FLIGHT_PER_WORKER * workers
+
+    def test_one_worker_runs_in_the_calling_thread(self, tmp_path,
+                                                   monkeypatch):
+        threads = set()
+        real = process_sentence
+
+        def process(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "process_sentence", process)
+        run_generate(mini_config(tmp_path / "out.jsonl"))
+        assert threads == {threading.current_thread()}
+
+    def test_by_id_output_does_not_depend_on_workers(self, tmp_path):
+        amr, conllu = corpus_files(tmp_path, 8, 8)
+        outputs = set()
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}.jsonl"
+            report = run_generate(mini_config(
+                out, amr_path=amr, conllu_path=conllu, pairing="by-id",
+                workers=workers))
+            assert report.sentences_processed == 24
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
