@@ -30,8 +30,8 @@ from .corpus import (
     ZeroSentences,
     compute_stats,
     format_stats_table,
-    read_dataset,
-    split_blocks,
+    iter_blocks,
+    iter_dataset,
     stats_display,
 )
 from .penman import PenmanError, parse_penman, serialize_penman
@@ -161,10 +161,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    pairs = read_dataset(args.dataset)
-    if pairs:
-        sentence_count = len({pair.sentence_id for pair in pairs})
-        stats = compute_stats(pairs, sentence_count)
+    # two passes over the file, so no more than one pair is held at a time
+    sentence_count = len({pair.sentence_id
+                          for pair in iter_dataset(args.dataset)})
+    if sentence_count:
+        stats = compute_stats(iter_dataset(args.dataset), sentence_count)
     else:
         stats = CorpusStats(0, Fraction(0), 0, Fraction(0), Fraction(0), 0, 0)
     if args.json:
@@ -175,12 +176,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    # reading stops at the block asked for; only an index out of range
+    # reads the whole file, to count its blocks for the message
     with open(args.amr, encoding="utf-8") as handle:
-        blocks = split_blocks(handle.read())
-    if not 0 <= args.index < len(blocks):
-        raise UsageError(f"index {args.index} out of range "
-                         f"({len(blocks)} blocks in {args.amr})")
-    raw = blocks[args.index]
+        count = 0
+        for raw in iter_blocks(handle):
+            if count == args.index:
+                break
+            count += 1
+        else:
+            raise UsageError(f"index {args.index} out of range "
+                             f"({count} blocks in {args.amr})")
     graph = parse_penman(raw.body)
     tree = preprocess(graph)
     print(f"id: {raw.id if raw.id is not None else raw.position}")

@@ -202,20 +202,25 @@ def write_dataset(pairs: Iterable[QaPair], path) -> None:
         raise
 
 
-def read_dataset(path) -> list[QaPair]:
-    pairs: list[QaPair] = []
+def iter_dataset(path) -> Iterator[QaPair]:
+    """The pairs of a JSONL dataset, one at a time; blank lines are
+    skipped."""
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                pairs.append(pair_from_json(obj))
+                pair = pair_from_json(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DatasetFormatError(f"bad dataset line: {exc}",
                                          line=line_no) from exc
-    return pairs
+            yield pair
+
+
+def read_dataset(path) -> list[QaPair]:
+    """Every pair of a dataset (see :func:`iter_dataset`)."""
+    return list(iter_dataset(path))
 
 
 @dataclass
@@ -234,27 +239,32 @@ def _round2(value: Fraction) -> str:
     return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def compute_stats(pairs: list[QaPair], sentence_count: int,
+def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
                   skipped_node_count: int = 0) -> CorpusStats:
-    """Dataset summary. Lengths are whitespace token counts; unique words
-    are lowercased question tokens. Averages stay exact (fractions)."""
+    """Dataset summary, in one pass over ``pairs``. Lengths are whitespace
+    token counts; unique words are lowercased question tokens. Averages
+    stay exact (fractions)."""
     if sentence_count < 1:
         raise ZeroSentences("sentence count must be >= 1")
-    question_lengths = [len(p.question.split()) for p in pairs]
-    answer_lengths = [len(p.answer.text.split()) for p in pairs]
-    unique_words = {token.lower() for p in pairs for token in p.question.split()}
-    total = len(pairs)
+    total = question_tokens = answer_tokens = fallbacks = 0
+    unique_words: set[str] = set()
+    for pair in pairs:
+        words = pair.question.split()
+        total += 1
+        question_tokens += len(words)
+        answer_tokens += len(pair.answer.text.split())
+        unique_words.update(word.lower() for word in words)
+        fallbacks += pair.answer.kind == CONCEPT_FALLBACK
     return CorpusStats(
         total_questions=total,
         avg_questions_per_sentence=Fraction(total, sentence_count),
         unique_word_count=len(unique_words),
-        avg_question_length=(Fraction(sum(question_lengths), total)
+        avg_question_length=(Fraction(question_tokens, total)
                              if total else Fraction(0)),
-        avg_answer_length=(Fraction(sum(answer_lengths), total)
+        avg_answer_length=(Fraction(answer_tokens, total)
                            if total else Fraction(0)),
         skipped_node_count=skipped_node_count,
-        fallback_answer_count=sum(
-            1 for p in pairs if p.answer.kind == CONCEPT_FALLBACK),
+        fallback_answer_count=fallbacks,
     )
 
 

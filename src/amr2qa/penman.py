@@ -130,10 +130,6 @@ class AmrGraph:
 
     def __init__(self, root: AmrNode):
         self.root = root
-        self.nodes: dict[str, AmrNode] = {}
-        for node in self.walk():
-            if node.variable is not None and not node.is_reentrant_ref:
-                self.nodes[node.variable] = node
 
     def walk(self):
         """Yield every tree occurrence in depth-first pre-order."""
@@ -142,10 +138,6 @@ class AmrGraph:
             node = stack.pop()
             yield node
             stack.extend(child for _, child in reversed(node.children))
-
-    def concept_of(self, variable: str) -> Concept | None:
-        node = self.nodes.get(variable)
-        return node.concept if node is not None else None
 
 
 def _constant_text(concept: Concept) -> str:

@@ -40,7 +40,7 @@ from .corpus import (
     parse_block,
     write_dataset,
 )
-from .preprocess import PreprocessConfig, preorder, preprocess
+from .preprocess import preorder, preprocess
 from .qgen import best_question, generate_candidates, sense_question
 from .scorer import QuestionScore, make_scorer
 from .templates import (
@@ -73,7 +73,6 @@ class RunConfig:
     scorer_timeout: float = 5.0
     pairing: str = "by-order"
     workers: int = 1
-    preprocess: PreprocessConfig | None = None
 
 
 @dataclass
@@ -170,15 +169,14 @@ class _SentenceResult:
 
 
 def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
-                     scorer, preprocess_config: PreprocessConfig | None = None
-                     ) -> _SentenceResult:
+                     scorer) -> _SentenceResult:
     """QA pairs for one (graph, annotation) pair.
 
     Primary questions come from non-root nodes in traversal order, then
     sense questions from predicate definitions. Within a sentence no two
     pairs share (question text, answer text); later duplicates are skipped.
     """
-    tree = preprocess(entry.graph, preprocess_config)
+    tree = preprocess(entry.graph)
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
     result = _SentenceResult()
@@ -294,8 +292,7 @@ def run_generate(config: RunConfig) -> RunReport:
             return _SentenceResult(error=f"no annotation with id {label!r}")
         try:
             entry = parse_block(raw)
-            return process_sentence(entry, ann, store, memo,
-                                    config.preprocess)
+            return process_sentence(entry, ann, store, memo)
         except Exception as exc:   # per-sentence skip policy
             return _SentenceResult(error=f"sentence {label!r}: {exc}")
 

@@ -4,8 +4,10 @@ Three passes run in a fixed order: drop ignored relations, condense entity
 subgraphs (``:quant``/``:unit`` pairs, date fields) into single multi-word
 concepts, then merge constant ``:op`` children into their owner. Dropping
 runs first so nothing is condensed into a subtree that is about to go away.
-The result is a tree of :class:`CondensedNode`, the unit that question
-generation traverses.
+:func:`preprocess` copies the parsed tree once and the passes change that
+copy in place, so the caller's graph is left as it was. The result is a
+tree of :class:`CondensedNode`, the unit that question generation
+traverses.
 """
 
 from __future__ import annotations
@@ -37,28 +39,6 @@ _DATE_FIELD_ORDER = ("day", "month", "year", "weekday", "time")
 _QUANTITY_FIELD_ORDER = ("quant", "unit")
 
 _OP_RE = re.compile(r"^op(\d+)$")
-
-
-@dataclass
-class PreprocessConfig:
-    """Knobs for the preprocessing passes; defaults follow the toolkit's
-    standard behavior."""
-
-    entity_concepts: frozenset[str] = DEFAULT_ENTITY_CONCEPTS
-    ignored_relations: frozenset[str] = DEFAULT_IGNORED_RELATIONS
-    sense_suffix_stripping: bool = False
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PreprocessConfig":
-        """Build a config from parsed JSON; absent keys keep defaults."""
-        kwargs = {}
-        if "entity_concepts" in data:
-            kwargs["entity_concepts"] = frozenset(data["entity_concepts"])
-        if "ignored_relations" in data:
-            kwargs["ignored_relations"] = frozenset(data["ignored_relations"])
-        if "sense_suffix_stripping" in data:
-            kwargs["sense_suffix_stripping"] = bool(data["sense_suffix_stripping"])
-        return cls(**kwargs)
 
 
 @dataclass(eq=False)
@@ -120,11 +100,11 @@ def _month_name(value: str) -> str:
     return value
 
 
-def drop_ignored(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
-    """Remove edges whose relation is ignored, along with subtrees reachable
-    only through them. If a dropped subtree held the definition of a variable
-    still referenced elsewhere, the first surviving reference is promoted to
-    carry the definition, so no reference dangles."""
+def drop_ignored(root: AmrNode) -> None:
+    """Remove, in place, edges whose relation is ignored, along with subtrees
+    reachable only through them. If a dropped subtree held the definition of
+    a variable still referenced elsewhere, the first surviving reference is
+    promoted to carry the definition, so no reference dangles."""
     dropped_defs: dict[str, AmrNode] = {}
 
     def record_defs(node: AmrNode):
@@ -136,7 +116,7 @@ def drop_ignored(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
     def prune(node: AmrNode):
         kept = []
         for rel, child in node.children:
-            if rel.name in config.ignored_relations:
+            if rel.name in DEFAULT_IGNORED_RELATIONS:
                 prune(child)  # clean the subtree in case it gets promoted
                 record_defs(child)
             else:
@@ -144,11 +124,10 @@ def drop_ignored(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
                 kept.append((rel, child))
         node.children = kept
 
-    root = _copy_node(graph.root)
     prune(root)
 
     # promote references whose definitions were dropped, first position wins
-    while True:
+    while dropped_defs:
         defined = set()
         stack = [root]
         order = []
@@ -158,7 +137,6 @@ def drop_ignored(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
             if node.variable is not None and not node.is_reentrant_ref:
                 defined.add(node.variable)
             stack.extend(child for _, child in reversed(node.children))
-        promoted = False
         for node in order:
             if node.is_reentrant_ref and node.variable not in defined \
                     and node.variable in dropped_defs:
@@ -167,24 +145,23 @@ def drop_ignored(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
                 node.children = definition.children
                 node.absorbed = definition.absorbed
                 node.is_reentrant_ref = False
-                promoted = True
                 break
-        if not promoted:
-            return AmrGraph(root)
+        else:
+            return
 
 
-def condense_entities(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
-    """Replace entity nodes (date-entity, temporal-quantity, ...) by a single
-    concept whose text joins their absorbable children in a fixed field
-    order. Children that cannot be absorbed stay attached."""
-    referenced = _referenced_variables(graph.root)
+def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:
+    """Replace, in place, entity nodes (date-entity, temporal-quantity, ...)
+    by a single concept whose text joins their absorbable children in a
+    fixed field order. Children that cannot be absorbed, or whose variable
+    is in ``referenced``, stay attached."""
 
     def visit(node: AmrNode):
         for _, child in node.children:
             visit(child)
         if node.is_reentrant_ref or node.concept is None or node.concept.is_constant:
             return
-        if node.concept.label not in config.entity_concepts:
+        if node.concept.label not in DEFAULT_ENTITY_CONCEPTS:
             return
         is_date = node.concept.label == "date-entity"
         order = _DATE_FIELD_ORDER if is_date else _QUANTITY_FIELD_ORDER
@@ -211,18 +188,15 @@ def condense_entities(graph: AmrGraph, config: PreprocessConfig) -> AmrGraph:
         node.children = [pair for index, pair in enumerate(node.children)
                          if index not in absorbed_indices]
 
-    root = _copy_node(graph.root)
     visit(root)
-    return AmrGraph(root)
 
 
-def merge_ops(graph: AmrGraph) -> AmrGraph:
-    """Join constant ``:opN`` children (numeric order) into their owner's
-    concept text. Only constants merge; ``:op`` children that are concept
-    nodes, as under conjunctions, stay separate. A merged ``name`` node then
-    replaces its parent's ``:name`` edge, so the parent carries the proper
-    noun directly."""
-    referenced = _referenced_variables(graph.root)
+def merge_ops(root: AmrNode, referenced: frozenset[str]) -> None:
+    """Join, in place, constant ``:opN`` children (numeric order) into their
+    owner's concept text. Only constants merge; ``:op`` children that are
+    concept nodes, as under conjunctions, stay separate. A merged ``name``
+    node then replaces its parent's ``:name`` edge, so the parent carries
+    the proper noun directly, unless its variable is in ``referenced``."""
 
     def merge_node(node: AmrNode):
         ops = []
@@ -241,9 +215,7 @@ def merge_ops(graph: AmrGraph) -> AmrGraph:
         node.children = [pair for index, pair in enumerate(node.children)
                          if index not in merged_indices]
 
-    def hoist_names(node: AmrNode):
-        for _, child in node.children:
-            hoist_names(child)
+    def hoist_name(node: AmrNode):
         for index, (rel, child) in enumerate(node.children):
             if rel.name != "name" or child.is_reentrant_ref or not child.absorbed:
                 continue
@@ -259,56 +231,53 @@ def merge_ops(graph: AmrGraph) -> AmrGraph:
                              + node.children[index + 1:])
             break
 
+    # a node's merge and hoist see only its own children, each already
+    # merged and hoisted, so one post-order walk does both
     def visit(node: AmrNode):
         for _, child in node.children:
             visit(child)
         merge_node(node)
+        hoist_name(node)
 
-    root = _copy_node(graph.root)
     visit(root)
-    hoist_names(root)
-    return AmrGraph(root)
 
 
-def _concept_text(node: AmrNode, config: PreprocessConfig) -> str:
-    if node.absorbed:
-        return node.concept.label  # already synthesized
-    if config.sense_suffix_stripping:
-        return node.concept.lemma
-    return node.concept.label
-
-
-def preprocess(graph: AmrGraph, config: PreprocessConfig | None = None) -> CondensedNode:
+def preprocess(graph: AmrGraph) -> CondensedNode:
     """Full pipeline: drop ignored edges, condense entities, merge ops, and
-    build the condensed tree. Reentrant references resolve to their
-    definition's text but remain distinct positions."""
-    config = config or PreprocessConfig()
-    done = merge_ops(condense_entities(drop_ignored(graph, config), config))
+    build the condensed tree. ``graph`` is not changed. Reentrant references
+    resolve to their definition's text but remain distinct positions."""
+    root = _copy_node(graph.root)
+    drop_ignored(root)
+    # only promotion in drop_ignored changes which variables are referenced
+    referenced = _referenced_variables(root)
+    condense_entities(root, referenced)
+    merge_ops(root, referenced)
 
-    texts: dict[str, str] = {}
-    sources: dict[str, tuple[Concept, ...]] = {}
-    for node in done.walk():
-        if node.variable is not None and not node.is_reentrant_ref:
-            texts[node.variable] = _concept_text(node, config)
-            sources[node.variable] = node.absorbed if node.absorbed else (node.concept,)
+    definitions: dict[str, CondensedNode] = {}
+    references: list[CondensedNode] = []
 
     def build(node: AmrNode, relation: Relation | None,
               parent: CondensedNode | None) -> CondensedNode:
+        out = CondensedNode(variable=node.variable, concept_text="",
+                            source_concepts=(), relation_to_parent=relation,
+                            is_reference=node.is_reentrant_ref, parent=parent)
         if node.is_reentrant_ref:
-            return CondensedNode(variable=node.variable,
-                                 concept_text=texts[node.variable],
-                                 source_concepts=sources[node.variable],
-                                 relation_to_parent=relation,
-                                 is_reference=True, parent=parent)
-        out = CondensedNode(variable=node.variable,
-                            concept_text=_concept_text(node, config),
-                            source_concepts=node.absorbed if node.absorbed else (node.concept,),
-                            relation_to_parent=relation, parent=parent)
+            references.append(out)  # its text is its definition's, set below
+            return out
+        out.concept_text = node.concept.label
+        out.source_concepts = node.absorbed if node.absorbed else (node.concept,)
+        if node.variable is not None:
+            definitions[node.variable] = out
         for rel, child in node.children:
             out.children.append(build(child, rel, out))
         return out
 
-    return build(done.root, None, None)
+    tree = build(root, None, None)
+    for ref in references:
+        definition = definitions[ref.variable]
+        ref.concept_text = definition.concept_text
+        ref.source_concepts = definition.source_concepts
+    return tree
 
 
 def preorder(tree: CondensedNode) -> list[CondensedNode]:

@@ -1,5 +1,6 @@
 """Command line interface: flags, config merging, exit codes, output."""
 
+import gc
 import json
 import logging
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -14,6 +16,9 @@ import pytest
 
 import amr2qa
 from amr2qa.cli import main
+from amr2qa.corpus import split_blocks
+from amr2qa.penman import parse_penman, serialize_penman
+from amr2qa.preprocess import format_tree, preorder, preprocess
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 MINI_AMR = str(FIXTURES / "mini.amr")
@@ -40,6 +45,28 @@ def clean_env(monkeypatch):
 def gen_args(out, *extra):
     return ["generate", "--amr", MINI_AMR, "--conllu", MINI_CONLLU,
             "--out", str(out), *extra]
+
+
+def peak_memory(argv, capsys) -> int:
+    """tracemalloc peak of ``main(argv)``, which must exit 0."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+
+
+def repeated(tmp_path, source: str, old: str, new: str, copies: int) -> str:
+    """``copies`` copies of ``source`` in one file, the k-th with ``old``
+    replaced by ``new`` formatted with k, so ids stay unique."""
+    text = Path(source).read_text(encoding="utf-8")
+    path = tmp_path / f"{copies}-{Path(source).name}"
+    path.write_text("\n".join(text.replace(old, new.format(k))
+                              for k in range(copies)), encoding="utf-8")
+    return str(path)
 
 
 class TestGenerate:
@@ -280,6 +307,16 @@ class TestStats:
         bad.write_text('{"sentence_id": "s1"\n')
         assert main(["stats", str(bad)]) == 2
 
+    def test_peak_memory_does_not_grow_with_the_dataset(self, tmp_path,
+                                                         capsys):
+        def peak(copies):
+            dataset = repeated(tmp_path, MINI_DATASET, '"sentence_id": "s',
+                               '"sentence_id": "c{}s', copies)
+            return peak_memory(["stats", dataset], capsys)
+
+        peak(2)   # the first run fills lazily built tables
+        assert peak(16) < 1.5 * peak(2)
+
 
 class TestInspect:
     def test_shows_original_condensed_traversal(self, capsys):
@@ -321,6 +358,50 @@ class TestInspect:
         amr = tmp_path / "bad.amr"
         amr.write_text("# ::snt Broken .\n(x / oops-\n")
         assert main(["inspect", "--amr", str(amr), "--index", "0"]) == 2
+
+    @pytest.mark.parametrize("name, index", [
+        *(("corpus/mini.amr", index) for index in (-4, -1, 0, 1, 2, 3, 7)),
+        *((f"preprocess/{path.name}", index) for path in sorted(
+            (FIXTURES.parent / "preprocess").glob("*.amr"))
+          for index in (0, 1)),
+    ])
+    def test_same_output_as_reading_the_whole_file(self, name, index,
+                                                   capsys):
+        path = str(FIXTURES.parent / name)
+        code = main(["inspect", "--amr", path, "--index", str(index)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            whole_file_inspect(path, index)
+
+    def test_peak_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+        def peak(copies):
+            amr = repeated(tmp_path, MINI_AMR, "# ::id s", "# ::id c{}s",
+                           copies)
+            return peak_memory(["inspect", "--amr", amr, "--index", "0"],
+                               capsys)
+
+        peak(2)   # the first run fills lazily built tables
+        assert peak(16) < 1.5 * peak(2)
+
+
+def whole_file_inspect(path, index):
+    """Reference for ``inspect``: (exit code, stdout, stderr) from reading
+    and splitting the whole file, then indexing the block list."""
+    blocks = split_blocks(Path(path).read_text(encoding="utf-8"))
+    if not 0 <= index < len(blocks):
+        return 1, "", (f"error: index {index} out of range "
+                       f"({len(blocks)} blocks in {path})\n")
+    raw = blocks[index]
+    graph = parse_penman(raw.body)
+    tree = preprocess(graph)
+    lines = [f"id: {raw.id if raw.id is not None else raw.position}"]
+    if raw.sentence:
+        lines.append(f"sentence: {raw.sentence}")
+    lines += [f"original: {serialize_penman(graph)}", "condensed:",
+              format_tree(tree).rstrip("\n"),
+              "traversal: " + " -> ".join(n.concept_text
+                                          for n in preorder(tree))]
+    return 0, "\n".join(lines) + "\n", ""
 
 
 class TestEntryPoints:

@@ -447,7 +447,8 @@ class TestStatsAgainstRecount:
                     question=question,
                     answer=Answer(kind=rng.choice(kinds), text=answer_text,
                                   span=None)))
-            stats = compute_stats(pairs, sentence_count)
+            # an iterator: the pairs can be read only once
+            stats = compute_stats(iter(pairs), sentence_count)
             expected = _recount(pairs, sentence_count)
             assert stats.total_questions == expected["total_questions"]
             assert (stats.avg_questions_per_sentence

@@ -6,12 +6,13 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr2qa.penman import parse_penman, to_triples
+from amr2qa.penman import AmrGraph, parse_penman, serialize_penman, to_triples
 from amr2qa.preprocess import (
     DEFAULT_ENTITY_CONCEPTS,
     DEFAULT_IGNORED_RELATIONS,
     CondensedNode,
-    PreprocessConfig,
+    _copy_node,
+    _referenced_variables,
     condense_entities,
     drop_ignored,
     format_tree,
@@ -36,9 +37,38 @@ def fixture_pairs():
     return pairs
 
 
-def run_passes(graph, config=None):
-    config = config or PreprocessConfig()
-    return merge_ops(condense_entities(drop_ignored(graph, config), config))
+def run_passes(graph):
+    """A new graph: ``graph`` copied, then all three passes run on the copy."""
+    root = _copy_node(graph.root)
+    drop_ignored(root)
+    referenced = _referenced_variables(root)
+    condense_entities(root, referenced)
+    merge_ops(root, referenced)
+    return AmrGraph(root)
+
+
+def dropped(text):
+    graph = parse_penman(text)
+    drop_ignored(graph.root)
+    return graph
+
+
+def condensed(text):
+    graph = parse_penman(text)
+    condense_entities(graph.root, _referenced_variables(graph.root))
+    return graph
+
+
+def merged(text):
+    graph = parse_penman(text)
+    merge_ops(graph.root, _referenced_variables(graph.root))
+    return graph
+
+
+def defined(graph):
+    """Variable -> defining node, read from ``walk()``."""
+    return {node.variable: node for node in graph.walk()
+            if node.variable is not None and not node.is_reentrant_ref}
 
 
 class TestDefaults:
@@ -52,33 +82,19 @@ class TestDefaults:
         assert DEFAULT_IGNORED_RELATIONS == {
             "polarity", "wiki", "polite", "polite-of", "mode"}
 
-    def test_from_dict_overrides(self):
-        config = PreprocessConfig.from_dict(
-            {"entity_concepts": ["date-entity"], "ignored_relations": []})
-        assert config.entity_concepts == {"date-entity"}
-        assert config.ignored_relations == frozenset()
-        assert config.sense_suffix_stripping is False
-
-    def test_from_dict_empty_keeps_defaults(self):
-        config = PreprocessConfig.from_dict({})
-        assert config.entity_concepts == DEFAULT_ENTITY_CONCEPTS
-        assert config.ignored_relations == DEFAULT_IGNORED_RELATIONS
-
 
 class TestDropIgnored:
 
     def test_polarity_removed(self):
-        g = drop_ignored(parse_penman("(g / go-02 :polarity -)"), PreprocessConfig())
+        g = dropped("(g / go-02 :polarity -)")
         assert to_triples(g) == [("g", "instance", "go-02")]
 
     def test_untouched_graph_unchanged(self):
         text = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
-        original = parse_penman(text)
-        assert to_triples(drop_ignored(original, PreprocessConfig())) == to_triples(original)
+        assert to_triples(dropped(text)) == to_triples(parse_penman(text))
 
     def test_wiki_removed_name_kept(self):
-        g = drop_ignored(parse_penman('(c / city :wiki "Q60" :name (n / name :op1 "NYC"))'),
-                         PreprocessConfig())
+        g = dropped('(c / city :wiki "Q60" :name (n / name :op1 "NYC"))')
         assert to_triples(g) == [
             ("c", "instance", "city"),
             ("n", "instance", "name"),
@@ -87,29 +103,23 @@ class TestDropIgnored:
         ]
 
     def test_subtree_under_ignored_edge_removed(self):
-        g = drop_ignored(parse_penman(
-            '(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss (h / he)))'),
-            PreprocessConfig())
-        assert set(g.nodes) == {"s", "i"}
+        g = dropped('(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss (h / he)))')
+        assert set(defined(g)) == {"s", "i"}
 
     def test_dropped_definition_promoted_at_first_reference(self):
-        g = drop_ignored(parse_penman(
-            "(x / x-01 :mode (p / person) :ARG0 p :ARG1 p)"), PreprocessConfig())
+        g = dropped("(x / x-01 :mode (p / person) :ARG0 p :ARG1 p)")
         kinds = [(rel.name, child.is_reentrant_ref) for rel, child in g.root.children]
         assert kinds == [("ARG0", False), ("ARG1", True)]
-        assert g.nodes["p"].concept.label == "person"
+        assert defined(g)["p"].concept.label == "person"
 
     def test_promoted_definition_keeps_subtree(self):
-        g = drop_ignored(parse_penman(
-            '(k / know-01 :polite (p / person :name (n / name :op1 "Bo")) :ARG0 p)'),
-            PreprocessConfig())
-        assert set(g.nodes) == {"k", "p", "n"}
+        g = dropped('(k / know-01 :polite (p / person :name (n / name :op1 "Bo")) :ARG0 p)')
+        assert set(defined(g)) == {"k", "p", "n"}
         rel, child = g.root.children[0]
         assert (rel.name, child.concept.label) == ("ARG0", "person")
 
     def test_reference_inside_dropped_subtree_vanishes(self):
-        g = drop_ignored(parse_penman(
-            "(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss i))"), PreprocessConfig())
+        g = dropped("(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss i))")
         assert to_triples(g) == [
             ("s", "instance", "see-01"),
             ("i", "instance", "i"),
@@ -120,20 +130,17 @@ class TestDropIgnored:
 class TestCondenseEntities:
 
     def test_temporal_quantity(self):
-        g = condense_entities(parse_penman(
-            "(t / temporal-quantity :quant 1 :unit (y / year))"), PreprocessConfig())
+        g = condensed("(t / temporal-quantity :quant 1 :unit (y / year))")
         assert g.root.concept.label == "1 year"
         assert g.root.children == []
         assert [c.label for c in g.root.absorbed] == ["temporal-quantity", "1", "year"]
 
     def test_non_entity_graph_unchanged(self):
-        original = parse_penman("(e / eat-01 :ARG0 (m / mouse) :ARG1 (c / cheese))")
-        assert to_triples(condense_entities(original, PreprocessConfig())) == \
-            to_triples(original)
+        text = "(e / eat-01 :ARG0 (m / mouse) :ARG1 (c / cheese))"
+        assert to_triples(condensed(text)) == to_triples(parse_penman(text))
 
     def test_date_entity_month_name(self):
-        g = condense_entities(parse_penman(
-            "(d / date-entity :month 2 :year 2013)"), PreprocessConfig())
+        g = condensed("(d / date-entity :month 2 :year 2013)")
         assert g.root.concept.label == "February 2013"
 
     def test_date_entity_brute_force_ordering(self):
@@ -144,50 +151,37 @@ class TestCondenseEntities:
         fields["weekday"] = re.search(r":weekday \(\w+ / (\w+)\)", text).group(1)
         expected = " ".join([fields["day"], MONTHS[int(fields["month"])],
                              fields["year"], fields["weekday"]])
-        g = condense_entities(parse_penman(text), PreprocessConfig())
+        g = condensed(text)
         assert g.root.concept.label == expected == "5 February 2013 tuesday"
 
     def test_all_month_names(self):
         for month in range(1, 13):
-            g = condense_entities(parse_penman(
-                f"(d / date-entity :month {month})"), PreprocessConfig())
+            g = condensed(f"(d / date-entity :month {month})")
             assert g.root.concept.label == MONTHS[month]
 
     def test_non_numeric_month_kept(self):
-        g = condense_entities(parse_penman(
-            '(d / date-entity :month "Feb")'), PreprocessConfig())
+        g = condensed('(d / date-entity :month "Feb")')
         assert g.root.concept.label == "Feb"
 
     def test_unabsorbable_children_stay(self):
-        g = condense_entities(parse_penman(
-            "(d / date-entity :month 2 :mod (a / approximate))"), PreprocessConfig())
+        g = condensed("(d / date-entity :month 2 :mod (a / approximate))")
         assert g.root.concept.label == "February"
         assert [rel.name for rel, _ in g.root.children] == ["mod"]
 
     def test_entity_with_no_absorbable_children_unchanged(self):
-        original = parse_penman("(d / date-entity :mod (a / approximate))")
-        g = condense_entities(original, PreprocessConfig())
-        assert to_triples(g) == to_triples(original)
+        text = "(d / date-entity :mod (a / approximate))"
+        assert to_triples(condensed(text)) == to_triples(parse_penman(text))
 
     def test_referenced_unit_not_absorbed(self):
-        g = condense_entities(parse_penman(
-            "(a / and :op1 (t / temporal-quantity :quant 1 :unit (y / year)) :op2 y)"),
-            PreprocessConfig())
-        t = g.nodes["t"]
+        g = condensed(
+            "(a / and :op1 (t / temporal-quantity :quant 1 :unit (y / year)) :op2 y)")
+        t = defined(g)["t"]
         assert t.concept.label == "1"
         assert [rel.name for rel, _ in t.children] == ["unit"]
 
     def test_monetary_quantity_not_in_defaults(self):
-        original = parse_penman(
-            "(m / monetary-quantity :quant 5.50 :unit (d / dollar))")
-        g = condense_entities(original, PreprocessConfig())
-        assert to_triples(g) == to_triples(original)
-
-    def test_configurable_entity_set(self):
-        config = PreprocessConfig(entity_concepts=frozenset({"monetary-quantity"}))
-        g = condense_entities(parse_penman(
-            "(m / monetary-quantity :quant 5.50 :unit (d / dollar))"), config)
-        assert g.root.concept.label == "5.50 dollar"
+        text = "(m / monetary-quantity :quant 5.50 :unit (d / dollar))"
+        assert to_triples(condensed(text)) == to_triples(parse_penman(text))
 
 
 class TestMergeOps:
@@ -196,44 +190,42 @@ class TestMergeOps:
         text = '(p / person :name (n / name :op1 "Nikola" :op2 "Tesla"))'
         expected = " ".join(m.group(1) for m in
                             re.finditer(r':op\d+ "([^"]+)"', text))
-        g = merge_ops(parse_penman(text))
+        g = merged(text)
         assert g.root.concept.label == expected == "Nikola Tesla"
         assert g.root.children == []
         assert [c.label for c in g.root.absorbed] == \
             ["person", "name", "Nikola", "Tesla"]
 
     def test_numeric_op_order_beats_source_order(self):
-        g = merge_ops(parse_penman('(n / name :op2 "Tesla" :op1 "Nikola")'))
+        g = merged('(n / name :op2 "Tesla" :op1 "Nikola")')
         assert g.root.concept.label == "Nikola Tesla"
 
     def test_no_op_children_unchanged(self):
-        original = parse_penman("(b / break-01 :ARG1 (e / engine))")
-        assert to_triples(merge_ops(original)) == to_triples(original)
+        text = "(b / break-01 :ARG1 (e / engine))"
+        assert to_triples(merged(text)) == to_triples(parse_penman(text))
 
     def test_node_ops_not_merged(self):
-        original = parse_penman("(a / and :op1 (x / dog) :op2 (y / cat))")
-        g = merge_ops(original)
-        assert to_triples(g) == to_triples(original)
+        text = "(a / and :op1 (x / dog) :op2 (y / cat))"
+        assert to_triples(merged(text)) == to_triples(parse_penman(text))
 
     def test_constant_ops_merged_on_non_name_node(self):
-        g = merge_ops(parse_penman("(a / and :op1 3 :op2 5)"))
+        g = merged("(a / and :op1 3 :op2 5)")
         assert g.root.concept.label == "3 5"
 
     def test_single_op(self):
-        g = merge_ops(parse_penman('(n / name :op1 "Rio de Janeiro")'))
+        g = merged('(n / name :op1 "Rio de Janeiro")')
         assert g.root.concept.label == "Rio de Janeiro"
 
     def test_mixed_ops_merge_constants_only(self):
-        g = merge_ops(parse_penman('(n / name :op1 "Nikola" :op2 (t / thing))'))
+        g = merged('(n / name :op1 "Nikola" :op2 (t / thing))')
         assert g.root.concept.label == "Nikola"
         assert [rel.name for rel, _ in g.root.children] == ["op2"]
 
     def test_referenced_name_not_hoisted(self):
-        g = merge_ops(parse_penman(
-            '(s / say-01 :ARG0 (p / person :name (n / name :op1 "Bo")) :ARG1 n)'))
-        p = g.nodes["p"]
-        assert p.concept.label == "person"
-        assert g.nodes["n"].concept.label == "Bo"
+        g = merged('(s / say-01 :ARG0 (p / person :name (n / name :op1 "Bo")) :ARG1 n)')
+        nodes = defined(g)
+        assert nodes["p"].concept.label == "person"
+        assert nodes["n"].concept.label == "Bo"
 
 
 class TestPreprocess:
@@ -257,12 +249,6 @@ class TestPreprocess:
         assert len(boys) == 2
         assert [n.is_reference for n in boys] == [False, True]
         assert boys[0] is not boys[1]
-
-    def test_sense_suffix_stripping(self):
-        config = PreprocessConfig(sense_suffix_stripping=True)
-        tree = preprocess(parse_penman("(b / break-01 :ARG1 (e / engine))"), config)
-        assert tree.concept_text == "break"
-        assert tree.children[0].concept_text == "engine"
 
     def test_golden_fixtures(self):
         pairs = fixture_pairs()
@@ -304,6 +290,21 @@ class TestInvariants:
             once = run_passes(graph)
             assert format_tree(preprocess(once)) == format_tree(preprocess(graph)), name
 
+    def test_input_graph_untouched_on_fixtures(self):
+        for amr, _, name in fixture_pairs():
+            graph = parse_penman(amr)
+            before = serialize_penman(graph)
+            preprocess(graph)
+            assert serialize_penman(graph) == before, name
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_input_graph_untouched_on_random_graphs(self, seed):
+        graph = parse_penman(random_amr_text(random.Random(seed)))
+        before = serialize_penman(graph)
+        preprocess(graph)
+        assert serialize_penman(graph) == before
+
     def test_no_ignored_relation_survives_fixtures(self):
         for amr, _, name in fixture_pairs():
             tree = preprocess(parse_penman(amr))
@@ -339,17 +340,16 @@ class TestInvariants:
     def test_random_graph_properties(self, seed):
         rng = random.Random(seed)
         graph = parse_penman(random_amr_text(rng))
-        config = PreprocessConfig()
-        tree = preprocess(graph, config)
+        tree = preprocess(graph)
         nodes = preorder(tree)
         for node in nodes:
             assert node.concept_text
             if node.relation_to_parent is None:
                 assert node is tree
             else:
-                assert node.relation_to_parent.name not in config.ignored_relations
-        once = run_passes(graph, config)
-        assert format_tree(preprocess(once, config)) == format_tree(tree)
+                assert node.relation_to_parent.name not in DEFAULT_IGNORED_RELATIONS
+        once = run_passes(graph)
+        assert format_tree(preprocess(once)) == format_tree(tree)
 
 
 def _edges(graph):
