@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 
 from .annotate import ConlluError
 from .corpus import (
@@ -167,6 +166,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if sentence_count:
         stats = compute_stats(iter_dataset(args.dataset), sentence_count)
     else:
+        from fractions import Fraction
+
         stats = CorpusStats(0, Fraction(0), 0, Fraction(0), Fraction(0), 0, 0)
     if args.json:
         print(json.dumps(stats_display(stats), indent=2))

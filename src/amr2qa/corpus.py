@@ -18,11 +18,13 @@ import re
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .agen import CONCEPT_FALLBACK, Answer
 from .penman import AmrGraph, PenmanError, parse_penman
+
+if TYPE_CHECKING:  # stats imports it when it runs; generate never needs it
+    from fractions import Fraction
 
 
 class CorpusError(ValueError):
@@ -235,6 +237,8 @@ class CorpusStats:
 
 
 def _round2(value: Fraction) -> str:
+    from decimal import ROUND_HALF_UP, Decimal
+
     quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
@@ -244,6 +248,8 @@ def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
     """Dataset summary, in one pass over ``pairs``. Lengths are whitespace
     token counts; unique words are lowercased question tokens. Averages
     stay exact (fractions)."""
+    from fractions import Fraction
+
     if sentence_count < 1:
         raise ZeroSentences("sentence count must be >= 1")
     total = question_tokens = answer_tokens = fallbacks = 0

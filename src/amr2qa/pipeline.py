@@ -23,7 +23,6 @@ import threading
 import time
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain, zip_longest
@@ -263,6 +262,8 @@ def _in_order(work: Callable, tasks: Iterable, workers: int) -> Iterator:
     if workers == 1:
         yield from map(work, tasks)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
+
     window: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for task in tasks:

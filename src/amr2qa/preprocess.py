@@ -12,7 +12,6 @@ traverses.
 
 from __future__ import annotations
 
-import calendar
 import re
 from dataclasses import dataclass, field
 
@@ -39,6 +38,12 @@ _DATE_FIELD_ORDER = ("day", "month", "year", "weekday", "time")
 _QUANTITY_FIELD_ORDER = ("quant", "unit")
 
 _OP_RE = re.compile(r"^op(\d+)$")
+
+# indexed like calendar.month_name, but English whatever the locale:
+# calendar.month_name follows LC_TIME once a caller runs locale.setlocale
+_MONTH_NAMES = ("", "January", "February", "March", "April", "May", "June",
+                "July", "August", "September", "October", "November",
+                "December")
 
 
 @dataclass(eq=False)
@@ -96,15 +101,18 @@ def _month_name(value: str) -> str:
     except ValueError:
         return value
     if 1 <= number <= 12:
-        return calendar.month_name[number]
+        return _MONTH_NAMES[number]
     return value
 
 
 def drop_ignored(root: AmrNode) -> None:
     """Remove, in place, edges whose relation is ignored, along with subtrees
     reachable only through them. If a dropped subtree held the definition of
-    a variable still referenced elsewhere, the first surviving reference is
-    promoted to carry the definition, so no reference dangles."""
+    a variable still referenced elsewhere, the first surviving reference (in
+    pre-order) adopts the definition, so no reference dangles. An adopted
+    subtree may repeat a definition an earlier reference already adopted;
+    that later occurrence becomes a reference, so each variable keeps one
+    definition."""
     dropped_defs: dict[str, AmrNode] = {}
 
     def record_defs(node: AmrNode):
@@ -125,29 +133,47 @@ def drop_ignored(root: AmrNode) -> None:
         node.children = kept
 
     prune(root)
+    if not dropped_defs:
+        return
 
-    # promote references whose definitions were dropped, first position wins
-    while dropped_defs:
-        defined = set()
-        stack = [root]
-        order = []
+    def definitions(top: AmrNode):
+        # a caller that turns a yielded node into a reference (no children)
+        # is not led below it
+        stack = [top]
         while stack:
             node = stack.pop()
-            order.append(node)
             if node.variable is not None and not node.is_reentrant_ref:
-                defined.add(node.variable)
-            stack.extend(child for _, child in reversed(node.children))
-        for node in order:
-            if node.is_reentrant_ref and node.variable not in defined \
-                    and node.variable in dropped_defs:
-                definition = dropped_defs.pop(node.variable)
-                node.concept = definition.concept
-                node.children = definition.children
-                node.absorbed = definition.absorbed
-                node.is_reentrant_ref = False
-                break
-        else:
-            return
+                yield node
+                stack.extend(child for _, child in node.children)
+
+    # every definition in the tree, so a reference that comes before its
+    # definition is not promoted
+    defined = {node.variable for node in definitions(root)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_reentrant_ref and node.variable not in defined \
+                and node.variable in dropped_defs:
+            definition = dropped_defs.pop(node.variable)
+            node.concept = definition.concept
+            # a copy: the dropped node may turn up again inside a subtree
+            # adopted later, and must not share its list with this position
+            node.children = list(definition.children)
+            node.absorbed = definition.absorbed
+            node.is_reentrant_ref = False
+            # the adopted subtree may hold a definition an earlier reference
+            # adopted; the tree has it already, so this one becomes a
+            # reference (no variable is defined twice in one parsed graph,
+            # so the order of this walk does not matter)
+            for inner in definitions(node):
+                if inner.variable not in defined:
+                    defined.add(inner.variable)
+                else:
+                    inner.concept = None
+                    inner.children = []
+                    inner.absorbed = ()
+                    inner.is_reentrant_ref = True
+        stack.extend(child for _, child in reversed(node.children))
 
 
 def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
-
-_HEADER_RE = re.compile(r"^ngram-model v1 order=(\d+) smoothing=([0-9.eE+-]+)$")
 
 
 class ScorerUnavailable(RuntimeError):
@@ -35,13 +30,6 @@ class ScorerUnavailable(RuntimeError):
 
 class EmptyCorpus(ValueError):
     pass
-
-
-class ModelFormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        suffix = f" (line {line})" if line is not None else ""
-        super().__init__(message + suffix)
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -135,48 +123,8 @@ def score_text(model: NgramModel, text: str) -> float:
     return sum(values) / len(values)
 
 
-def save_model(model: NgramModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"ngram-model v1 order={model.order} "
-                     f"smoothing={model.smoothing}\n")
-        for gram in sorted(model.counts):
-            handle.write(f"{' '.join(gram)}\t{model.counts[gram]}\n")
-
-
-def load_model(path) -> NgramModel:
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        match = _HEADER_RE.match(header)
-        if not match:
-            raise ModelFormatError(f"bad header {header!r}", line=1)
-        order = int(match.group(1))
-        smoothing = float(match.group(2))
-        counts: dict[tuple[str, ...], int] = {}
-        for line_no, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ModelFormatError("expected gram<TAB>count", line=line_no)
-            gram = tuple(parts[0].split(" "))
-            if len(gram) != order:
-                raise ModelFormatError(
-                    f"expected {order} tokens, found {len(gram)}", line=line_no)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise ModelFormatError(f"bad count {parts[1]!r}",
-                                       line=line_no) from None
-            if count < 1 or gram in counts:
-                raise ModelFormatError("counts must be unique and >= 1",
-                                       line=line_no)
-            counts[gram] = count
-    return NgramModel(order=order, smoothing=smoothing, counts=counts)
-
-
-def bundled_corpus_path():
-    return resources.files("amr2qa").joinpath("data/fluency_corpus.txt")
+def bundled_corpus_path() -> Path:
+    return Path(__file__).parent / "data" / "fluency_corpus.txt"
 
 
 class BaselineScorer:
@@ -205,24 +153,29 @@ class RemoteScorer:
     scorer_id = "remote"
 
     def __init__(self, url: str, timeout: float = 5.0, max_in_flight: int = 4):
+        # the HTTP client loads here, not at module import: a baseline run
+        # never needs it, and a remote run pays for it during set-up
+        import urllib.request
+
+        self._client = urllib.request
         self.url = url
         self.timeout = timeout
         self._slots = threading.Semaphore(max_in_flight)
 
     def score(self, question: str) -> QuestionScore:
         payload = json.dumps({"text": question}).encode("utf-8")
-        request = urllib.request.Request(
+        request = self._client.Request(
             self.url, data=payload,
             headers={"Content-Type": "application/json"}, method="POST")
         with self._slots:
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as reply:
+                with self._client.urlopen(request, timeout=self.timeout) as reply:
                     if not 200 <= reply.status < 300:
                         raise ScorerUnavailable(f"status {reply.status}")
                     body = reply.read()
             except ScorerUnavailable:
                 raise
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+            except (OSError, ValueError) as exc:  # URLError is an OSError
                 raise ScorerUnavailable(str(exc)) from exc
         try:
             decoded = json.loads(body.decode("utf-8"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 
 from .penman import CORE_RELATIONS, Concept
 
@@ -270,16 +270,21 @@ def select_templates(store: TemplateStore, relation: str,
             if t.matches_tense(tense) and pos in t.blank_pos[0]]
 
 
-def bundled_template_path():
-    return resources.files("amr2qa").joinpath("data/templates.txt")
+# the bundled files are read by path: they ship next to this module
+# (package-data in pyproject.toml)
+_DATA_DIR = Path(__file__).parent / "data"
 
 
-def bundled_mapping_path():
-    return resources.files("amr2qa").joinpath("data/role_mapping.txt")
+def bundled_template_path() -> Path:
+    return _DATA_DIR / "templates.txt"
 
 
-def bundled_relations_path():
-    return resources.files("amr2qa").joinpath("data/noncore_relations.txt")
+def bundled_mapping_path() -> Path:
+    return _DATA_DIR / "role_mapping.txt"
+
+
+def bundled_relations_path() -> Path:
+    return _DATA_DIR / "noncore_relations.txt"
 
 
 def default_store() -> TemplateStore:

@@ -101,6 +101,39 @@ def random_amr_text(rng: random.Random, max_nodes: int = 14) -> str:
     return build(0)
 
 
+def random_promotion_amr_text(rng: random.Random, max_nodes: int = 12) -> str:
+    """Build a well-formed PENMAN string whose ignored-relation subtrees,
+    nested ones among them, define variables that other positions refer to,
+    before and after the definition, so preprocessing has to promote
+    definitions out of dropped subtrees. References are drawn once the whole
+    tree exists, so any variable can be referenced anywhere; most name a
+    variable defined under an ignored edge."""
+    variables: list[str] = []
+    dropped: list[str] = []
+
+    def build(depth: int, under_ignored: bool) -> str:
+        var = f"v{len(variables) + 1}"
+        variables.append(var)
+        if under_ignored:
+            dropped.append(var)
+        parts = [f"({var} / {rng.choice(_CONCEPTS)}"]
+        room = depth < 4 and len(variables) < max_nodes
+        for _ in range(rng.randrange(1, 4) if room else rng.randrange(2)):
+            ignored = rng.randrange(3) == 0
+            rel = rng.choice(_IGNORED if ignored else _RELATIONS)
+            if rng.randrange(3) == 0 or len(variables) >= max_nodes:
+                parts.append(f" :{rel} {{}}")   # a reference, drawn below
+            else:
+                parts.append(f" :{rel} {build(depth + 1, under_ignored or ignored)}")
+        parts.append(")")
+        return "".join(parts)
+
+    text = build(0, False)
+    return text.format(*(rng.choice(dropped if dropped and rng.randrange(4)
+                                    else variables)
+                         for _ in range(text.count("{}"))))
+
+
 def fuzz_strings(count: int, seed: int = 7):
     """Yield `count` adversarial parser inputs, deterministically.
 

@@ -1,7 +1,9 @@
 """Tests for graph preprocessing: drop, condense, merge, tree building."""
 
+import calendar
 import random
 import re
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from amr2qa.preprocess import (
     preprocess,
 )
 
-from helpers import FIXTURES, random_amr_text
+from helpers import FIXTURES, random_amr_text, random_promotion_amr_text
 
 PP_DIR = FIXTURES / "preprocess"
 MONTHS = ["", "January", "February", "March", "April", "May", "June", "July",
@@ -118,6 +120,16 @@ class TestDropIgnored:
         rel, child = g.root.children[0]
         assert (rel.name, child.concept.label) == ("ARG0", "person")
 
+    def test_nested_definition_already_promoted_becomes_reference(self):
+        g = dropped("(x / x-01 :mode (u / u-thing :ARG0 (v / person))"
+                    " :ARG1 v :ARG2 u)")
+        (_, first), (_, second) = g.root.children
+        assert (first.variable, first.is_reentrant_ref) == ("v", False)
+        assert (second.variable, second.is_reentrant_ref) == ("u", False)
+        (_, inner), = second.children
+        assert (inner.variable, inner.is_reentrant_ref) == ("v", True)
+        assert inner.concept is None and inner.children == []
+
     def test_reference_inside_dropped_subtree_vanishes(self):
         g = dropped("(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss i))")
         assert to_triples(g) == [
@@ -158,6 +170,13 @@ class TestCondenseEntities:
         for month in range(1, 13):
             g = condensed(f"(d / date-entity :month {month})")
             assert g.root.concept.label == MONTHS[month]
+
+    def test_month_name_is_english_whatever_the_locale(self, monkeypatch):
+        # calendar.month_name follows LC_TIME after locale.setlocale
+        monkeypatch.setattr(calendar, "month_name",
+                            ["", "janvier", "février", "mars"] + ["x"] * 9)
+        tree = preprocess(parse_penman("(d / date-entity :month 3)"))
+        assert format_tree(tree) == "March [d]\n"
 
     def test_non_numeric_month_kept(self):
         g = condensed('(d / date-entity :month "Feb")')
@@ -252,7 +271,7 @@ class TestPreprocess:
 
     def test_golden_fixtures(self):
         pairs = fixture_pairs()
-        assert len(pairs) == 20
+        assert len(pairs) == 21
         for amr, golden, name in pairs:
             assert format_tree(preprocess(parse_penman(amr))) == golden, name
 
@@ -350,6 +369,37 @@ class TestInvariants:
                 assert node.relation_to_parent.name not in DEFAULT_IGNORED_RELATIONS
         once = run_passes(graph)
         assert format_tree(preprocess(once)) == format_tree(tree)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_one_definition_per_variable_after_promotion(self, seed):
+        graph = parse_penman(random_promotion_amr_text(random.Random(seed)))
+        root = _copy_node(graph.root)
+        drop_ignored(root)
+        positions, seen = [], set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            assert id(node) not in seen   # no node reached twice, no cycle
+            seen.add(id(node))
+            positions.append(node)
+            stack.extend(child for _, child in node.children)
+        children_lists = {id(node.children) for node in positions}
+        assert len(children_lists) == len(positions)
+        _assert_one_definition_each(
+            (node.variable, node.is_reentrant_ref) for node in positions)
+        tree = preprocess(graph)
+        _assert_one_definition_each(
+            (node.variable, node.is_reference) for node in preorder(tree))
+
+
+def _assert_one_definition_each(occurrences):
+    """Every variable has exactly one non-reference occurrence, and every
+    reference names a defined variable."""
+    occurrences = [(var, ref) for var, ref in occurrences if var is not None]
+    definitions = Counter(var for var, ref in occurrences if not ref)
+    assert all(count == 1 for count in definitions.values()), definitions
+    assert {var for var, ref in occurrences if ref} <= set(definitions)
 
 
 def _edges(graph):

@@ -1,4 +1,4 @@
-"""N-gram baseline, model file round-trip, remote client and fallback."""
+"""N-gram baseline, remote client and fallback."""
 
 import json
 import math
@@ -15,15 +15,12 @@ from amr2qa.scorer import (
     BaselineScorer,
     EmptyCorpus,
     FallbackScorer,
-    ModelFormatError,
     NgramModel,
     QuestionScore,
     RemoteScorer,
     ScorerUnavailable,
     bundled_corpus_path,
-    load_model,
     make_scorer,
-    save_model,
     score_text,
     train_ngram,
 )
@@ -145,54 +142,6 @@ class TestBundledBaseline:
         other = BaselineScorer.bundled()
         for question in ("Who made the cake ?", "What was lost ?", "zz qq"):
             assert other.score(question) == self.scorer.score(question)
-
-
-class TestModelFile:
-    def test_round_trip(self, tmp_path):
-        model = train_ngram("a b c . a b d .", order=2, smoothing=0.5)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.order == 2
-        assert loaded.smoothing == 0.5
-        assert loaded.counts == model.counts
-        for text in ("a b c", "unseen words here", "a"):
-            assert score_text(loaded, text) == score_text(model, text)
-
-    def test_header_format(self, tmp_path):
-        path = tmp_path / "model.txt"
-        save_model(train_ngram("a b", order=2), path)
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "ngram-model v1 order=2 smoothing=1.0"
-
-    def test_save_is_deterministic(self, tmp_path):
-        model = train_ngram("b a . a b . c a b", order=2)
-        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
-        save_model(model, one)
-        save_model(model, two)
-        assert one.read_bytes() == two.read_bytes()
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("ngram-model v2 order=2\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError) as e:
-            load_model(path)
-        assert e.value.line == 1
-
-    def test_bad_rows(self, tmp_path):
-        header = "ngram-model v1 order=2 smoothing=1.0\n"
-        for row in ("a b c\t1", "a b\tmany", "a b\t0", "a\t3", "a b 1"):
-            path = tmp_path / "model.txt"
-            path.write_text(header + row + "\n", encoding="utf-8")
-            with pytest.raises(ModelFormatError):
-                load_model(path)
-
-    def test_duplicate_gram(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("ngram-model v1 order=2 smoothing=1.0\n"
-                        "a b\t1\na b\t2\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
 
 
 class _Handler(BaseHTTPRequestHandler):
