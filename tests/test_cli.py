@@ -24,6 +24,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 MINI_AMR = str(FIXTURES / "mini.amr")
 MINI_CONLLU = str(FIXTURES / "mini.conllu")
 MINI_DATASET = str(FIXTURES / "mini_dataset.jsonl")
+MINI_GOLDEN = FIXTURES / "mini_golden.jsonl"
 
 
 @pytest.fixture(autouse=True)
@@ -78,6 +79,12 @@ class TestGenerate:
         assert "questions emitted     9" in captured.err
         assert captured.out == ""          # data never goes to stdout
         assert len(out.read_text().splitlines()) == 9
+
+    def test_mini_corpus_matches_golden(self, tmp_path, capsys):
+        # pins questions, template ids, answers and scores byte for byte
+        out = tmp_path / "out.jsonl"
+        assert main(gen_args(out)) == 0
+        assert out.read_bytes() == MINI_GOLDEN.read_bytes()
 
     def test_missing_required_flag(self, tmp_path, capsys):
         rc = main(["generate", "--amr", MINI_AMR, "--conllu", MINI_CONLLU])
