@@ -46,7 +46,7 @@ def extract_answer(node: CondensedNode, ann: SentenceAnnotation,
     token. Unaligned: the concept text, sense suffix stripped.
     """
     if node in alignment:
-        head = range_head(ann, alignment.span(node))
+        head = range_head(ann, alignment[node])
         covered = subtree_span(ann, head)
         return Answer(kind=SPAN, text=span_text(ann, covered), span=covered,
                       source_node=node.variable or "")

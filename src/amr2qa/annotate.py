@@ -84,16 +84,6 @@ class SentenceAnnotation:
             self._children = table
         return self._children.get(index, [])
 
-    def surface_slice(self, start: int, end: int) -> str:
-        """Sentence text for token indices [start, end], both inclusive,
-        following SpaceAfter."""
-        parts = []
-        for token in self.tokens[start - 1:end]:
-            parts.append(token.surface)
-            if token.space_after and token.index != end:
-                parts.append(" ")
-        return "".join(parts)
-
 
 def _parse_feats(column: str) -> dict:
     if column in ("_", ""):
@@ -208,21 +198,9 @@ def parse_conllu(text: str) -> list[SentenceAnnotation]:
     return list(iter_conllu(io.StringIO(text)))
 
 
-class Alignment:
-    """Mapping from condensed-tree positions to 1-based token spans.
-
-    Single-word alignments are ``(i, i)``; multi-word concepts map to a
-    contiguous range. Nodes without a matching token are absent.
-    """
-
-    def __init__(self, spans: dict[CondensedNode, tuple[int, int]]):
-        self._spans = dict(spans)
-
-    def span(self, node: CondensedNode) -> tuple[int, int] | None:
-        return self._spans.get(node)
-
-    def __contains__(self, node: CondensedNode) -> bool:
-        return node in self._spans
+# condensed-tree node -> 1-based token span: ``(i, i)`` for a single word,
+# a contiguous range for a multi-word concept; unaligned nodes are absent
+Alignment = dict[CondensedNode, tuple[int, int]]
 
 
 def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
@@ -235,7 +213,7 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
     Abstract concepts with no surface realization stay unaligned. Reentrant
     references inherit the span of their definition.
     """
-    spans: dict[CondensedNode, tuple[int, int]] = {}
+    spans: Alignment = {}
     used: set[int] = set()
     definitions: dict[str, CondensedNode] = {}
 
@@ -272,7 +250,7 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
             if definition is not None and definition in spans:
                 spans[node] = spans[definition]
 
-    return Alignment(spans)
+    return spans
 
 
 PAST = "past"

@@ -220,11 +220,6 @@ def iter_dataset(path) -> Iterator[QaPair]:
             yield pair
 
 
-def read_dataset(path) -> list[QaPair]:
-    """Every pair of a dataset (see :func:`iter_dataset`)."""
-    return list(iter_dataset(path))
-
-
 @dataclass
 class CorpusStats:
     total_questions: int

@@ -183,8 +183,7 @@ class _Lexer:
                 nl = self.text.find("\n", self.pos)
                 self.pos = self.length if nl < 0 else nl + 1
             elif ch == "~":
-                m = _ALIGN_RE.match(self.text, self.pos)
-                self.pos = m.end() if m and m.end() > self.pos else self.pos + 1
+                self.pos = _ALIGN_RE.match(self.text, self.pos).end()
             else:
                 return
 
@@ -207,12 +206,8 @@ class _Lexer:
             if not value:
                 raise MalformedGraph("relation name missing after ':'", start)
             return ("REL", value, start)
-        value = self._atom_text()
-        if not value:
-            # isolated junk character such as a stray quote terminator
-            self.pos += 1
-            raise MalformedGraph(f"unexpected character {ch!r}", start)
-        return ("ATOM", value, start)
+        # _skip_space left a character that starts an atom
+        return ("ATOM", self._atom_text(), start)
 
     def _string(self, start: int) -> tuple[str, str, int]:
         self.pos += 1

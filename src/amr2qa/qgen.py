@@ -94,7 +94,7 @@ def _fill_info(node: CondensedNode, ann: SentenceAnnotation,
                alignment: Alignment) -> tuple[str, str, int | None]:
     """(surface text, POS, aligned head index) for one fill."""
     if node in alignment:
-        span = alignment.span(node)
+        span = alignment[node]
         head = range_head(ann, span)
         return span_text(ann, span), ann.token(head).upos, head
     return strip_sense(node.concept_text), _guess_pos(node), None
@@ -164,7 +164,7 @@ def sense_question(node: CondensedNode, ann: SentenceAnnotation,
     own = node.source_concepts[0]
     if not own.sense or node not in alignment:
         return None
-    span = alignment.span(node)
+    span = alignment[node]
     if ann.token(range_head(ann, span)).upos != "VERB":
         return None
     surface = span_text(ann, span)

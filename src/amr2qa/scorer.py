@@ -1,15 +1,15 @@
 """Fluency scoring for candidate questions.
 
 Two scorers share one contract (``score(text) -> QuestionScore``): a bundled
-add-k smoothed n-gram baseline, and an HTTP client for an external language
+add-one smoothed bigram baseline, and an HTTP client for an external language
 model. A wrapper composes the two so remote failures degrade to the baseline
 instead of aborting a run. Every scorer's ``scorer_id`` attribute is the id
 its own (non-fallback) results carry.
 
 Scores are length-normalized (mean per-token log-probability) so candidates
 of different lengths compare fairly. Training pads each corpus line with
-boundary markers; scoring does not pad, and questions shorter than the model
-order fall back to mean smoothed unigram log-probability.
+boundary markers; scoring does not pad, and one-word questions fall back to
+the smoothed unigram log-probability.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
+ADD_K = 1.0            # add-one smoothing of the bigram baseline
+MAX_IN_FLIGHT = 4      # concurrent requests per RemoteScorer
+MAX_FAILURES = 3       # consecutive primary failures that open the circuit
 
 
 class ScorerUnavailable(RuntimeError):
@@ -39,87 +42,62 @@ class QuestionScore:
 
 
 class NgramModel:
-    """Add-k smoothed n-gram counts. Immutable after construction, so one
+    """Add-one smoothed bigram counts. Immutable after construction, so one
     instance can be shared across worker threads."""
 
-    def __init__(self, order: int = 2, smoothing: float = 1.0,
-                 counts: dict[tuple[str, ...], int] | None = None):
-        if order < 2:
-            raise ValueError("order must be >= 2")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
-        self.order = order
-        self.smoothing = smoothing
-        self.counts: dict[tuple[str, ...], int] = dict(counts or {})
-        self._finalize()
-
-    def _finalize(self):
-        self.context_counts: dict[tuple[str, ...], int] = {}
+    def __init__(self, counts: dict[tuple[str, str], int]):
+        self.counts = counts
+        self.context_counts: dict[tuple[str], int] = {}
         self.unigram_counts: dict[str, int] = {}
         vocab: set[str] = set()
-        for gram, count in self.counts.items():
+        for gram, count in counts.items():
             self.context_counts[gram[:-1]] = (
                 self.context_counts.get(gram[:-1], 0) + count)
             self.unigram_counts[gram[0]] = (
                 self.unigram_counts.get(gram[0], 0) + count)
             vocab.update(gram)
         self.vocabulary = frozenset(vocab)
-        self.total = sum(self.counts.values())
+        self.vocabulary_size = len(vocab)
+        self.total = sum(counts.values())
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.vocabulary)
-
-    def logprob(self, gram: tuple[str, ...]) -> float:
-        """Smoothed log P(gram[-1] | gram[:-1]). Finite for any tokens."""
-        if len(gram) != self.order:
-            raise ValueError(f"expected {self.order}-gram, got {len(gram)}")
-        k = self.smoothing
+    def logprob(self, gram: tuple[str, str]) -> float:
+        """Smoothed log P(gram[1] | gram[0]). Finite for any tokens."""
+        k = ADD_K
         denominator = self.context_counts.get(gram[:-1], 0) + k * self.vocabulary_size
         return math.log((self.counts.get(gram, 0) + k) / denominator)
 
     def unigram_logprob(self, token: str) -> float:
-        k = self.smoothing
+        k = ADD_K
         denominator = self.total + k * self.vocabulary_size
         return math.log((self.unigram_counts.get(token, 0) + k) / denominator)
 
 
-def train_ngram(corpus, order: int = 2, smoothing: float = 1.0) -> NgramModel:
-    """Count boundary-padded n-grams over the corpus.
-
-    ``corpus`` is a string (one sentence per line) or an iterable of
-    sentence strings; tokens split on whitespace.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    lines = corpus.splitlines() if isinstance(corpus, str) else corpus
-    counts: dict[tuple[str, ...], int] = {}
-    saw_tokens = False
-    for line in lines:
+def train_ngram(text: str) -> NgramModel:
+    """Count boundary-padded bigrams over ``text``, one sentence per line;
+    tokens split on whitespace."""
+    counts: dict[tuple[str, str], int] = {}
+    for line in text.splitlines():
         tokens = line.split()
         if not tokens:
             continue
-        saw_tokens = True
-        padded = [BOS] * (order - 1) + tokens + [EOS]
-        for i in range(len(padded) - order + 1):
-            gram = tuple(padded[i:i + order])
+        padded = [BOS, *tokens, EOS]
+        for gram in zip(padded, padded[1:]):
             counts[gram] = counts.get(gram, 0) + 1
-    if not saw_tokens:
+    if not counts:
         raise EmptyCorpus("no tokens in corpus")
-    return NgramModel(order=order, smoothing=smoothing, counts=counts)
+    return NgramModel(counts)
 
 
 def score_text(model: NgramModel, text: str) -> float:
-    """Mean per-token log-probability, without boundary padding. Texts
-    shorter than the model order score as mean smoothed unigram log-prob."""
+    """Mean per-token log-probability, without boundary padding. A one-word
+    text scores as its smoothed unigram log-prob."""
     tokens = text.split()
     if not tokens:
         raise ValueError("cannot score an empty question")
-    if len(tokens) < model.order:
-        values = [model.unigram_logprob(t) for t in tokens]
+    if len(tokens) == 1:
+        values = [model.unigram_logprob(tokens[0])]
     else:
-        values = [model.logprob(tuple(tokens[i:i + model.order]))
-                  for i in range(len(tokens) - model.order + 1)]
+        values = [model.logprob(gram) for gram in zip(tokens, tokens[1:])]
     return sum(values) / len(values)
 
 
@@ -145,14 +123,14 @@ class BaselineScorer:
 class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
-    In-flight requests are capped by a semaphore; every call carries a
+    At most ``MAX_IN_FLIGHT`` requests are in flight; every call carries a
     timeout. Timeouts, connection errors, non-2xx statuses and malformed
     replies all surface as ScorerUnavailable.
     """
 
     scorer_id = "remote"
 
-    def __init__(self, url: str, timeout: float = 5.0, max_in_flight: int = 4):
+    def __init__(self, url: str, timeout: float = 5.0):
         # the HTTP client loads here, not at module import: a baseline run
         # never needs it, and a remote run pays for it during set-up
         import urllib.request
@@ -160,7 +138,7 @@ class RemoteScorer:
         self._client = urllib.request
         self.url = url
         self.timeout = timeout
-        self._slots = threading.Semaphore(max_in_flight)
+        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
 
     def score(self, question: str) -> QuestionScore:
         payload = json.dumps({"text": question}).encode("utf-8")
@@ -190,7 +168,7 @@ class RemoteScorer:
 class FallbackScorer:
     """Primary scorer with a local stand-in.
 
-    After ``max_failures`` consecutive primary failures the circuit opens and
+    After ``MAX_FAILURES`` consecutive primary failures the circuit opens and
     later calls skip straight to the fallback, so an unreachable service
     costs a bounded number of timeouts per run. Counters are thread-safe.
 
@@ -198,13 +176,11 @@ class FallbackScorer:
     fallback score.
     """
 
-    def __init__(self, primary, fallback, max_failures: int = 3):
+    def __init__(self, primary, fallback):
         self.primary = primary
         self.fallback = fallback
         self.scorer_id = primary.scorer_id
-        self.max_failures = max_failures
         self.fallback_calls = 0
-        self.primary_calls = 0
         self._consecutive_failures = 0
         self._circuit_open = False
         self._lock = threading.Lock()
@@ -222,12 +198,11 @@ class FallbackScorer:
             except ScorerUnavailable:
                 with self._lock:
                     self._consecutive_failures += 1
-                    if self._consecutive_failures >= self.max_failures:
+                    if self._consecutive_failures >= MAX_FAILURES:
                         self._circuit_open = True
             else:
                 with self._lock:
                     self._consecutive_failures = 0
-                    self.primary_calls += 1
                 return result
         with self._lock:
             self.fallback_calls += 1
@@ -235,7 +210,7 @@ class FallbackScorer:
 
 
 def make_scorer(kind: str = "baseline", url: str | None = None,
-                timeout: float = 5.0, max_in_flight: int = 4):
+                timeout: float = 5.0):
     """Scorer factory used by the pipeline and CLI. ``remote`` always wraps
     the bundled baseline as fallback."""
     if kind == "baseline":
@@ -243,6 +218,6 @@ def make_scorer(kind: str = "baseline", url: str | None = None,
     if kind == "remote":
         if not url:
             raise ValueError("remote scorer requires a URL")
-        remote = RemoteScorer(url, timeout=timeout, max_in_flight=max_in_flight)
+        remote = RemoteScorer(url, timeout=timeout)
         return FallbackScorer(remote, BaselineScorer.bundled())
     raise ValueError(f"unknown scorer kind {kind!r}")

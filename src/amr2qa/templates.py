@@ -110,20 +110,6 @@ class TemplateStore:
             bucket = self.core if template.kind == "core" else self.noncore
             bucket.setdefault(template.key, []).append(template)
 
-    @property
-    def core_count(self) -> int:
-        return sum(len(v) for v in self.core.values())
-
-    @property
-    def noncore_count(self) -> int:
-        return sum(len(v) for v in self.noncore.values())
-
-    def by_id(self, template_id: str) -> Template | None:
-        for template in self.templates:
-            if template.id == template_id:
-                return template
-        return None
-
 
 def _parse_blank_pos(column: str, line_no: int) -> tuple[frozenset[str], ...]:
     blanks = []

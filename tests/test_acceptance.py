@@ -20,7 +20,7 @@ import synth_corpus
 from amr2qa.agen import extract_answer
 from amr2qa.annotate import align_concepts, subtree_span
 from amr2qa.cli import main as cli_main
-from amr2qa.corpus import compute_stats, read_dataset, split_blocks, stats_display
+from amr2qa.corpus import compute_stats, iter_dataset, split_blocks, stats_display
 from amr2qa.penman import PenmanError, parse_penman, serialize_penman, to_triples
 from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
@@ -174,7 +174,7 @@ def test_criterion_5_full_run_validity(big_corpus, tmp_path):
     for raw in split_blocks(amr.read_text(encoding="utf-8")):
         label = raw.id if raw.id is not None else str(raw.position)
         sentences[label] = raw.sentence or ""
-    pairs = read_dataset(str(out))
+    pairs = list(iter_dataset(str(out)))
     assert pairs
 
     bad_end = sum(1 for p in pairs if not p.question.endswith("?"))
@@ -214,7 +214,7 @@ def test_criterion_6_worker_determinism(big_corpus, tmp_path):
 
 def test_criterion_7_stats_oracle():
     dataset = FIXTURES / "corpus" / "mini_dataset.jsonl"
-    pairs = read_dataset(str(dataset))
+    pairs = list(iter_dataset(str(dataset)))
     display = stats_display(compute_stats(pairs, sentence_count=3))
     # hand tally over the fixture: 6 questions / 3 sentences; question
     # lengths 4+7+3+5+5+5 = 29 tokens; answer lengths 2+1+1+1+6+1 = 12;
@@ -241,7 +241,7 @@ def test_criterion_8_fallback_safety(big_corpus, tmp_path, monkeypatch):
                    "--out", str(out), "--scorer", "remote",
                    "--scorer-url", "http://127.0.0.1:1/score",
                    "--workers", "4"])
-    pairs = read_dataset(str(out))
+    pairs = list(iter_dataset(str(out)))
     scorer_ids = {p.scorer_id for p in pairs}
     ok = rc == 0 and len(pairs) > 0 and scorer_ids == {"baseline"}
     _report("8 (fallback safety)", ok,

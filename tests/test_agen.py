@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr2qa.agen import CONCEPT_FALLBACK, SPAN, extract_answer, span_text
-from amr2qa.annotate import Alignment, align_concepts, parse_conllu, range_head
+from amr2qa.annotate import align_concepts, parse_conllu, range_head
 from amr2qa.penman import parse_penman
 from amr2qa.preprocess import preorder, preprocess
 
@@ -63,7 +63,7 @@ class TestSpans:
             '(p / person :name (n / name :op1 "Nikola" :op2 "Tesla") '
             ':ARG0-of (i / invent-01 :ARG1 (c / coil)))', TESLA)
         person = preorder(tree)[0]
-        assert alignment.span(person) == (1, 2)
+        assert alignment[person] == (1, 2)
         answer = extract_answer(person, TESLA, alignment)
         assert answer.span == (1, 2)
         assert answer.text == "Nikola Tesla"
@@ -154,7 +154,7 @@ class TestSpanAgainstBruteForce:
             ann = annotation_from_heads(heads)
             index = rng.randint(1, len(heads))
             node = _FakeNode()
-            answer = extract_answer(node, ann, Alignment({node: (index, index)}))
+            answer = extract_answer(node, ann, {node: (index, index)})
             expected = _oracle_descendants(heads, index)
             assert answer.span == (min(expected), max(expected))
             assert answer.text == span_text(ann, answer.span)
@@ -167,6 +167,6 @@ class TestSpanAgainstBruteForce:
         ann = annotation_from_heads(heads)
         index = rng.randint(1, len(heads))
         node = _FakeNode()
-        answer = extract_answer(node, ann, Alignment({node: (index, index)}))
+        answer = extract_answer(node, ann, {node: (index, index)})
         expected = _oracle_descendants(heads, index)
         assert answer.span == (min(expected), max(expected))

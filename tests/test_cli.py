@@ -247,6 +247,7 @@ def scorer_server():
     yield f"http://127.0.0.1:{server.server_port}/score"
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
 
 
 class TestEnvironmentOverride:

@@ -26,8 +26,8 @@ from amr2qa.corpus import (
     compute_stats,
     format_stats_table,
     iter_blocks,
+    iter_dataset,
     parse_block,
-    read_dataset,
     split_blocks,
     stats_display,
     write_dataset,
@@ -253,13 +253,13 @@ class TestDatasetRoundTrip:
         path = tmp_path / "d.jsonl"
         write_dataset([], path)
         assert path.read_bytes() == b""
-        assert read_dataset(path) == []
+        assert list(iter_dataset(path)) == []
 
     def test_one_pair_round_trips(self, tmp_path):
         path = tmp_path / "d.jsonl"
         original = sample_pair()
         write_dataset([original], path)
-        assert read_dataset(path) == [original]
+        assert list(iter_dataset(path)) == [original]
 
     def test_fallback_and_unscored_pairs_round_trip(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -273,7 +273,7 @@ class TestDatasetRoundTrip:
                                       span=None, source_node="b")),
         ]
         write_dataset(pairs, path)
-        assert read_dataset(path) == pairs
+        assert list(iter_dataset(path)) == pairs
 
     def test_span_encoding(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -322,7 +322,7 @@ class TestDatasetRoundTrip:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{oops\n")
         with pytest.raises(DatasetFormatError) as e:
-            read_dataset(path)
+            list(iter_dataset(path))
         assert e.value.line == 2
 
     def test_blank_lines_skipped_on_read(self, tmp_path):
@@ -330,7 +330,7 @@ class TestDatasetRoundTrip:
         write_dataset([sample_pair()], path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n")
-        assert len(read_dataset(path)) == 1
+        assert len(list(iter_dataset(path))) == 1
 
 
 class TestComputeStats:
@@ -380,7 +380,7 @@ class TestComputeStats:
         assert compute_stats([], 1, skipped_node_count=7).skipped_node_count == 7
 
     def test_hand_tallied_fixture(self):
-        pairs = read_dataset(MINI_DATASET)
+        pairs = list(iter_dataset(MINI_DATASET))
         stats = compute_stats(pairs, 3, skipped_node_count=2)
         display = stats_display(stats)
         # hand tally: 6 questions over 3 sentences; question tokens
@@ -397,7 +397,7 @@ class TestComputeStats:
         }
 
     def test_table_rendering(self):
-        stats = compute_stats(read_dataset(MINI_DATASET), 3)
+        stats = compute_stats(iter_dataset(MINI_DATASET), 3)
         table = format_stats_table(stats)
         lines = table.splitlines()
         assert lines[0].startswith("Total questions")

@@ -16,8 +16,8 @@ from amr2qa.corpus import (
     CountMismatch,
     UnresolvedId,
     ZeroSentences,
+    iter_dataset,
     parse_block,
-    read_dataset,
     split_blocks,
     write_dataset,
 )
@@ -175,7 +175,7 @@ class TestRunGenerate:
     def test_dataset_contents(self, tmp_path):
         out = tmp_path / "out.jsonl"
         run_generate(mini_config(out))
-        pairs = read_dataset(str(out))
+        pairs = list(iter_dataset(str(out)))
         assert pairs[0].question == "What was broken ?"
         assert pairs[0].answer.text == "The engine"
         assert pairs[0].answer.span == (1, 2)
@@ -215,7 +215,7 @@ class TestRunGenerate:
         report = run_generate(mini_config(out, amr_path=str(amr)))
         assert report.sentences_processed == 2
         assert report.sentences_failed == 1
-        ids = {p.sentence_id for p in read_dataset(str(out))}
+        ids = {p.sentence_id for p in iter_dataset(str(out))}
         assert ids == {"s1", "s3"}
 
     def test_by_id_missing_annotation_fails_that_sentence(self, tmp_path):
@@ -227,7 +227,7 @@ class TestRunGenerate:
                                           pairing="by-id"))
         assert report.sentences_processed == 2
         assert report.sentences_failed == 1
-        assert {p.sentence_id for p in read_dataset(str(out))} == {"s1", "s2"}
+        assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s2"}
 
     def test_empty_corpus_raises(self, tmp_path):
         amr = tmp_path / "empty.amr"
@@ -259,7 +259,7 @@ class TestRunGenerate:
             scorer_timeout=0.2))
         assert report.sentences_processed == 3
         assert report.scorer_fallbacks > 0
-        pairs = read_dataset(str(out))
+        pairs = list(iter_dataset(str(out)))
         assert pairs
         assert {p.scorer_id for p in pairs} == {"baseline"}
 
@@ -499,7 +499,7 @@ class TestScoreMemo:
         assert plain_scorer.circuit_open
         assert memoized.read_bytes() == plain.read_bytes()
         assert report.scorer_fallbacks == plain_scorer.fallback_calls
-        ids = [p.scorer_id for p in read_dataset(str(memoized))]
+        ids = [p.scorer_id for p in iter_dataset(str(memoized))]
         assert ids[:9] == ["remote"] * 9
         assert set(ids[9:]) == {"baseline"}
 

@@ -15,7 +15,6 @@ from amr2qa.scorer import (
     BaselineScorer,
     EmptyCorpus,
     FallbackScorer,
-    NgramModel,
     QuestionScore,
     RemoteScorer,
     ScorerUnavailable,
@@ -28,7 +27,7 @@ from amr2qa.scorer import (
 
 class TestTrain:
     def test_hand_counted_bigrams(self):
-        model = train_ngram("a b . a b .", order=2)
+        model = train_ngram("a b . a b .")
         assert model.counts[("a", "b")] == 2
         assert model.counts[("b", ".")] == 2
         assert model.counts[(".", "a")] == 1
@@ -36,43 +35,31 @@ class TestTrain:
         assert model.counts[(".", EOS)] == 1
 
     def test_lines_padded_independently(self):
-        model = train_ngram(["a b", "a b"], order=2)
+        model = train_ngram("a b\na b")
         assert model.counts[(BOS, "a")] == 2
         assert model.counts[("b", EOS)] == 2
         assert ("b", "a") not in model.counts
-
-    def test_order_three_padding(self):
-        model = train_ngram(["x y"], order=3)
-        assert model.counts[(BOS, BOS, "x")] == 1
-        assert model.counts[(BOS, "x", "y")] == 1
-        assert model.counts[("x", "y", EOS)] == 1
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             train_ngram("")
         with pytest.raises(EmptyCorpus):
-            train_ngram(["", "   "])
-
-    def test_order_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            train_ngram("a b", order=1)
-        with pytest.raises(ValueError):
-            NgramModel(order=1)
+            train_ngram("\n   \n")
 
     def test_unseen_bigram_has_positive_probability(self):
-        model = train_ngram("a b", order=2)
+        model = train_ngram("a b")
         value = model.logprob(("never", "seen"))
         assert math.isfinite(value)
         assert math.exp(value) > 0
 
     def test_vocabulary_includes_boundaries(self):
-        model = train_ngram("a b", order=2)
+        model = train_ngram("a b")
         assert model.vocabulary == {BOS, EOS, "a", "b"}
 
 
 class TestScoreText:
     def setup_method(self):
-        self.model = train_ngram("a b c . a b d .", order=2)
+        self.model = train_ngram("a b c . a b d .")
 
     def test_mean_of_window_logprobs(self):
         expected = (self.model.logprob(("a", "b"))
@@ -87,12 +74,6 @@ class TestScoreText:
     def test_single_token_uses_unigram(self):
         assert score_text(self.model, "a") == pytest.approx(
             self.model.unigram_logprob("a"))
-
-    def test_below_order_uses_mean_unigram(self):
-        model3 = train_ngram("a b c . a b d .", order=3)
-        expected = (model3.unigram_logprob("a")
-                    + model3.unigram_logprob("b")) / 2
-        assert score_text(model3, "a b") == pytest.approx(expected)
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +154,7 @@ def mock_server():
     yield f"http://127.0.0.1:{server.server_port}/score"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestRemoteScorer:
@@ -250,7 +232,7 @@ class TestFallbackScorer:
 
     def test_circuit_opens_after_consecutive_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = FallbackScorer(primary, _StubScorer(), max_failures=3)
+        scorer = FallbackScorer(primary, _StubScorer())
         for _ in range(10):
             scorer.score("What ?")
         assert scorer.circuit_open
@@ -259,7 +241,7 @@ class TestFallbackScorer:
 
     def test_success_resets_failure_streak(self):
         primary = _StubScorer(scorer_id="remote")
-        scorer = FallbackScorer(primary, _StubScorer(), max_failures=3)
+        scorer = FallbackScorer(primary, _StubScorer())
         for _ in range(2):
             primary.fail = True
             scorer.score("What ?")
@@ -271,7 +253,7 @@ class TestFallbackScorer:
 
     def test_concurrent_calls_account_for_every_score(self):
         primary = _StubScorer(fail=True)
-        scorer = FallbackScorer(primary, _StubScorer(), max_failures=3)
+        scorer = FallbackScorer(primary, _StubScorer())
         threads = [threading.Thread(target=scorer.score, args=("What ?",))
                    for _ in range(16)]
         for t in threads:
