@@ -297,6 +297,16 @@ class TestAlignConcepts:
         assert alignment[node_by_text(tree, "mary")] == (1, 1)
         assert alignment[node_by_text(tree, "cake")] == (3, 3)
 
+    def test_keys_are_tree_nodes_and_spans_in_range(self):
+        ann = sentences()["s7"]
+        tree = tree_of('(i / invent-01 :ARG0 (p / person :name (n / name :op1 "Nikola" :op2 "Tesla")) :ARG1 (c / coil))')
+        alignment = align_concepts(tree, ann)
+        nodes = preorder(tree)
+        assert alignment
+        for node, (start, end) in alignment.items():
+            assert any(node is n for n in nodes)
+            assert 1 <= start <= end <= len(ann.tokens)
+
 
 class TestInferTense:
 

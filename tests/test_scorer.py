@@ -4,6 +4,7 @@ import json
 import math
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, strategies as st
 from amr2qa.scorer import (
     BOS,
     EOS,
+    MAX_FAILURES,
+    MAX_IN_FLIGHT,
     BaselineScorer,
     EmptyCorpus,
     FallbackScorer,
@@ -55,6 +58,14 @@ class TestTrain:
     def test_vocabulary_includes_boundaries(self):
         model = train_ngram("a b")
         assert model.vocabulary == {BOS, EOS, "a", "b"}
+
+    def test_add_one_smoothing_by_hand(self):
+        model = train_ngram("a b")
+        # bigrams (<s>, a), (a, b), (b, </s>); vocabulary of 4; context a once
+        assert model.logprob(("a", "b")) == pytest.approx(math.log(2 / 5))
+        assert model.logprob(("a", "zz")) == pytest.approx(math.log(1 / 5))
+        # three bigrams in all, one of them starting with a
+        assert model.unigram_logprob("a") == pytest.approx(math.log(2 / 7))
 
 
 class TestScoreText:
@@ -194,6 +205,70 @@ class TestRemoteScorer:
         _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -4}'))
         assert RemoteScorer(mock_server).score("What ?").value == -4.0
 
+    def test_slow_reply_times_out(self, mock_server):
+        def slow(body):
+            time.sleep(0.3)
+            return 200, b'{"logprob": -1.0}'
+        _Handler.behavior = staticmethod(slow)
+        scorer = RemoteScorer(mock_server, timeout=0.05)
+        with pytest.raises(ScorerUnavailable):
+            scorer.score("What ?")
+
+    def test_requests_in_flight_bounded(self, monkeypatch):
+        client = _HeldClient()
+        monkeypatch.setattr("urllib.request.urlopen", client.urlopen)
+        scorer = RemoteScorer("http://127.0.0.1:1/score")
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(scorer.score("What ?")))
+            for _ in range(3 * MAX_IN_FLIGHT)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 5
+        while client.open < MAX_IN_FLIGHT and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)  # one more request past the limit would open now
+        held = client.open
+        client.release.set()
+        for t in threads:
+            t.join(timeout=5)
+        assert held == MAX_IN_FLIGHT
+        assert client.peak == MAX_IN_FLIGHT
+        assert len(results) == 3 * MAX_IN_FLIGHT
+
+
+class _Reply:
+    status = 200
+
+    def read(self):
+        return b'{"logprob": -1.0}'
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class _HeldClient:
+    """Stands in for ``urllib.request.urlopen``: every request stays open
+    until ``release`` is set, and the most open at once is recorded."""
+
+    def __init__(self):
+        self.open = 0
+        self.peak = 0
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def urlopen(self, request, timeout):
+        with self._lock:
+            self.open += 1
+            self.peak = max(self.peak, self.open)
+        self.release.wait(timeout=5)
+        with self._lock:
+            self.open -= 1
+        return _Reply()
+
 
 class _StubScorer:
     def __init__(self, fail=False, value=-1.0, scorer_id="stub"):
@@ -238,6 +313,16 @@ class TestFallbackScorer:
         assert scorer.circuit_open
         assert primary.calls == 3
         assert scorer.fallback_calls == 10
+
+    def test_circuit_closed_until_max_failures(self):
+        primary = _StubScorer(fail=True)
+        scorer = FallbackScorer(primary, _StubScorer())
+        for _ in range(MAX_FAILURES - 1):
+            scorer.score("What ?")
+        assert not scorer.circuit_open
+        scorer.score("What ?")
+        assert scorer.circuit_open
+        assert primary.calls == MAX_FAILURES
 
     def test_success_resets_failure_streak(self):
         primary = _StubScorer(scorer_id="remote")
