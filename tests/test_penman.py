@@ -1,5 +1,7 @@
 """Tests for PENMAN parsing, serialization and the triple view."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,39 @@ from amr2qa.penman import (
 )
 
 from helpers import fuzz_strings, load_penman_corpus
+
+OUTCOMES_GOLDEN = Path(__file__).parent / "fixtures" / "penman_outcomes.golden"
+
+# lexical corners the fuzz pool never produces: escapes, an unterminated
+# string or a bare ':' behind an earlier structural error, '#' and '~'
+# inside atoms, and Unicode whitespace as separators
+EDGE_CASES = [
+    '(a / "x\\', '(a / b :c "x\\"', '(a / b :c "x\\\\")', '(a / b :c "x\\\ny")',
+    '(a / b :c "\\q\\"\\\\")', '"', '"abc', ')"abc', '(a / b c "abc', '(a / b :c x "',
+    '(a / b :"x")', '(a / b :(c / d))', '(a / b :', '(a / b) :', '(a / b :c :d)',
+    ':', ') :', '(a / b) "', '(a :', '(a / :c d)',
+    '(a / b#c)', '(a / b :c d#e\n)', '(a / b~e.1c)', '(a / b~)', '(a#b / c)',
+    '(a~e.1 / b :c~e.2 d~e.3)', '(a / b :c d~e.1"x)', '(a / b~e.1(c))',
+    '(a / b :c~ d)', '(a / b ~e.1:c d)', '(a / b) # trailing', '# only a comment',
+    '#x\n(a / b)', '(a / b\n# c :d e\n:f g)',
+    '(a\r/\rb\r:c\rd)', '(a\x1c/\x1cb\x1c:c\x1cd)',
+    '(a\u00a0/\u00a0b\u00a0:c\u00a0d)', '(a\u2028/\u2028b\u2028:c\u2028d)',
+    '(a / "b\u2028c" :d "\r\x1c")', '\u00a0\u2028\r\x1c', '(a\\ / b\\)', '(a / b)~',
+]
+
+
+def outcome(text: str) -> str:
+    """One golden line: ``ok`` and the serialization, or the error class,
+    offset and message; escaped so every outcome stays on one line."""
+    try:
+        line = "ok " + serialize_penman(parse_penman(text))
+    except PenmanError as e:
+        line = f"{type(e).__name__} {e.offset} {e}"
+    return line.encode("unicode_escape").decode("ascii")
+
+
+def outcomes() -> list[str]:
+    return [outcome(text) for text in [*fuzz_strings(3000, seed=11), *EDGE_CASES]]
 
 
 class TestTriples:
@@ -263,6 +298,17 @@ class TestLexicalDetails:
         ]
 
 
+class TestOutcomesGolden:
+
+    def test_outcomes_match_golden(self):
+        """Pins the result of every fuzz and edge-case input: the
+        serialization of what parses, the class, offset and message of what
+        fails. Regenerate with ``PYTHONPATH=src python tests/test_penman.py`` only when a
+        change of outcome is intended."""
+        golden = OUTCOMES_GOLDEN.read_text(encoding="ascii").splitlines()
+        assert outcomes() == golden
+
+
 class TestRoundTrip:
 
     def test_corpus_has_at_least_50_graphs(self):
@@ -321,3 +367,7 @@ class TestFuzz:
             parse_penman(text)
         except PenmanError:
             pass
+
+
+if __name__ == "__main__":
+    OUTCOMES_GOLDEN.write_text("\n".join(outcomes()) + "\n", encoding="ascii")
