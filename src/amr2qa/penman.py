@@ -23,7 +23,15 @@ _NON_INVERSE_OF = frozenset({"consist-of", "prep-out-of", "prep-on-behalf-of"})
 # so "break-01" and "have-degree-91" have senses but "run-100" does not
 _SENSE_RE = re.compile(r"^(.*[^\d-])-(\d{2})$")
 _STRICT_VAR_RE = re.compile(r"^[a-z][0-9]*$")
-_ALIGN_RE = re.compile(r"~[^\s()~:]*")
+# skip whitespace, ``#`` comment lines and ``~`` alignment markers, then
+# match one token; an atom or relation name stops at whitespace or ()/:"~#
+_TOKEN_RE = re.compile(r"""
+    (?: \s+ | \#[^\n]*\n? | ~[^\s()~:]* )*
+    (?: (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<SLASH>/)
+      | (?P<STRING>"(?:[^"\\]|\\.)*") | (?P<QUOTE>")
+      | (?P<REL>:[^\s()/:"~\#]*) | (?P<ATOM>[^\s()/:"~\#]+) | (?P<EOF>\Z) )
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 class PenmanError(ValueError):
@@ -165,95 +173,38 @@ def to_triples(graph: AmrGraph) -> list[tuple[str, str, str]]:
     return instances + edges
 
 
-class _Lexer:
-    """Tokenizer that strips ``~`` alignment markers and ``#`` comment lines."""
+def _tokens(text: str):
+    """Yield ``(kind, value, offset)`` tokens, ending with an EOF token.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def _skip_space(self):
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif ch == "#":
-                # metadata/comment line embedded in the graph block
-                nl = self.text.find("\n", self.pos)
-                self.pos = self.length if nl < 0 else nl + 1
-            elif ch == "~":
-                self.pos = _ALIGN_RE.match(self.text, self.pos).end()
-            else:
-                return
-
-    def next(self) -> tuple[str, str, int]:
-        """Return (kind, value, offset); kind EOF at end of input."""
-        self._skip_space()
-        if self.pos >= self.length:
-            return ("EOF", "", self.pos)
-        start = self.pos
-        ch = self.text[start]
-        if ch in "()/":
-            self.pos += 1
-            kind = {"(": "LPAREN", ")": "RPAREN", "/": "SLASH"}[ch]
-            return (kind, ch, start)
-        if ch == '"':
-            return self._string(start)
-        if ch == ":":
-            self.pos += 1
-            value = self._atom_text()
+    Tokens are produced one at a time as the parser asks for them, so a
+    lexical error is raised only once the parser reaches it and an earlier
+    structural error still wins.
+    """
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        value, offset, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "STRING":
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "REL":
+            value = value[1:]
             if not value:
-                raise MalformedGraph("relation name missing after ':'", start)
-            return ("REL", value, start)
-        # _skip_space left a character that starts an atom
-        return ("ATOM", self._atom_text(), start)
-
-    def _string(self, start: int) -> tuple[str, str, int]:
-        self.pos += 1
-        out = []
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch == "\\" and self.pos + 1 < self.length:
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                return ("STRING", "".join(out), start)
-            out.append(ch)
-            self.pos += 1
-        raise MalformedGraph("unterminated string literal", start)
-
-    def _atom_text(self) -> str:
-        start = self.pos
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch.isspace() or ch in '()/:"~#':
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-class _PendingRef:
-    """Bare atom in value position, classified after the full parse."""
-
-    __slots__ = ("text", "offset")
-
-    def __init__(self, text: str, offset: int):
-        self.text = text
-        self.offset = offset
+                raise MalformedGraph("relation name missing after ':'", offset)
+        elif kind == "QUOTE":
+            raise MalformedGraph("unterminated string literal", offset)
+        yield kind, value, offset
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.lexer = _Lexer(text)
-        self.token = self.lexer.next()
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens)
         self.defined: dict[str, AmrNode] = {}
-        self.pending: list[tuple[AmrNode, int, _PendingRef]] = []
+        self.pending: list[tuple[AmrNode, int, str, int]] = []
 
     def advance(self):
-        self.token = self.lexer.next()
+        self.token = next(self.tokens)
 
     def expect(self, kind: str, what: str):
         if self.token[0] != kind:
@@ -317,7 +268,7 @@ class _Parser:
         if kind == "ATOM":
             self.advance()
             placeholder = AmrNode(variable=None, concept=None)
-            self.pending.append((parent, len(parent.children), _PendingRef(text, offset)))
+            self.pending.append((parent, len(parent.children), text, offset))
             return placeholder
         raise MalformedGraph(f"expected a value, found {text!r}", offset)
 
@@ -329,16 +280,15 @@ class _Parser:
         defined is a dangling reference; everything else (numbers, ``-``,
         ``+``, words like ``imperative``) is a constant.
         """
-        for parent, child_index, ref in self.pending:
+        for parent, child_index, text, offset in self.pending:
             relation, _ = parent.children[child_index]
-            if ref.text in self.defined:
-                node = AmrNode(variable=ref.text, concept=None, is_reentrant_ref=True)
-            elif _STRICT_VAR_RE.match(ref.text):
+            if text in self.defined:
+                node = AmrNode(variable=text, concept=None, is_reentrant_ref=True)
+            elif _STRICT_VAR_RE.match(text):
                 raise DanglingVariableReference(
-                    f"reference to undefined variable {ref.text!r}", ref.offset)
+                    f"reference to undefined variable {text!r}", offset)
             else:
-                node = AmrNode(variable=None,
-                               concept=Concept(label=ref.text, is_constant=True))
+                node = AmrNode(variable=None, concept=Concept(label=text, is_constant=True))
             parent.children[child_index] = (relation, node)
 
 
