@@ -124,8 +124,8 @@ class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
     At most ``MAX_IN_FLIGHT`` requests are in flight; every call carries a
-    timeout. Timeouts, connection errors, non-2xx statuses and malformed
-    replies all surface as ScorerUnavailable.
+    timeout. Timeouts, connection errors, non-2xx statuses, malformed
+    replies and non-finite logprobs all surface as ScorerUnavailable.
     """
 
     scorer_id = "remote"
@@ -155,14 +155,22 @@ class RemoteScorer:
                 raise
             except (OSError, ValueError) as exc:  # URLError is an OSError
                 raise ScorerUnavailable(str(exc)) from exc
+        # ValueError covers bad UTF-8, bad JSON and an integer longer than
+        # the int() digit limit
         try:
             decoded = json.loads(body.decode("utf-8"))
             value = decoded["logprob"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ScorerUnavailable(f"malformed reply: {exc}") from exc
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScorerUnavailable(f"logprob is not a number: {value!r}")
-        return QuestionScore(float(value), self.scorer_id)
+        try:
+            logprob = float(value)
+        except OverflowError:  # an integer beyond the float range
+            logprob = math.inf
+        if not math.isfinite(logprob):
+            raise ScorerUnavailable(f"non-finite logprob: {logprob}")
+        return QuestionScore(logprob, self.scorer_id)
 
 
 class FallbackScorer:

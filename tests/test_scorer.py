@@ -189,8 +189,13 @@ class TestRemoteScorer:
             RemoteScorer(mock_server).score("What ?")
 
     def test_missing_or_non_numeric_logprob(self, mock_server):
+        # NaN, Infinity, 1e400 and huge integers are valid to json.loads but
+        # are not finite scores; a 5,000-digit integer trips the int limit
         for payload in (b"{}", b'{"logprob": "low"}', b'{"logprob": true}',
-                        b'{"logprob": null}', b'[1, 2]'):
+                        b'{"logprob": null}', b'[1, 2]', b'{"logprob": NaN}',
+                        b'{"logprob": -Infinity}', b'{"logprob": 1e400}',
+                        b'{"logprob": -' + b"9" * 400 + b"}",
+                        b'{"logprob": -' + b"9" * 5000 + b"}"):
             _Handler.behavior = staticmethod(
                 lambda body, p=payload: (200, p))
             with pytest.raises(ScorerUnavailable):
