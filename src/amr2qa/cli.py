@@ -105,6 +105,14 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - set(_CONFIG_KEYS))
     if unknown:
         raise UsageError(f"config {path}: unknown keys {', '.join(unknown)}")
+    for key, value in data.items():
+        # type(), not isinstance(): true is not a worker count
+        if key == "workers" and type(value) is not int:
+            raise UsageError(f"config {path}: workers must be an integer, "
+                             f"got {value!r}")
+        if key != "workers" and not isinstance(value, str):
+            raise UsageError(f"config {path}: {key} must be a string, "
+                             f"got {value!r}")
     return data
 
 
@@ -130,11 +138,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown scorer {merged['scorer']!r}")
     if merged["pair"] not in ("by-order", "by-id"):
         raise UsageError(f"unknown pairing strategy {merged['pair']!r}")
-    try:
-        workers = int(merged["workers"])
-    except (TypeError, ValueError):
-        raise UsageError(f"workers must be an integer, "
-                         f"got {merged['workers']!r}") from None
+    workers = merged["workers"]
     if workers < 1:
         raise UsageError("workers must be >= 1")
     if merged["scorer"] == "remote" and not merged["scorer_url"]:

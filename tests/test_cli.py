@@ -215,6 +215,18 @@ class TestConfigFile:
         cfg.write_text("{amr: no quotes}")
         assert main(["generate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"out": 1}, {"amr": None}, {"templates": 3}, {"mapping": ["m.txt"]},
+        {"scorer": "remote", "scorer_url": 5},
+        {"workers": True}, {"workers": 2.9}, {"workers": "2"}])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"amr": MINI_AMR, "conllu": MINI_CONLLU,
+                                   "out": str(tmp_path / "o.jsonl"), **bad}))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_config_file_missing(self, tmp_path, capsys):
         rc = main(["generate", "--config", str(tmp_path / "gone.json")])
         assert rc == 2
