@@ -184,7 +184,8 @@ def _tokens(text: str):
     while True:
         m = _TOKEN_RE.match(text, pos)
         kind = m.lastgroup
-        value, offset, pos = m.group(kind), m.start(kind), m.end()
+        value, offset = m.group(kind), m.start(kind)
+        pos = m.end()
         if kind == "STRING":
             value = _ESCAPE_RE.sub(r"\1", value[1:-1])
         elif kind == "REL":
