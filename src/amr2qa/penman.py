@@ -24,9 +24,11 @@ _NON_INVERSE_OF = frozenset({"consist-of", "prep-out-of", "prep-on-behalf-of"})
 _SENSE_RE = re.compile(r"^(.*[^\d-])-(\d{2})$")
 _STRICT_VAR_RE = re.compile(r"^[a-z][0-9]*$")
 # skip whitespace, ``#`` comment lines and ``~`` alignment markers, then
-# match one token; an atom or relation name stops at whitespace or ()/:"~#
+# match one token; an atom or relation name stops at whitespace or ()/:"~#.
+# It matches at every position, and the token is always the match's end.
+# QUOTE is a '"' that opens no complete string.
 _TOKEN_RE = re.compile(r"""
-    (?: \s+ | \#[^\n]*\n? | ~[^\s()~:]* )*
+    \s* (?: (?: \#[^\n]*\n? | ~[^\s()~:]* ) \s* )*
     (?: (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<SLASH>/)
       | (?P<STRING>"(?:[^"\\]|\\.)*") | (?P<QUOTE>")
       | (?P<REL>:[^\s()/:"~\#]*) | (?P<ATOM>[^\s()/:"~\#]+) | (?P<EOF>\Z) )
@@ -180,12 +182,12 @@ def _tokens(text: str):
     lexical error is raised only once the parser reaches it and an earlier
     structural error still wins.
     """
-    pos = 0
-    while True:
+    pos, kind = 0, None
+    while kind != "EOF":
         m = _TOKEN_RE.match(text, pos)
         kind = m.lastgroup
-        value, offset = m.group(kind), m.start(kind)
-        pos = m.end()
+        offset, pos = m.span(kind)
+        value = text[offset:pos]
         if kind == "STRING":
             value = _ESCAPE_RE.sub(r"\1", value[1:-1])
         elif kind == "REL":
