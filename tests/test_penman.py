@@ -303,8 +303,8 @@ class TestOutcomesGolden:
     def test_outcomes_match_golden(self):
         """Pins the result of every fuzz and edge-case input: the
         serialization of what parses, the class, offset and message of what
-        fails. Regenerate with ``PYTHONPATH=src python tests/test_penman.py`` only when a
-        change of outcome is intended."""
+        fails. Regenerate with ``PYTHONPATH=src python tests/test_penman.py``
+        only when a change of outcome is intended."""
         golden = OUTCOMES_GOLDEN.read_text(encoding="ascii").splitlines()
         assert outcomes() == golden
 
