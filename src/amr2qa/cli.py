@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pair", choices=("by-order", "by-id"),
                      help="how graphs match annotations (default by-order)")
     gen.add_argument("--workers", type=int,
-                     help="sentence-level worker threads (default 1)")
+                     help="concurrent requests to the remote scorer; no "
+                          "effect with the baseline (default 1)")
     gen.add_argument("--config", help="JSON file with the same keys as the "
                                       "flags; flags take precedence")
 

@@ -152,7 +152,7 @@ class AmrGraph:
 
 def _constant_text(concept: Concept) -> str:
     if concept.quoted:
-        return '"%s"' % concept.label.replace('"', '\\"')
+        return '"%s"' % concept.label.replace("\\", "\\\\").replace('"', '\\"')
     return concept.label
 
 

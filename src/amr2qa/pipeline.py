@@ -3,26 +3,27 @@ write.
 
 Sentences stream: the AMR file is read block by block and the CoNLL-U file
 sentence by sentence (by-id pairing indexes the annotations, so it holds
-that file), and each sentence's lines are written in input order as soon
-as they are ready. Output bytes do not depend on worker count, and memory
-grows with the sentences in flight, not with the corpus. The dataset is
-renamed from ``<out>.tmp`` onto ``<out>`` only when the run completes.
-Every question text is scored through a run-scoped memo, so a text that
-recurs across sentences reaches the scorer once per run (up to
-``MEMO_CAPACITY`` texts held at a time); a fallback score is never stored
-and empties the memo. A failure inside one sentence (malformed graph,
-missing annotation, any generation error) is logged and counted, never
-fatal. Unreadable files, bad template resources, malformed CoNLL-U and
-count mismatches abort the run.
+that file). Sentences run one at a time, in input order, in the calling
+thread, and each sentence's lines are written as soon as they are ready,
+so memory grows with one sentence's work, not with the corpus. The
+dataset is renamed from ``<out>.tmp`` onto ``<out>`` only when the run
+completes. Each sentence's question texts are scored as one batch (see
+``BatchScorer``): all of a sentence's scores come from one scorer, and a
+text that recurs across sentences reaches the scorer once per run (up to
+``MEMO_CAPACITY`` texts held at a time). Only a remote scorer's requests
+run on threads, ``workers`` of them; output bytes do not depend on worker
+count. A failure inside one sentence (malformed graph, missing
+annotation, any generation error) is logged and counted, never fatal.
+Unreadable files, bad template resources, malformed CoNLL-U and count
+mismatches abort the run.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import time
-from collections import OrderedDict, deque
-from collections.abc import Callable, Iterable, Iterator
+from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain, zip_longest
@@ -41,7 +42,12 @@ from .corpus import (
 )
 from .preprocess import preorder, preprocess
 from .qgen import best_question, generate_candidates, sense_question
-from .scorer import QuestionScore, make_scorer
+from .scorer import (
+    BaselineScorer,
+    QuestionScore,
+    ScorerUnavailable,
+    make_scorer,
+)
 from .templates import (
     TemplateStore,
     bundled_mapping_path,
@@ -55,9 +61,8 @@ logger = logging.getLogger("amr2qa")
 # corpus size.
 MEMO_CAPACITY = 4096
 
-# Sentences read but not yet written per worker thread, when there are
-# several: keeps each busy behind a slow sentence, and bounds memory.
-IN_FLIGHT_PER_WORKER = 4
+# Consecutive sentences with a failed scorer request that open the circuit.
+MAX_FAILURES = 3
 
 
 @dataclass
@@ -111,50 +116,79 @@ class RunReport:
         ]
 
 
-class _ScoreMemo:
-    """Run-scoped, bounded memo in front of a scorer, with the same
-    ``score(text)`` contract.
+class BatchScorer:
+    """Scores one sentence's question texts at a time, on one scale.
 
-    Only scores carrying the scorer's own ``scorer_id`` are stored. A
-    fallback score is returned, never stored, and empties the memo, so
-    from then on every text goes to the scorer as it would without a
-    memo: once a fallback circuit opens, no node mixes memoized scores
-    with fallback ones. A score whose call began before the latest
-    fallback is not stored either. When full, the oldest entry is
-    evicted. The lock is never held across a scorer call: two threads
-    that miss on one text may both score it, and either stores its score.
+    ``score_all(texts)`` returns a score for every text: all from the
+    configured scorer or, when any of its requests for the batch fails, all
+    from the bundled baseline, so no argmax compares scores of two scorers.
+    A run-scoped memo holds up to ``MEMO_CAPACITY`` of the configured
+    scorer's scores (oldest evicted first); only the texts it lacks are
+    requested, once each, and a batch that falls back stores nothing.
+    After ``MAX_FAILURES`` consecutive failed batches the circuit opens and
+    every later batch goes straight to the baseline, so an unreachable
+    service costs a bounded number of timeouts per run. With ``workers >
+    1`` a batch's requests go over a pool of that many threads, made on
+    first use and shut down by ``close()``; a failed request cancels the
+    batch's requests not yet started. Otherwise they run in the calling
+    thread, and the first failure ends the batch.
     """
 
-    def __init__(self, scorer):
+    def __init__(self, scorer, workers: int = 1):
         self._scorer = scorer
-        self._scorer_id = scorer.scorer_id
+        self._workers = workers
+        self._pool = None
+        self._fallback = None
         # OrderedDict, not dict: evicting a plain dict's first key scans
         # the deleted slots left at its front, which costs more than a
         # baseline score.
         self._scores: OrderedDict[str, QuestionScore] = OrderedDict()
-        self._lock = threading.Lock()
-        self._fallbacks_seen = 0
-        self.hits = 0
+        self._failures = 0
+        self.hits = 0        # texts answered without a request
+        self.fallbacks = 0   # texts scored by the baseline instead
 
-    def score(self, text: str) -> QuestionScore:
-        # One dict read is atomic, so a lookup skips the lock; the hit
-        # count and every update take it.
-        cached = self._scores.get(text)
-        if cached is not None:
-            with self._lock:
-                self.hits += 1
-            return cached
-        fallbacks_before = self._fallbacks_seen
-        result = self._scorer.score(text)
-        with self._lock:
-            if result.scorer_id != self._scorer_id:
-                self._fallbacks_seen += 1
-                self._scores.clear()
-            elif fallbacks_before == self._fallbacks_seen:
-                self._scores[text] = result
-                if len(self._scores) > MEMO_CAPACITY:
-                    self._scores.popitem(last=False)
-        return result
+    @property
+    def circuit_open(self) -> bool:
+        return self._failures >= MAX_FAILURES
+
+    def score_all(self, texts: list[str]) -> dict[str, QuestionScore]:
+        if not self.circuit_open:
+            scores = {text: self._scores.get(text) for text in texts}
+            missing = [text for text, score in scores.items() if score is None]
+            try:
+                scores.update(zip(missing, self._request(missing)))
+            except ScorerUnavailable:
+                self._failures += 1
+            else:
+                if missing:
+                    self._failures = 0
+                self._store(missing, scores)
+                self.hits += len(texts) - len(missing)
+                return scores
+        if self._fallback is None:
+            self._fallback = BaselineScorer.bundled()
+        self.fallbacks += len(texts)
+        return {text: self._fallback.score(text) for text in texts}
+
+    def _request(self, texts: list[str]) -> list[QuestionScore]:
+        if self._workers == 1 or len(texts) < 2:
+            return [self._scorer.score(text) for text in texts]
+        if self._pool is None:
+            # only a remote run with more than one worker loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        return list(self._pool.map(self._scorer.score, texts))
+
+    def _store(self, texts: list[str], scores: dict[str, QuestionScore]):
+        for text in texts:
+            self._scores[text] = scores[text]
+            if len(self._scores) > MEMO_CAPACITY:
+                self._scores.popitem(last=False)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 @dataclass
@@ -168,27 +202,37 @@ class _SentenceResult:
 
 
 def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
-                     scorer) -> _SentenceResult:
+                     scorer: BatchScorer) -> _SentenceResult:
     """QA pairs for one (graph, annotation) pair.
 
     Primary questions come from non-root nodes in traversal order, then
-    sense questions from predicate definitions. Within a sentence no two
-    pairs share (question text, answer text); later duplicates are skipped.
+    sense questions from predicate definitions. Every candidate and sense
+    question is scored in one batch, before any is selected. Within a
+    sentence no two pairs share (question text, answer text); later
+    duplicates are skipped.
     """
     tree = preprocess(entry.graph)
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
-    result = _SentenceResult()
+    result = _SentenceResult(non_root=len(nodes) - 1)
+    per_node = [generate_candidates(node, node.parent, store, ann, alignment)
+                for node in nodes[1:]]
+    senses: dict[tuple[str, str], QaPair] = {}
+    for node in nodes:
+        pair = sense_question(node, ann, alignment)
+        if pair is not None:
+            senses.setdefault((pair.question, pair.answer.text), pair)
+    scores = scorer.score_all(
+        [candidate.filled_text for candidates in per_node
+         for candidate in candidates]
+        + [pair.question for pair in senses.values()])
     seen: set[tuple[str, str]] = set()
 
-    for node in nodes[1:]:
-        result.non_root += 1
-        candidates = generate_candidates(node, node.parent, store, ann,
-                                         alignment)
+    for node, candidates in zip(nodes[1:], per_node):
         if not candidates:
             result.no_template += 1
             continue
-        best = best_question(candidates, scorer)
+        best = best_question(candidates, scores)
         answer = extract_answer(best.entity_ref, ann, alignment)
         key = (best.filled_text, answer.text)
         if key in seen:
@@ -206,15 +250,11 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             scorer_id=best.score.scorer_id,
         ))
 
-    for node in nodes:
-        pair = sense_question(node, ann, alignment)
-        if pair is None:
-            continue
-        key = (pair.question, pair.answer.text)
+    for key, pair in senses.items():
         if key in seen:
             continue
         seen.add(key)
-        scored = scorer.score(pair.question)
+        scored = scores[pair.question]
         result.pairs.append(replace(pair, sentence_id=entry.id,
                                     score=scored.value,
                                     scorer_id=scored.scorer_id))
@@ -255,25 +295,6 @@ def _lockstep(blocks: Iterable[RawBlock], annotations) -> Iterator[tuple]:
         yield raw, ann
 
 
-def _in_order(work: Callable, tasks: Iterable, workers: int) -> Iterator:
-    """``work(task)`` for each task, in input order: in the calling thread
-    for one worker, else on N threads with at most ``IN_FLIGHT_PER_WORKER
-    * N`` tasks read whose results have not been handed over."""
-    if workers == 1:
-        yield from map(work, tasks)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
-
-    window: deque = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for task in tasks:
-            window.append(pool.submit(work, task))
-            if len(window) == IN_FLIGHT_PER_WORKER * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-
-
 def run_generate(config: RunConfig) -> RunReport:
     started = time.perf_counter()
     if config.workers < 1:
@@ -281,9 +302,10 @@ def run_generate(config: RunConfig) -> RunReport:
 
     store = load_store(config.template_path or bundled_template_path(),
                        config.mapping_path or bundled_mapping_path())
-    scorer = make_scorer(config.scorer, config.scorer_url,
-                         timeout=config.scorer_timeout)
-    memo = _ScoreMemo(scorer)
+    # threads overlap only requests that wait on the network
+    scorer = BatchScorer(make_scorer(config.scorer, config.scorer_url,
+                                     timeout=config.scorer_timeout),
+                         config.workers if config.scorer == "remote" else 1)
     report = RunReport()
 
     def work(task) -> _SentenceResult:
@@ -293,7 +315,7 @@ def run_generate(config: RunConfig) -> RunReport:
             return _SentenceResult(error=f"no annotation with id {label!r}")
         try:
             entry = parse_block(raw)
-            return process_sentence(entry, ann, store, memo)
+            return process_sentence(entry, ann, store, scorer)
         except Exception as exc:   # per-sentence skip policy
             return _SentenceResult(error=f"sentence {label!r}: {exc}")
 
@@ -311,7 +333,7 @@ def run_generate(config: RunConfig) -> RunReport:
             report.questions_emitted += len(result.pairs)
             yield from result.pairs
 
-    with open(config.amr_path, encoding="utf-8") as amr:
+    with closing(scorer), open(config.amr_path, encoding="utf-8") as amr:
         blocks = iter_blocks(amr)
         first = next(blocks, None)
         if first is None:
@@ -319,10 +341,9 @@ def run_generate(config: RunConfig) -> RunReport:
         with open(config.conllu_path, encoding="utf-8") as conllu:
             tasks = _pair_blocks(chain([first], blocks), iter_conllu(conllu),
                                  config.pairing)
-            with closing(_in_order(work, tasks, config.workers)) as results:
-                write_dataset(counted(results), config.output_path)
+            write_dataset(counted(map(work, tasks)), config.output_path)
 
-    report.scorer_fallbacks = getattr(scorer, "fallback_calls", 0)
-    report.scorer_memo_hits = memo.hits
+    report.scorer_fallbacks = scorer.fallbacks
+    report.scorer_memo_hits = scorer.hits
     report.wall_time_seconds = time.perf_counter() - started
     return report

@@ -20,6 +20,7 @@ with ties going to the earlier template in resource order.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .agen import SENSE, Answer, span_text
@@ -33,6 +34,7 @@ from .annotate import (
 from .corpus import QaPair
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
+from .scorer import QuestionScore
 from .templates import _BLANK_RE, Template, TemplateStore, select_templates
 
 SENSE_TEMPLATE_ID = "verb-sense"
@@ -142,12 +144,14 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
 
 
 def best_question(candidates: list[QuestionCandidate],
-                  scorer) -> QuestionCandidate | None:
-    """Argmax of scorer over candidate texts; the earlier candidate wins
-    ties, so template resource order is the tie-break."""
+                  scores: Mapping[str, QuestionScore]
+                  ) -> QuestionCandidate | None:
+    """Argmax over candidate texts of ``scores``, which maps each text to
+    its score; the earlier candidate wins ties, so template resource order
+    is the tie-break."""
     best: QuestionCandidate | None = None
     for candidate in candidates:
-        result = scorer.score(candidate.filled_text)
+        result = scores[candidate.filled_text]
         if best is None or result.value > best.score.value:
             candidate.score = result
             best = candidate

@@ -2,9 +2,11 @@
 
 Two scorers share one contract (``score(text) -> QuestionScore``): a bundled
 add-one smoothed bigram baseline, and an HTTP client for an external language
-model. A wrapper composes the two so remote failures degrade to the baseline
-instead of aborting a run. Every scorer's ``scorer_id`` attribute is the id
-its own (non-fallback) results carry.
+model. Every scorer's ``scorer_id`` attribute is the id its results carry.
+The pipeline scores each sentence as one batch and, when a remote request
+fails, rescores that whole sentence with the baseline
+(``pipeline.BatchScorer``), so a remote failure degrades a run instead of
+aborting it.
 
 Scores are length-normalized (mean per-token log-probability) so candidates
 of different lengths compare fairly. Training pads each corpus line with
@@ -16,15 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
 ADD_K = 1.0            # add-one smoothing of the bigram baseline
-MAX_IN_FLIGHT = 4      # concurrent requests per RemoteScorer
-MAX_FAILURES = 3       # consecutive primary failures that open the circuit
 
 
 class ScorerUnavailable(RuntimeError):
@@ -42,8 +41,7 @@ class QuestionScore:
 
 
 class NgramModel:
-    """Add-one smoothed bigram counts. Immutable after construction, so one
-    instance can be shared across worker threads."""
+    """Add-one smoothed bigram counts, read-only after construction."""
 
     def __init__(self, counts: dict[tuple[str, str], int]):
         self.counts = counts
@@ -123,9 +121,9 @@ class BaselineScorer:
 class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
-    At most ``MAX_IN_FLIGHT`` requests are in flight; every call carries a
-    timeout. Timeouts, connection errors, non-2xx statuses, malformed
-    replies and non-finite logprobs all surface as ScorerUnavailable.
+    One call is one request, and every request carries a timeout.
+    Timeouts, connection errors, non-2xx statuses, malformed replies and
+    non-finite logprobs all surface as ScorerUnavailable.
     """
 
     scorer_id = "remote"
@@ -138,23 +136,21 @@ class RemoteScorer:
         self._client = urllib.request
         self.url = url
         self.timeout = timeout
-        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
 
     def score(self, question: str) -> QuestionScore:
         payload = json.dumps({"text": question}).encode("utf-8")
         request = self._client.Request(
             self.url, data=payload,
             headers={"Content-Type": "application/json"}, method="POST")
-        with self._slots:
-            try:
-                with self._client.urlopen(request, timeout=self.timeout) as reply:
-                    if not 200 <= reply.status < 300:
-                        raise ScorerUnavailable(f"status {reply.status}")
-                    body = reply.read()
-            except ScorerUnavailable:
-                raise
-            except (OSError, ValueError) as exc:  # URLError is an OSError
-                raise ScorerUnavailable(str(exc)) from exc
+        try:
+            with self._client.urlopen(request, timeout=self.timeout) as reply:
+                if not 200 <= reply.status < 300:
+                    raise ScorerUnavailable(f"status {reply.status}")
+                body = reply.read()
+        except ScorerUnavailable:
+            raise
+        except (OSError, ValueError) as exc:  # URLError is an OSError
+            raise ScorerUnavailable(str(exc)) from exc
         # ValueError covers bad UTF-8, bad JSON and an integer longer than
         # the int() digit limit
         try:
@@ -173,59 +169,14 @@ class RemoteScorer:
         return QuestionScore(logprob, self.scorer_id)
 
 
-class FallbackScorer:
-    """Primary scorer with a local stand-in.
-
-    After ``MAX_FAILURES`` consecutive primary failures the circuit opens and
-    later calls skip straight to the fallback, so an unreachable service
-    costs a bounded number of timeouts per run. Counters are thread-safe.
-
-    ``scorer_id`` is the primary's: a result carrying any other id is a
-    fallback score.
-    """
-
-    def __init__(self, primary, fallback):
-        self.primary = primary
-        self.fallback = fallback
-        self.scorer_id = primary.scorer_id
-        self.fallback_calls = 0
-        self._consecutive_failures = 0
-        self._circuit_open = False
-        self._lock = threading.Lock()
-
-    @property
-    def circuit_open(self) -> bool:
-        return self._circuit_open
-
-    def score(self, question: str) -> QuestionScore:
-        with self._lock:
-            attempt_primary = not self._circuit_open
-        if attempt_primary:
-            try:
-                result = self.primary.score(question)
-            except ScorerUnavailable:
-                with self._lock:
-                    self._consecutive_failures += 1
-                    if self._consecutive_failures >= MAX_FAILURES:
-                        self._circuit_open = True
-            else:
-                with self._lock:
-                    self._consecutive_failures = 0
-                return result
-        with self._lock:
-            self.fallback_calls += 1
-        return self.fallback.score(question)
-
-
 def make_scorer(kind: str = "baseline", url: str | None = None,
                 timeout: float = 5.0):
-    """Scorer factory used by the pipeline and CLI. ``remote`` always wraps
-    the bundled baseline as fallback."""
+    """Scorer factory used by the pipeline and CLI. The pipeline, not the
+    scorer, falls back to the bundled baseline when a remote request fails."""
     if kind == "baseline":
         return BaselineScorer.bundled()
     if kind == "remote":
         if not url:
             raise ValueError("remote scorer requires a URL")
-        remote = RemoteScorer(url, timeout=timeout)
-        return FallbackScorer(remote, BaselineScorer.bundled())
+        return RemoteScorer(url, timeout=timeout)
     raise ValueError(f"unknown scorer kind {kind!r}")

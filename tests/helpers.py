@@ -1,7 +1,12 @@
-"""Shared fixture loading and fuzz-input generation for the test suite."""
+"""Shared fixture loading, fuzz-input generation and a mock language-model
+endpoint for the test suite."""
 
+import json
 import pathlib
 import random
+import threading
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from amr2qa.annotate import SentenceAnnotation, Token
 
@@ -157,3 +162,64 @@ def fuzz_strings(count: int, seed: int = 7):
                 yield text[:pos] + text[pos + 1:]
             else:
                 yield text[:pos] + ch + text[pos + 1:]
+
+
+class _MockLMHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        lm = self.server
+        text = json.loads(self.rfile.read(
+            int(self.headers["Content-Length"])))["text"]
+        with lm.lock:
+            lm.requests[text] += 1
+            lm.open += 1
+            lm.peak = max(lm.peak, lm.open)
+        lm.gate.wait(timeout=10)
+        with lm.lock:
+            lm.open -= 1
+        if text in lm.fail_on:
+            status, payload = 500, b"down"
+        else:
+            status = 200
+            payload = json.dumps({"logprob": -float(len(text))}).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class MockLM(ThreadingHTTPServer):
+    """A local language-model endpoint for the remote scorer, one thread
+    per request. It scores a text ``-len(text)``, below the baseline's
+    score for questions of ordinary length, answers status 500 for the texts in
+    ``fail_on``, and holds every request while ``gate`` is clear
+    (``held=True``). ``open`` is the number of requests it holds now and
+    ``peak`` the most at once; ``requests`` counts them by text. Use it as
+    a context manager: leaving opens the gate, stops the server, waits for
+    its request threads and closes its socket."""
+
+    daemon_threads = False   # so server_close joins the request threads
+
+    def __init__(self, fail_on=(), held=False):
+        super().__init__(("127.0.0.1", 0), _MockLMHandler)
+        self.fail_on = set(fail_on)
+        self.gate = threading.Event()
+        if not held:
+            self.gate.set()
+        self.lock = threading.Lock()
+        self.open = self.peak = 0
+        self.requests = Counter()
+        self.url = f"http://127.0.0.1:{self.server_port}/score"
+        self._thread = threading.Thread(target=self.serve_forever)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.gate.set()
+        self.shutdown()
+        self._thread.join()
+        self.server_close()

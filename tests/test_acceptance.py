@@ -28,7 +28,13 @@ from amr2qa.qgen import best_question, generate_candidates
 from amr2qa.scorer import BaselineScorer
 from amr2qa.templates import default_store
 
-from helpers import FIXTURES, annotation_from_heads, load_penman_corpus, random_tree_heads
+from helpers import (
+    FIXTURES,
+    MockLM,
+    annotation_from_heads,
+    load_penman_corpus,
+    random_tree_heads,
+)
 from test_preprocess import fixture_pairs, run_passes
 from test_qgen import BROKEN
 
@@ -149,7 +155,9 @@ def test_criterion_4_engine_example_selection():
     texts = [c.filled_text for c in candidates]
     assert "What was broken ?" in texts
     assert "What broken ?" in texts
-    best = best_question(candidates, BaselineScorer.bundled())
+    baseline = BaselineScorer.bundled()
+    best = best_question(candidates, {text: baseline.score(text)
+                                      for text in texts})
     answer = extract_answer(best.entity_ref, BROKEN, alignment)
     ok = (best.filled_text == "What was broken ?"
           and answer.span == (1, 2) and answer.text == "The engine")
@@ -210,6 +218,27 @@ def test_criterion_6_worker_determinism(big_corpus, tmp_path):
     _report("6 (worker determinism)", ok,
             f"{substrate}: --workers 1 and --workers 8 byte-identical "
             f"({len(outputs[0])} bytes)")
+
+
+def test_criterion_6_worker_determinism_remote(big_corpus, tmp_path):
+    amr, conllu, substrate = big_corpus
+    outputs, fallbacks = [], []
+    with MockLM() as lm:
+        for workers in (1, 8):
+            out = tmp_path / f"w{workers}.jsonl"
+            report = run_generate(RunConfig(
+                amr_path=str(amr), conllu_path=str(conllu),
+                output_path=str(out), scorer="remote", scorer_url=lm.url,
+                workers=workers))
+            outputs.append(out.read_bytes())
+            fallbacks.append(report.scorer_fallbacks)
+    scorer_ids = {p.scorer_id for p in iter_dataset(str(out))}
+    ok = (outputs[0] == outputs[1] and len(outputs[0]) > 0
+          and fallbacks == [0, 0] and scorer_ids == {"remote"})
+    _report("6 (worker determinism, remote)", ok,
+            f"{substrate}: threaded mock LM, --workers 1 and --workers 8 "
+            f"byte-identical ({len(outputs[0])} bytes), "
+            f"{sum(lm.requests.values())} requests, fallbacks {fallbacks}")
 
 
 def test_criterion_7_stats_oracle():

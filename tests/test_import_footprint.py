@@ -17,8 +17,8 @@ from helpers import FIXTURES
 SRC = str(Path(amr2qa.__file__).resolve().parent.parent)
 
 # the remote scorer's HTTP client and what it pulls in, the stats-only
-# numeric types, the thread pool, and the resource reader the bundled data
-# no longer goes through
+# numeric types, the remote scorer's request pool, and the resource reader
+# the bundled data no longer goes through
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources",
@@ -34,7 +34,7 @@ make_scorer({scorer_args})
 GENERATE = """
 from amr2qa.cli import main
 code = main(["generate", "--amr", {amr!r}, "--conllu", {conllu!r},
-             "--out", {out!r}, "--workers", "1"])
+             "--out", {out!r}, "--workers", {workers!r}])
 assert code == 0, code
 """
 
@@ -54,12 +54,25 @@ def test_baseline_set_up_loads_none_of_them():
         sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
 
 
-def test_one_worker_generate_loads_none_of_them(tmp_path):
+def generate_loads(tmp_path, workers: str) -> set[str]:
     loaded = loaded_after(GENERATE.format(
         amr=str(FIXTURES / "corpus" / "mini.amr"),
         conllu=str(FIXTURES / "corpus" / "mini.conllu"),
-        out=str(tmp_path / "out.jsonl")))
+        out=str(tmp_path / "out.jsonl"), workers=workers))
     assert (tmp_path / "out.jsonl").stat().st_size > 0
+    return loaded
+
+
+def test_one_worker_generate_loads_none_of_them(tmp_path):
+    loaded = generate_loads(tmp_path, "1")
+    assert loaded.isdisjoint(NOT_ON_BASELINE_PATH), \
+        sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
+
+
+def test_four_worker_baseline_generate_loads_none_of_them(tmp_path):
+    # workers only bound the remote scorer's requests; a baseline run
+    # makes no thread pool
+    loaded = generate_loads(tmp_path, "4")
     assert loaded.isdisjoint(NOT_ON_BASELINE_PATH), \
         sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
 

@@ -336,6 +336,21 @@ class TestRoundTrip:
         g = parse_penman(text)
         assert serialize_penman(parse_penman(serialize_penman(g))) == serialize_penman(g)
 
+    @pytest.mark.parametrize("text, label", [
+        (r'(a / b :c "x\\")', "x\\"),
+        (r'(a / b :c "x\\y")', "x\\y"),
+        (r'(a / b :c "\\\"")', '\\"'),
+        (r'(a / b :c "q\"\\")', 'q"\\'),
+        (r'(a / "p\\q")', "p\\q"),
+    ])
+    def test_backslash_in_quoted_label_round_trips(self, text, label):
+        g = parse_penman(text)
+        node = g.root.children[0][1] if g.root.children else g.root
+        assert node.concept.label == label
+        once = serialize_penman(g)
+        assert once == text
+        assert to_triples(parse_penman(once)) == to_triples(g)
+
 
 class TestFuzz:
 

@@ -2,8 +2,8 @@
 
 import gc
 import json
-import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -22,6 +22,7 @@ from amr2qa.corpus import (
     write_dataset,
 )
 from amr2qa.pipeline import (
+    BatchScorer,
     RunConfig,
     _pair_blocks,
     process_sentence,
@@ -29,12 +30,13 @@ from amr2qa.pipeline import (
 )
 from amr2qa.scorer import (
     BaselineScorer,
-    FallbackScorer,
     QuestionScore,
+    RemoteScorer,
     ScorerUnavailable,
 )
 from amr2qa.templates import default_store
 
+from helpers import MockLM
 from test_qgen import BROKEN
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -59,16 +61,21 @@ def baseline():
     return BaselineScorer.bundled()
 
 
+@pytest.fixture
+def batch(baseline):
+    return BatchScorer(baseline)
+
+
 def entry_for(amr_text: str, position: int = 1):
     block = split_blocks(f"# ::id t{position}\n# ::snt dummy\n{amr_text}")[0]
     return parse_block(block)
 
 
 class TestProcessSentence:
-    def test_engine_sentence(self, store, baseline):
+    def test_engine_sentence(self, store, batch):
         text = Path(MINI_AMR).read_text()
         first = parse_block(split_blocks(text)[0])
-        result = process_sentence(first, BROKEN, store, baseline)
+        result = process_sentence(first, BROKEN, store, batch)
         assert result.error is None
         assert result.non_root == 1
         assert result.no_template == 0
@@ -84,38 +91,38 @@ class TestProcessSentence:
         assert primary.score is not None
         assert primary.scorer_id == "baseline"
 
-    def test_sense_pair_carries_entry_id(self, store, baseline):
+    def test_sense_pair_carries_entry_id(self, store, batch):
         entry = entry_for("(b / break-01 :ARG1 (e / engine))", position=7)
-        result = process_sentence(entry, BROKEN, store, baseline)
+        result = process_sentence(entry, BROKEN, store, batch)
         sense = [p for p in result.pairs if p.relation == "sense"]
         assert len(sense) == 1
         assert sense[0].sentence_id == "t7"
         assert sense[0].score is not None
 
-    def test_duplicate_question_answer_skipped(self, store, baseline):
+    def test_duplicate_question_answer_skipped(self, store, batch):
         # both ARG1 children are unaligned copies: identical question text
         # and identical fallback answer, so the second one is a duplicate
         entry = entry_for(
             "(x / xyzzyfy-01 :ARG1 (p / plugh) :ARG1 (p2 / plugh))")
-        result = process_sentence(entry, BROKEN, store, baseline)
+        result = process_sentence(entry, BROKEN, store, batch)
         assert result.non_root == 2
         assert result.duplicate == 1
         texts = [(p.question, p.answer.text) for p in result.pairs
                  if p.relation != "sense"]
         assert len(texts) == len(set(texts)) == 1
 
-    def test_unknown_relation_counts_as_no_template(self, store, baseline):
+    def test_unknown_relation_counts_as_no_template(self, store, batch):
         entry = entry_for("(b / break-01 :quibble (e / engine))")
-        result = process_sentence(entry, BROKEN, store, baseline)
+        result = process_sentence(entry, BROKEN, store, batch)
         assert result.non_root == 1
         assert result.no_template == 1
         assert [p.relation for p in result.pairs] == ["sense"]
 
-    def test_every_node_lands_in_one_bucket(self, store, baseline):
+    def test_every_node_lands_in_one_bucket(self, store, batch):
         entry = entry_for(
             "(s / stand-01 :ARG0 (h / he) :location (m / middle "
             ":part (d / desert)) :quibble (q / quux))")
-        result = process_sentence(entry, BROKEN, store, baseline)
+        result = process_sentence(entry, BROKEN, store, batch)
         primary = sum(1 for p in result.pairs if p.relation != "sense")
         assert (primary + result.no_template + result.duplicate
                 == result.non_root == 4)
@@ -307,11 +314,9 @@ class CountingScorer:
     def __init__(self, inner):
         self.inner = inner
         self.texts = Counter()
-        self._lock = threading.Lock()
 
     def score(self, text):
-        with self._lock:
-            self.texts[text] += 1
+        self.texts[text] += 1
         return self.inner.score(text)
 
 
@@ -382,69 +387,41 @@ class TestScoreMemo:
         assert (f"scorer memo hits      {report.scorer_memo_hits}"
                 in report.lines())
 
-    def test_fallback_score_is_not_reused(self, tmp_path, monkeypatch,
-                                          baseline):
+    def test_fallback_score_is_not_reused(self, tmp_path, monkeypatch):
         flaky_text = "What was broken ?"
         primary = FailsOnceOn({flaky_text})
-        monkeypatch.setattr(
-            pipeline, "make_scorer",
-            lambda *args, **kwargs: FallbackScorer(primary, baseline))
+        monkeypatch.setattr(pipeline, "make_scorer",
+                            lambda *args, **kwargs: primary)
         amr, conllu = repeated_corpus(tmp_path)
+        out = tmp_path / "out.jsonl"
         report = run_generate(mini_config(
-            tmp_path / "out.jsonl", amr_path=amr, conllu_path=conllu,
+            out, amr_path=amr, conllu_path=conllu,
             scorer="remote", scorer_url="http://unused"))
-        assert report.scorer_fallbacks == 1
+        # the first sentence's three texts are scored by the baseline
+        assert report.scorer_fallbacks == 3
         # the failed first try, then one successful primary score that
         # the third occurrence reuses
         assert primary.texts[flaky_text] == 2
         assert set(primary.texts.values()) == {1, 2}
+        ids = [(p.sentence_id, p.scorer_id) for p in iter_dataset(str(out))]
+        assert {scorer for sentence, scorer in ids
+                if sentence == "c0s1"} == {"baseline"}
+        assert {scorer for sentence, scorer in ids
+                if sentence != "c0s1"} == {"remote"}
 
     def test_memo_holds_at_most_capacity(self, baseline):
         counting = CountingScorer(baseline)
-        memo = pipeline._ScoreMemo(counting)
+        memo = BatchScorer(counting)
         texts = [f"What is item{i} ?" for i in range(pipeline.MEMO_CAPACITY
                                                     + 100)]
         for text in texts:
-            memo.score(text)
+            memo.score_all([text])
         assert len(memo._scores) == pipeline.MEMO_CAPACITY
         for text in texts[-pipeline.MEMO_CAPACITY:]:
-            memo.score(text)
+            memo.score_all([text])
         assert memo.hits == pipeline.MEMO_CAPACITY
-        memo.score(texts[0])
+        memo.score_all([texts[0]])
         assert counting.texts[texts[0]] == 2
-        assert len(memo._scores) == pipeline.MEMO_CAPACITY
-
-    def test_concurrent_lookups_and_evictions(self, baseline):
-        counting = CountingScorer(baseline)
-        memo = pipeline._ScoreMemo(counting)
-        texts = [f"What is item{i} ?"
-                 for i in range(pipeline.MEMO_CAPACITY + 200)]
-        rounds, workers = 2, 8
-        errors = []
-
-        def work(offset):
-            try:
-                for _ in range(rounds):
-                    for i in range(len(texts)):
-                        memo.score(texts[(i + offset) % len(texts)])
-            except Exception as exc:   # surfaced by the assert below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k * 37,))
-                       for k in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert (memo.hits + sum(counting.texts.values())
-                == rounds * workers * len(texts))
         assert len(memo._scores) == pipeline.MEMO_CAPACITY
 
     @pytest.mark.parametrize("copies", [1, 3])
@@ -458,13 +435,13 @@ class TestScoreMemo:
         blocks = split_blocks(Path(amr).read_text())
         for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
             pairs.extend(process_sentence(parse_block(raw), ann, store,
-                                          baseline).pairs)
+                                          BatchScorer(baseline)).pairs)
         plain = tmp_path / "plain.jsonl"
         write_dataset(pairs, str(plain))
         assert memoized.read_bytes() == plain.read_bytes()
 
-    def test_remote_failing_partway_matches_unmemoized_run(
-            self, tmp_path, monkeypatch, store, baseline):
+    def test_remote_going_down_keeps_each_sentence_on_one_scale(
+            self, tmp_path, monkeypatch):
         # One copy of the mini corpus, a sentence whose texts take the
         # remote down for good, then two more copies whose texts the memo
         # already holds.
@@ -477,66 +454,102 @@ class TestScoreMemo:
         Path(conllu).write_text(conllu_text[:cut_conllu] + TRIGGER_CONLLU
                                 + "\n" + conllu_text[cut_conllu:])
 
-        monkeypatch.setattr(
-            pipeline, "make_scorer",
-            lambda *args, **kwargs: FallbackScorer(FailsFrom("fixed"),
-                                                   baseline))
-        memoized = tmp_path / "memo.jsonl"
-        report = run_generate(mini_config(
-            memoized, amr_path=amr, conllu_path=conllu,
-            scorer="remote", scorer_url="http://unused"))
-        assert report.sentences_processed == 10
+        def lines(trigger):
+            monkeypatch.setattr(pipeline, "make_scorer",
+                                lambda *args, **kwargs: FailsFrom(trigger))
+            out = tmp_path / "out.jsonl"
+            report = run_generate(mini_config(
+                out, amr_path=amr, conllu_path=conllu,
+                scorer="remote", scorer_url="http://unused"))
+            assert report.sentences_processed == 10
+            return report, out.read_text().splitlines()
 
-        plain_scorer = FallbackScorer(FailsFrom("fixed"), baseline)
-        pairs = []
-        blocks = split_blocks(Path(amr).read_text())
-        for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
-            pairs.extend(process_sentence(parse_block(raw), ann, store,
-                                          plain_scorer).pairs)
-        plain = tmp_path / "plain.jsonl"
-        write_dataset(pairs, str(plain))
+        healthy_report, healthy = lines("never asked")
+        report, failing = lines("fixed")
+        assert healthy_report.scorer_fallbacks == 0
+        # the trigger sentence falls back whole, and every later sentence
+        # is answered from the memo with no request, on the remote scale
+        assert report.scorer_fallbacks == 3
+        for before, after in zip(healthy, failing, strict=True):
+            if '"sentence_id": "t1"' in after:
+                assert before.endswith('"scorer_id": "remote"}')
+                assert after.endswith('"scorer_id": "baseline"}')
+            else:
+                assert after == before
 
-        assert plain_scorer.circuit_open
-        assert memoized.read_bytes() == plain.read_bytes()
-        assert report.scorer_fallbacks == plain_scorer.fallback_calls
-        ids = [p.scorer_id for p in iter_dataset(str(memoized))]
-        assert ids[:9] == ["remote"] * 9
-        assert set(ids[9:]) == {"baseline"}
 
-    def test_score_begun_before_a_fallback_is_not_stored(self):
-        class Gated:
-            """Holds "slow" until released; answers any other text with a
-            fallback score."""
+class TestBatchScorer:
+    def test_one_scale_per_sentence(self, tmp_path):
+        # "Who is visits ?" is the third candidate of s2's first node; the
+        # mock's scores are below the baseline's, so a node that mixed the
+        # two scales would pick the one baseline-scored candidate
+        amr, conllu = repeated_corpus(tmp_path, copies=2)
+        outputs = {}
+        for workers in (1, 4):
+            with MockLM(fail_on={"Who is visits ?"}) as lm:
+                out = tmp_path / f"w{workers}.jsonl"
+                report = run_generate(mini_config(
+                    out, amr_path=amr, conllu_path=conllu, scorer="remote",
+                    scorer_url=lm.url, workers=workers))
+            assert report.sentences_processed == 6
+            assert lm.requests["Who is visits ?"] == 2
+            outputs[workers] = out.read_bytes()
+            ids: dict[str, set] = {}
+            for pair in iter_dataset(str(out)):
+                ids.setdefault(pair.sentence_id, set()).add(pair.scorer_id)
+            assert ids == {f"c{k}s{n}": {"baseline" if n == 2 else "remote"}
+                           for k in range(2) for n in (1, 2, 3)}
+        assert outputs[1] == outputs[4]
 
-            scorer_id = "remote"
+    def test_failed_batch_is_all_baseline_and_stores_nothing(self,
+                                                            baseline):
+        primary = FailsOnceOn({"b ?"})
+        scorer = BatchScorer(primary)
+        assert scorer.score_all(["a ?"])["a ?"].scorer_id == "remote"
+        # "a ?" is in the memo, but the batch fails on "b ?"
+        failed = scorer.score_all(["a ?", "b ?", "a ?"])
+        assert failed == {text: baseline.score(text)
+                          for text in ("a ?", "b ?")}
+        assert (scorer.hits, scorer.fallbacks) == (0, 3)
+        again = scorer.score_all(["a ?", "b ?"])
+        assert {score.scorer_id for score in again.values()} == {"remote"}
+        assert scorer.hits == 1
+        assert primary.texts == {"a ?": 1, "b ?": 2}
+        assert not scorer.circuit_open
 
-            def __init__(self):
-                self.entered = threading.Event()
-                self.release = threading.Event()
-                self.texts = Counter()
-
-            def score(self, text):
-                self.texts[text] += 1
-                if text != "slow":
-                    return QuestionScore(-9.0, "baseline")
-                self.entered.set()
-                self.release.wait(timeout=10)
-                return QuestionScore(-1.0, self.scorer_id)
-
-        gated = Gated()
-        memo = pipeline._ScoreMemo(gated)
-        thread = threading.Thread(target=memo.score, args=("slow",))
-        thread.start()
-        assert gated.entered.wait(timeout=10)
-        assert memo.score("other").scorer_id == "baseline"
-        gated.release.set()
-        thread.join(timeout=10)
+    @pytest.mark.parametrize("missing", [1, 3, 4, 9])
+    def test_requests_in_flight_match_the_worker_count(self, missing):
+        texts = [f"What is item{i} ?" for i in range(missing)]
+        expected = min(4, missing)
+        results = []
+        with MockLM(held=True) as lm:
+            scorer = BatchScorer(RemoteScorer(lm.url), workers=4)
+            thread = threading.Thread(
+                target=lambda: results.append(scorer.score_all(texts)))
+            thread.start()
+            deadline = time.monotonic() + 5
+            while lm.open < expected and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)   # a request past the bound would open now
+            held = lm.open
+            lm.gate.set()
+            thread.join(timeout=10)
+            scorer.close()
         assert not thread.is_alive()
-        memo.score("slow")
-        assert gated.texts["slow"] == 2
-        memo.score("slow")
-        assert gated.texts["slow"] == 2
-        assert memo.hits == 1
+        assert held == lm.peak == expected
+        assert sorted(results[0]) == sorted(texts)
+        assert {s.scorer_id for s in results[0].values()} == {"remote"}
+
+    def test_remote_run_closes_its_request_threads(self, tmp_path):
+        amr, conllu = repeated_corpus(tmp_path, copies=2)
+        threads_before = threading.active_count()
+        with MockLM() as lm:   # leaving joins the mock's own threads
+            report = run_generate(mini_config(
+                tmp_path / "out.jsonl", amr_path=amr, conllu_path=conllu,
+                scorer="remote", scorer_url=lm.url, workers=4))
+        assert threading.active_count() == threads_before
+        assert report.scorer_fallbacks == 0
+        assert sum(lm.requests.values()) == len(lm.requests)
 
 
 OLD_BYTES = b'{"previous": "dataset"}\n'
@@ -674,6 +687,7 @@ class TestStreaming:
 
     def test_sentences_in_flight_stay_within_the_bound(self, tmp_path,
                                                        monkeypatch):
+        # one sentence at a time, whatever the worker count
         workers = 4
         amr, conllu = repeated_corpus(tmp_path, copies=20)
         read: list[str] = []
@@ -707,7 +721,7 @@ class TestStreaming:
         assert report.sentences_processed == len(read) == 60
         assert written == set(read)
         assert len(in_flight) == 2 * len(read)
-        assert max(in_flight) == pipeline.IN_FLIGHT_PER_WORKER * workers
+        assert max(in_flight) == 1
 
     def test_one_worker_runs_in_the_calling_thread(self, tmp_path,
                                                    monkeypatch):

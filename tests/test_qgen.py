@@ -234,6 +234,11 @@ class _AffineScorer:
         return QuestionScore(self.scale * base.value + self.shift, "affine")
 
 
+def scored(candidates, scorer):
+    """The text -> score mapping ``best_question`` selects from."""
+    return {c.filled_text: scorer.score(c.filled_text) for c in candidates}
+
+
 def _candidate(text, template_id="t"):
     return QuestionCandidate(template_id=template_id, filled_text=text,
                              fill_words=(), node_ref=None, entity_ref=None,
@@ -249,22 +254,23 @@ class TestBestQuestion:
         engine = preorder(tree)[1]
         candidates = generate_candidates(engine, tree, default_store(),
                                          BROKEN, alignment)
-        best = best_question(candidates, self.baseline)
+        best = best_question(candidates, scored(candidates, self.baseline))
         assert best.filled_text == "What was broken ?"
         assert best.score.scorer_id == "baseline"
         assert isinstance(best.score.value, float)
 
     def test_empty_input(self):
-        assert best_question([], self.baseline) is None
+        assert best_question([], {}) is None
 
     def test_singleton(self):
         only = _candidate("What was broken ?")
-        assert best_question([only], self.baseline) is only
+        assert best_question([only], scored([only], self.baseline)) is only
 
     def test_tie_goes_to_resource_order(self):
         first = _candidate("Who ran ?", "first")
         second = _candidate("Who jumped ?", "second")
-        best = best_question([first, second], _ConstantScorer())
+        best = best_question([first, second],
+                             scored([first, second], _ConstantScorer()))
         assert best is first
 
     @settings(max_examples=40)
@@ -273,9 +279,9 @@ class TestBestQuestion:
         candidates = [_candidate("What was broken ?"),
                       _candidate("What broken ?"),
                       _candidate("Where did someone stood ?")]
-        plain = best_question(candidates, self.baseline)
-        scaled = best_question(candidates,
-                               _AffineScorer(self.baseline, scale, shift))
+        plain = best_question(candidates, scored(candidates, self.baseline))
+        scaled = best_question(candidates, scored(
+            candidates, _AffineScorer(self.baseline, scale, shift)))
         assert scaled.filled_text == plain.filled_text
 
 

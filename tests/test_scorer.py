@@ -1,5 +1,6 @@
-"""N-gram baseline, remote client and fallback."""
+"""N-gram baseline, remote client and the per-sentence fallback."""
 
+import itertools
 import json
 import math
 import random
@@ -10,14 +11,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
+from amr2qa.pipeline import MAX_FAILURES, BatchScorer
 from amr2qa.scorer import (
     BOS,
     EOS,
-    MAX_FAILURES,
-    MAX_IN_FLIGHT,
     BaselineScorer,
     EmptyCorpus,
-    FallbackScorer,
     QuestionScore,
     RemoteScorer,
     ScorerUnavailable,
@@ -219,61 +218,6 @@ class TestRemoteScorer:
         with pytest.raises(ScorerUnavailable):
             scorer.score("What ?")
 
-    def test_requests_in_flight_bounded(self, monkeypatch):
-        client = _HeldClient()
-        monkeypatch.setattr("urllib.request.urlopen", client.urlopen)
-        scorer = RemoteScorer("http://127.0.0.1:1/score")
-        results = []
-        threads = [threading.Thread(
-            target=lambda: results.append(scorer.score("What ?")))
-            for _ in range(3 * MAX_IN_FLIGHT)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 5
-        while client.open < MAX_IN_FLIGHT and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.05)  # one more request past the limit would open now
-        held = client.open
-        client.release.set()
-        for t in threads:
-            t.join(timeout=5)
-        assert held == MAX_IN_FLIGHT
-        assert client.peak == MAX_IN_FLIGHT
-        assert len(results) == 3 * MAX_IN_FLIGHT
-
-
-class _Reply:
-    status = 200
-
-    def read(self):
-        return b'{"logprob": -1.0}'
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-class _HeldClient:
-    """Stands in for ``urllib.request.urlopen``: every request stays open
-    until ``release`` is set, and the most open at once is recorded."""
-
-    def __init__(self):
-        self.open = 0
-        self.peak = 0
-        self.release = threading.Event()
-        self._lock = threading.Lock()
-
-    def urlopen(self, request, timeout):
-        with self._lock:
-            self.open += 1
-            self.peak = max(self.peak, self.open)
-        self.release.wait(timeout=5)
-        with self._lock:
-            self.open -= 1
-        return _Reply()
-
 
 class _StubScorer:
     def __init__(self, fail=False, value=-1.0, scorer_id="stub"):
@@ -289,87 +233,78 @@ class _StubScorer:
         return QuestionScore(self.value, self.scorer_id)
 
 
-class TestFallbackScorer:
-    def test_primary_used_when_healthy(self):
-        primary = _StubScorer(value=-2.0, scorer_id="remote")
-        fallback = _StubScorer(value=-9.0, scorer_id="baseline")
-        scorer = FallbackScorer(primary, fallback)
-        result = scorer.score("What ?")
-        assert result.scorer_id == "remote"
-        assert scorer.fallback_calls == 0
+class TestBatchFallback:
+    """The pipeline's per-sentence fallback and its circuit; each call
+    scores a new text, so the memo never answers it."""
 
-    def test_scorer_id_is_the_primary_s(self):
-        scorer = FallbackScorer(_StubScorer(scorer_id="remote"),
-                                _StubScorer(scorer_id="baseline"))
-        assert scorer.scorer_id == "remote"
+    def setup_method(self):
+        self.texts = (f"What {n} ?" for n in itertools.count())
+
+    def batches(self, scorer, count):
+        return [scorer.score_all([next(self.texts)]) for _ in range(count)]
+
+    def test_primary_used_when_healthy(self):
+        scorer = BatchScorer(_StubScorer(value=-2.0, scorer_id="remote"))
+        result, = self.batches(scorer, 1)[0].values()
+        assert result == QuestionScore(-2.0, "remote")
+        assert scorer.fallbacks == 0
 
     def test_failure_falls_back_and_is_recorded(self):
-        scorer = FallbackScorer(_StubScorer(fail=True),
-                                _StubScorer(scorer_id="baseline"))
-        result = scorer.score("What ?")
+        scorer = BatchScorer(_StubScorer(fail=True))
+        result, = self.batches(scorer, 1)[0].values()
         assert result.scorer_id == "baseline"
-        assert scorer.fallback_calls == 1
+        assert scorer.fallbacks == 1
 
     def test_circuit_opens_after_consecutive_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = FallbackScorer(primary, _StubScorer())
-        for _ in range(10):
-            scorer.score("What ?")
+        scorer = BatchScorer(primary)
+        self.batches(scorer, 10)
         assert scorer.circuit_open
         assert primary.calls == 3
-        assert scorer.fallback_calls == 10
+        assert scorer.fallbacks == 10
 
     def test_circuit_closed_until_max_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = FallbackScorer(primary, _StubScorer())
-        for _ in range(MAX_FAILURES - 1):
-            scorer.score("What ?")
+        scorer = BatchScorer(primary)
+        self.batches(scorer, MAX_FAILURES - 1)
         assert not scorer.circuit_open
-        scorer.score("What ?")
+        self.batches(scorer, 1)
         assert scorer.circuit_open
         assert primary.calls == MAX_FAILURES
 
     def test_success_resets_failure_streak(self):
         primary = _StubScorer(scorer_id="remote")
-        scorer = FallbackScorer(primary, _StubScorer())
+        scorer = BatchScorer(primary)
         for _ in range(2):
-            primary.fail = True
-            scorer.score("What ?")
-            primary.fail = False
-            scorer.score("What ?")
-            primary.fail = True
-            scorer.score("What ?")
+            for fail in (True, False, True):
+                primary.fail = fail
+                self.batches(scorer, 1)
         assert not scorer.circuit_open
+        assert primary.calls == 6
 
-    def test_concurrent_calls_account_for_every_score(self):
+    def test_failed_request_ends_the_batch(self):
         primary = _StubScorer(fail=True)
-        scorer = FallbackScorer(primary, _StubScorer())
-        threads = [threading.Thread(target=scorer.score, args=("What ?",))
-                   for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert scorer.fallback_calls == 16
+        scorer = BatchScorer(primary)
+        scores = scorer.score_all(["What ?", "Who ?", "What ?"])
+        assert primary.calls == 1
+        assert {s.scorer_id for s in scores.values()} == {"baseline"}
+        assert scorer.fallbacks == 3
 
 
 class TestMakeScorer:
     def test_baseline(self):
         assert isinstance(make_scorer("baseline"), BaselineScorer)
 
-    def test_remote_wraps_fallback(self):
+    def test_remote_is_the_bare_client(self):
+        # the pipeline owns the fallback, so each request is one score call
         scorer = make_scorer("remote", url="http://127.0.0.1:1/score")
-        assert isinstance(scorer, FallbackScorer)
-        assert isinstance(scorer.primary, RemoteScorer)
-        assert isinstance(scorer.fallback, BaselineScorer)
+        assert type(scorer) is RemoteScorer
 
     def test_scorer_id_matches_its_own_scores(self, mock_server):
-        # The pipeline's score memo stores only results carrying this id.
         for scorer in (make_scorer("baseline"),
                        make_scorer("remote", url=mock_server)):
             result = scorer.score("What ?")
             assert result.scorer_id == scorer.scorer_id
-        assert scorer.fallback_calls == 0
 
     def test_remote_requires_url(self):
         with pytest.raises(ValueError):
