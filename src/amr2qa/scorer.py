@@ -34,7 +34,7 @@ class EmptyCorpus(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionScore:
     value: float
     scorer_id: str

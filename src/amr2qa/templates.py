@@ -15,10 +15,14 @@ File formats (UTF-8, LF, ``#`` comments):
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:  # the built-in SHA-1 spares a run hashlib's OpenSSL
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 from .penman import CORE_RELATIONS, Concept
 
@@ -150,7 +154,7 @@ def _parse_template_line(line: str, line_no: int) -> Template:
         raise MalformedRecord(
             f"{len(indices)} blanks but {len(blank_pos)} POS constraints",
             line=line_no)
-    digest = hashlib.sha1(
+    digest = sha1(
         "|".join([kind, key, tense, pattern, pos_column]).encode("utf-8")
     ).hexdigest()[:8]
     return Template(id=f"{kind}:{key}:{digest}", kind=kind, key=key,

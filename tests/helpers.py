@@ -2,15 +2,32 @@
 endpoint for the test suite."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import amr2qa
 from amr2qa.annotate import SentenceAnnotation, Token
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = str(pathlib.Path(amr2qa.__file__).resolve().parent.parent)
+
+
+def run_bare(script: str) -> str:
+    """Run ``script`` in a child interpreter started with ``-S``, so no
+    ``site`` ``.pth`` file imports anything first, and with ``PYTHONPATH``
+    set to the directory that holds the imported ``amr2qa`` package.
+    Return the child's stdout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def random_tree_heads(rng: random.Random, n: int) -> list[int]:

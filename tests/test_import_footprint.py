@@ -1,27 +1,19 @@
 """The baseline path loads only the modules it uses.
 
-Each check runs a child interpreter with ``-S``, so no ``site`` ``.pth``
-file imports anything first, and with ``PYTHONPATH`` set to the directory
-that holds the imported ``amr2qa`` package. The child prints
-``sys.modules`` once its work is done.
+Each check runs its work in a bare child interpreter (``helpers.run_bare``)
+that prints ``sys.modules`` once the work is done.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import amr2qa
-from helpers import FIXTURES
-
-SRC = str(Path(amr2qa.__file__).resolve().parent.parent)
+from helpers import FIXTURES, run_bare
 
 # the remote scorer's HTTP client and what it pulls in, the stats-only
-# numeric types, the remote scorer's request pool, and the resource reader
-# the bundled data no longer goes through
+# numeric types, the remote scorer's request pool, the resource reader the
+# bundled data no longer goes through, and hashlib with its OpenSSL module
+# (template ids are hashed with the built-in SHA-1)
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
-    "fractions", "concurrent.futures", "importlib.resources",
+    "fractions", "concurrent.futures", "importlib.resources", "hashlib",
+    "_hashlib",
 )
 
 SETUP = """
@@ -41,11 +33,7 @@ assert code == 0, code
 
 def loaded_after(code: str) -> set[str]:
     script = code + "\nimport sys\nprint('\\n'.join(sys.modules))\n"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return set(run_bare(script).split())
 
 
 def test_baseline_set_up_loads_none_of_them():

@@ -1,5 +1,6 @@
 """Template resource loading, validation, role resolution and selection."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from amr2qa.templates import (
     TemplateError,
     UnknownPosTag,
     bundled_relations_path,
+    bundled_template_path,
     default_store,
     load_mapping,
     load_store,
@@ -23,6 +25,8 @@ from amr2qa.templates import (
     resolve_core_role,
     select_templates,
 )
+
+from helpers import run_bare
 
 
 def write(tmp_path, name, text):
@@ -288,6 +292,15 @@ class TestSelect:
         assert select_templates(self.store, "degree", None, "present", "VERB") == []
 
 
+BUNDLED_IDS = """
+import sys
+{block}
+from amr2qa.templates import default_store
+print("\\n".join(t.id for t in default_store().templates))
+print("hashlib loaded:", "hashlib" in sys.modules)
+"""
+
+
 class TestBundledPack:
     def setup_method(self):
         self.store = default_store()
@@ -299,6 +312,26 @@ class TestBundledPack:
     def test_all_ids_unique(self):
         ids = [t.id for t in self.store.templates]
         assert len(ids) == len(set(ids))
+
+    def test_ids_are_the_sha1_of_the_joined_fields(self):
+        expected = []
+        text = bundled_template_path().read_text(encoding="utf-8")
+        for line in text.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                fields = [c.strip() for c in line.split("|")]
+                digest = hashlib.sha1("|".join(fields).encode()).hexdigest()[:8]
+                expected.append(f"{fields[0]}:{fields[1]}:" + digest)
+        assert [t.id for t in self.store.templates] == expected
+
+    def test_ids_are_the_same_without_the_built_in_sha1(self):
+        # a build without the _sha1 module hashes through hashlib
+        script = BUNDLED_IDS.format(block='sys.modules["_sha1"] = None')
+        fallback = run_bare(script).splitlines()
+        assert fallback.pop() == "hashlib loaded: True"
+        built_in = run_bare(BUNDLED_IDS.format(block="")).splitlines()
+        assert built_in.pop() == "hashlib loaded: False"
+        assert fallback == built_in == [t.id for t in self.store.templates]
 
     def test_every_pattern_opens_with_wh_word(self):
         openers = {t.pattern.split(" ", 1)[0] for t in self.store.templates}
