@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import socketserver
 import subprocess
 import sys
 import threading
@@ -207,17 +208,35 @@ class _MockLMHandler(BaseHTTPRequestHandler):
         pass
 
 
-class MockLM(ThreadingHTTPServer):
+class _ServedInThread:
+    """Mixin for a socketserver served from its own thread. Use it as a
+    context manager: leaving stops the server, waits for its request
+    threads and closes its socket."""
+
+    daemon_threads = False   # so server_close joins the request threads
+
+    def _start_thread(self):
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/score"
+        self._thread = threading.Thread(target=self.serve_forever)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self._thread.join()
+        self.server_close()
+
+
+class MockLM(_ServedInThread, ThreadingHTTPServer):
     """A local language-model endpoint for the remote scorer, one thread
     per request. It scores a text ``-len(text)``, below the baseline's
     score for questions of ordinary length, answers status 500 for the texts in
     ``fail_on``, and holds every request while ``gate`` is clear
     (``held=True``). ``open`` is the number of requests it holds now and
-    ``peak`` the most at once; ``requests`` counts them by text. Use it as
-    a context manager: leaving opens the gate, stops the server, waits for
-    its request threads and closes its socket."""
-
-    daemon_threads = False   # so server_close joins the request threads
+    ``peak`` the most at once; ``requests`` counts them by text. Leaving
+    it as a context manager also opens the gate."""
 
     def __init__(self, fail_on=(), held=False):
         super().__init__(("127.0.0.1", 0), _MockLMHandler)
@@ -228,15 +247,31 @@ class MockLM(ThreadingHTTPServer):
         self.lock = threading.Lock()
         self.open = self.peak = 0
         self.requests = Counter()
-        self.url = f"http://127.0.0.1:{self.server_port}/score"
-        self._thread = threading.Thread(target=self.serve_forever)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
+        self._start_thread()
 
     def __exit__(self, *exc):
         self.gate.set()
-        self.shutdown()
-        self._thread.join()
-        self.server_close()
+        super().__exit__(*exc)
+
+
+class _RawReplyHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        length = 0
+        for line in self.rfile:   # the request line, then headers
+            if not line.strip():
+                break
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.server.reply)
+
+
+class RawReplyServer(_ServedInThread, socketserver.ThreadingTCPServer):
+    """Answers the first request on each connection with the bytes
+    ``reply``, whatever they are, and closes the connection."""
+
+    def __init__(self, reply: bytes):
+        super().__init__(("127.0.0.1", 0), _RawReplyHandler)
+        self.reply = reply
+        self._start_thread()

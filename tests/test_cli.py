@@ -168,6 +168,14 @@ class TestGenerate:
         assert rc == 1
         assert "requires a scorer URL" in capsys.readouterr().err
 
+    def test_remote_url_that_is_not_http(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        rc = main(gen_args(out, "--scorer", "remote",
+                           "--scorer-url", "ftp://x/score"))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_workers_flag_output_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(gen_args(a, "--workers", "1")) == 0

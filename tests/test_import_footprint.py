@@ -6,10 +6,11 @@ that prints ``sys.modules`` once the work is done.
 
 from helpers import FIXTURES, run_bare
 
-# the remote scorer's HTTP client and what it pulls in, the stats-only
-# numeric types, the remote scorer's request pool, the resource reader the
-# bundled data no longer goes through, and hashlib with its OpenSSL module
-# (template ids are hashed with the built-in SHA-1)
+# the remote scorer's HTTP client and what it pulls in, the urllib client
+# it replaced, the stats-only numeric types, the remote scorer's request
+# pool, the resource reader the bundled data no longer goes through, and
+# hashlib with its OpenSSL module (template ids are hashed with the
+# built-in SHA-1)
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources", "hashlib",
@@ -69,4 +70,8 @@ def test_remote_scorer_loads_the_http_client_when_built():
     # building the scorer opens no connection, so the port need not listen
     loaded = loaded_after(SETUP.format(
         scorer_args='"remote", "http://127.0.0.1:9/score"'))
-    assert "urllib.request" in loaded
+    assert "http.client" in loaded
+    # urllib.request would bring hashlib, tempfile, shutil and the
+    # compression modules, none of which a scorer uses
+    assert loaded.isdisjoint({"urllib.request", "hashlib", "_hashlib"}), \
+        sorted(loaded.intersection({"urllib.request", "hashlib", "_hashlib"}))

@@ -36,7 +36,7 @@ from amr2qa.scorer import (
 )
 from amr2qa.templates import default_store
 
-from helpers import MockLM
+from helpers import MockLM, RawReplyServer
 from test_qgen import BROKEN
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -550,6 +550,15 @@ class TestBatchScorer:
         assert threading.active_count() == threads_before
         assert report.scorer_fallbacks == 0
         assert sum(lm.requests.values()) == len(lm.requests)
+
+    def test_http_protocol_error_falls_back(self, tmp_path):
+        with RawReplyServer(b"garbage\r\n\r\n") as server:
+            report = run_generate(mini_config(
+                tmp_path / "out.jsonl", scorer="remote",
+                scorer_url=server.url))
+        assert "sentences failed      0" in report.lines()
+        assert report.sentences_processed == 3
+        assert report.scorer_fallbacks > 0
 
 
 OLD_BYTES = b'{"previous": "dataset"}\n'

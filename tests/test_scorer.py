@@ -26,6 +26,8 @@ from amr2qa.scorer import (
     train_ngram,
 )
 
+from helpers import RawReplyServer
+
 
 class TestTrain:
     def test_hand_counted_bigrams(self):
@@ -138,11 +140,13 @@ class TestBundledBaseline:
 class _Handler(BaseHTTPRequestHandler):
     behavior = staticmethod(lambda body: (200, b'{"logprob": -3.2}'))
     received: list[bytes] = []
+    connection_headers: list[str | None] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
         type(self).received.append(body)
+        type(self).connection_headers.append(self.headers["Connection"])
         status, payload = type(self).behavior(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -160,6 +164,7 @@ def mock_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.received = []
+    _Handler.connection_headers = []
     _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -3.2}'))
     yield f"http://127.0.0.1:{server.server_port}/score"
     server.shutdown()
@@ -176,6 +181,10 @@ class TestRemoteScorer:
         RemoteScorer(mock_server).score("Who made the cake ?")
         assert json.loads(_Handler.received[0].decode("utf-8")) == {
             "text": "Who made the cake ?"}
+
+    def test_asks_the_server_to_close_the_connection(self, mock_server):
+        RemoteScorer(mock_server).score("What ?")
+        assert _Handler.connection_headers == ["close"]
 
     def test_non_2xx_status(self, mock_server):
         _Handler.behavior = staticmethod(lambda body: (500, b"boom"))
@@ -217,6 +226,36 @@ class TestRemoteScorer:
         scorer = RemoteScorer(mock_server, timeout=0.05)
         with pytest.raises(ScorerUnavailable):
             scorer.score("What ?")
+
+    @pytest.mark.parametrize("reply", [
+        b"garbage\r\n\r\n",   # not a status line
+        b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n"
+        b'{"logprob": -1}',   # shorter than its Content-Length
+    ], ids=["bad-status-line", "short-body"])
+    def test_http_protocol_error(self, reply):
+        with RawReplyServer(reply) as server:
+            with pytest.raises(ScorerUnavailable):
+                RemoteScorer(server.url).score("What ?")
+
+    @pytest.mark.parametrize("url", ["ftp://x/score", "x/score", "http:///s",
+                                     "http://127.0.0.1:port/score",
+                                     "http://a b/score",
+                                     "http://user:pw@127.0.0.1:9/score"])
+    def test_only_http_and_https_urls(self, url):
+        with pytest.raises(ValueError):
+            make_scorer("remote", url)
+
+    def test_proxy_for_the_url_scheme_is_warned_about(self, monkeypatch,
+                                                       caplog):
+        for name in ("http_proxy", "https_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", "http://127.0.0.1:3128")
+        RemoteScorer("http://127.0.0.1:9/score")
+        assert caplog.records == []
+        RemoteScorer("https://127.0.0.1:9/score")
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "https_proxy is set" in caplog.text
 
 
 class _StubScorer:
