@@ -20,8 +20,6 @@ SPAN = "span"
 CONCEPT_FALLBACK = "concept_fallback"
 SENSE = "sense"
 
-ANSWER_KINDS = (SPAN, CONCEPT_FALLBACK, SENSE)
-
 
 @dataclass(frozen=True)
 class Answer:

@@ -105,19 +105,18 @@ def _reconstruct_text(tokens: list[Token]) -> str:
 
 
 def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
-    indices = {token.index for token in tokens}
+    # word ids run 1..n, so token i is tokens[i - 1]
     for token, line in zip(tokens, lines):
-        if token.head != 0 and token.head not in indices:
+        if not 0 <= token.head <= len(tokens):
             raise HeadOutOfRange(f"head {token.head} points outside the sentence",
                                  line=line, sentence_id=sentence_id)
-    by_index = {token.index: token for token in tokens}
     for token in tokens:
         # follow the head chain; more steps than tokens means a loop
         current = token
         for _ in range(len(tokens) + 1):
             if current.head == 0:
                 break
-            current = by_index[current.head]
+            current = tokens[current.head - 1]
         else:
             raise CyclicTree("dependency heads form a cycle",
                              sentence_id=sentence_id)
@@ -128,6 +127,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
     sentence at a time, from ``lines``: the lines of a text-mode file.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
+    The word ids of a sentence must run 1, 2, ... n in order.
     ``# sent_id`` and ``# text`` comments are captured; a block without
     ``# text`` gets its text rebuilt from surfaces and SpaceAfter. Blocks
     without ``# sent_id`` are numbered by position, starting at 1.
@@ -178,6 +178,9 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         except ValueError:
             raise BadColumnCount(f"token id {identifier!r} is not an integer",
                                  line=line_no) from None
+        if index != len(tokens) + 1:
+            raise ConlluError(f"word id {index} out of sequence, expected "
+                              f"{len(tokens) + 1}", line=line_no)
         try:
             head = int(columns[6])
         except ValueError:
@@ -216,8 +219,9 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
     spans: Alignment = {}
     used: set[int] = set()
     definitions: dict[str, CondensedNode] = {}
+    nodes = preorder(tree)
 
-    for node in preorder(tree):
+    for node in nodes:
         if node.is_reference:
             continue
         if node.variable is not None:
@@ -244,7 +248,7 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
                     used.update(token.index for token in window)
                     break
 
-    for node in preorder(tree):
+    for node in nodes:
         if node.is_reference:
             definition = definitions.get(node.variable)
             if definition is not None and definition in spans:

@@ -25,7 +25,6 @@ import sys
 from .annotate import ConlluError
 from .corpus import (
     CorpusError,
-    CorpusStats,
     ZeroSentences,
     compute_stats,
     format_stats_table,
@@ -168,12 +167,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # two passes over the file, so no more than one pair is held at a time
     sentence_count = len({pair.sentence_id
                           for pair in iter_dataset(args.dataset)})
-    if sentence_count:
-        stats = compute_stats(iter_dataset(args.dataset), sentence_count)
-    else:
-        from fractions import Fraction
-
-        stats = CorpusStats(0, Fraction(0), 0, Fraction(0), Fraction(0), 0, 0)
+    stats = compute_stats(iter_dataset(args.dataset), sentence_count)
     if args.json:
         print(json.dumps(stats_display(stats), indent=2))
     else:
@@ -195,7 +189,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                              f"({count} blocks in {args.amr})")
     graph = parse_penman(raw.body)
     tree = preprocess(graph)
-    print(f"id: {raw.id if raw.id is not None else raw.position}")
+    print(f"id: {raw.label}")
     if raw.sentence:
         print(f"sentence: {raw.sentence}")
     print(f"original: {serialize_penman(graph)}")
@@ -226,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     except TemplateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ConlluError, CorpusError, PenmanError) as exc:
+    except (OSError, UnicodeDecodeError, ConlluError, CorpusError,
+            PenmanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -92,6 +92,11 @@ class RawBlock:
     sentence: str | None
     body: str
 
+    @property
+    def label(self) -> str:
+        """The ``::id``, or else the block ordinal."""
+        return self.id if self.id is not None else str(self.position)
+
 
 _METADATA_RE = re.compile(r"^#\s*::(\S+)\s*(.*)$")
 
@@ -146,8 +151,7 @@ def parse_block(raw: RawBlock) -> AmrCorpusEntry:
         graph = parse_penman(raw.body)
     except PenmanError as exc:
         raise BlockParseError(str(exc), block=raw.position) from exc
-    identifier = raw.id if raw.id is not None else str(raw.position)
-    return AmrCorpusEntry(id=identifier, sentence=raw.sentence, graph=graph)
+    return AmrCorpusEntry(id=raw.label, sentence=raw.sentence, graph=graph)
 
 
 def pair_to_json(pair: QaPair) -> dict:
@@ -242,11 +246,10 @@ def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
                   skipped_node_count: int = 0) -> CorpusStats:
     """Dataset summary, in one pass over ``pairs``. Lengths are whitespace
     token counts; unique words are lowercased question tokens. Averages
-    stay exact (fractions)."""
+    stay exact (fractions); an empty dataset (no pairs, a
+    ``sentence_count`` of 0) has averages of 0."""
     from fractions import Fraction
 
-    if sentence_count < 1:
-        raise ZeroSentences("sentence count must be >= 1")
     total = question_tokens = answer_tokens = fallbacks = 0
     unique_words: set[str] = set()
     for pair in pairs:
@@ -258,12 +261,11 @@ def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
         fallbacks += pair.answer.kind == CONCEPT_FALLBACK
     return CorpusStats(
         total_questions=total,
-        avg_questions_per_sentence=Fraction(total, sentence_count),
+        # with nothing to average over, every sum is 0, and 0 / 1 is 0
+        avg_questions_per_sentence=Fraction(total, sentence_count or 1),
         unique_word_count=len(unique_words),
-        avg_question_length=(Fraction(question_tokens, total)
-                             if total else Fraction(0)),
-        avg_answer_length=(Fraction(answer_tokens, total)
-                           if total else Fraction(0)),
+        avg_question_length=Fraction(question_tokens, total or 1),
+        avg_answer_length=Fraction(answer_tokens, total or 1),
         skipped_node_count=skipped_node_count,
         fallback_answer_count=fallbacks,
     )

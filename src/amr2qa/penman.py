@@ -107,13 +107,6 @@ class Relation:
         """Relation name with a trailing ``-of`` stripped."""
         return self.name[:-3] if self.is_inverse else self.name
 
-    @property
-    def is_core(self) -> bool:
-        return self.base in CORE_RELATIONS
-
-    def __str__(self) -> str:
-        return ":" + self.name
-
 
 @dataclass(eq=False)
 class AmrNode:

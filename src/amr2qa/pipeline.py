@@ -97,10 +97,6 @@ class RunReport:
     scorer_memo_hits: int = 0
     wall_time_seconds: float = 0.0
 
-    @property
-    def primary_questions(self) -> int:
-        return self.questions_emitted - self.sense_questions
-
     def lines(self) -> list[str]:
         return [
             f"sentences processed   {self.sentences_processed}",
@@ -198,7 +194,6 @@ class _SentenceResult:
     no_template: int = 0
     duplicate: int = 0
     sense: int = 0
-    error: str | None = None
 
 
 def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
@@ -233,6 +228,7 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             result.no_template += 1
             continue
         best = best_question(candidates, scores)
+        scored = scores[best.filled_text]
         answer = extract_answer(best.entity_ref, ann, alignment)
         key = (best.filled_text, answer.text)
         if key in seen:
@@ -246,8 +242,8 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             relation=best.relation,
             node=node.variable or "",
             template_id=best.template_id,
-            score=best.score.value,
-            scorer_id=best.score.scorer_id,
+            score=scored.value,
+            scorer_id=scored.scorer_id,
         ))
 
     for key, pair in senses.items():
@@ -276,9 +272,7 @@ def _pair_blocks(blocks: Iterable[RawBlock], annotations, strategy):
                 raise UnresolvedId(
                     f"annotation id {ann.sentence_id!r} is not unique")
             index[ann.sentence_id] = ann
-        return ((raw, index.get(raw.id if raw.id is not None
-                                else str(raw.position)))
-                for raw in blocks)
+        return ((raw, index.get(raw.label)) for raw in blocks)
     raise ValueError(f"unknown pairing strategy {strategy!r}")
 
 
@@ -308,22 +302,17 @@ def run_generate(config: RunConfig) -> RunReport:
                          config.workers if config.scorer == "remote" else 1)
     report = RunReport()
 
-    def work(task) -> _SentenceResult:
-        raw, ann = task
-        label = raw.id or str(raw.position)
-        if ann is None:
-            return _SentenceResult(error=f"no annotation with id {label!r}")
-        try:
-            entry = parse_block(raw)
-            return process_sentence(entry, ann, store, scorer)
-        except Exception as exc:   # per-sentence skip policy
-            return _SentenceResult(error=f"sentence {label!r}: {exc}")
-
-    def counted(results: Iterator[_SentenceResult]) -> Iterator[QaPair]:
-        for result in results:
-            if result.error is not None:
+    def sentences(tasks) -> Iterator[QaPair]:
+        for raw, ann in tasks:
+            if ann is None:
                 report.sentences_failed += 1
-                logger.warning("skipped: %s", result.error)
+                logger.warning("skipped: no annotation with id %r", raw.label)
+                continue
+            try:
+                result = process_sentence(parse_block(raw), ann, store, scorer)
+            except Exception as exc:   # per-sentence skip policy
+                report.sentences_failed += 1
+                logger.warning("skipped: sentence %r: %s", raw.label, exc)
                 continue
             report.sentences_processed += 1
             report.non_root_nodes += result.non_root
@@ -341,7 +330,7 @@ def run_generate(config: RunConfig) -> RunReport:
         with open(config.conllu_path, encoding="utf-8") as conllu:
             tasks = _pair_blocks(chain([first], blocks), iter_conllu(conllu),
                                  config.pairing)
-            write_dataset(counted(map(work, tasks)), config.output_path)
+            write_dataset(sentences(tasks), config.output_path)
 
     report.scorer_fallbacks = scorer.fallbacks
     report.scorer_memo_hits = scorer.hits

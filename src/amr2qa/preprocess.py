@@ -176,6 +176,17 @@ def drop_ignored(root: AmrNode) -> None:
         stack.extend(child for _, child in reversed(node.children))
 
 
+def _absorb(node: AmrNode, label: str, taken: list[tuple]) -> None:
+    """Fold the ``(index, child)`` pairs ``taken`` into ``node``, in order:
+    ``label`` becomes its concept, theirs join ``absorbed``."""
+    base = node.absorbed if node.absorbed else (node.concept,)
+    node.absorbed = base + tuple(child.concept for _, child in taken)
+    node.concept = Concept(label=label)
+    indices = {index for index, _ in taken}
+    node.children = [pair for index, pair in enumerate(node.children)
+                     if index not in indices]
+
+
 def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:
     """Replace, in place, entity nodes (date-entity, temporal-quantity, ...)
     by a single concept whose text joins their absorbable children in a
@@ -198,21 +209,15 @@ def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:
         if not by_field:
             return
         parts = []
-        absorbed_concepts = []
-        absorbed_indices = set()
+        taken = []
         for name in order:
             for index, child in by_field.get(name, ()):
                 text = child.concept.label
                 if is_date and name == "month":
                     text = _month_name(text)
                 parts.append(text)
-                absorbed_concepts.append(child.concept)
-                absorbed_indices.add(index)
-        base = node.absorbed if node.absorbed else (node.concept,)
-        node.absorbed = base + tuple(absorbed_concepts)
-        node.concept = Concept(label=" ".join(parts))
-        node.children = [pair for index, pair in enumerate(node.children)
-                         if index not in absorbed_indices]
+                taken.append((index, child))
+        _absorb(node, " ".join(parts), taken)
 
     visit(root)
 
@@ -233,13 +238,9 @@ def merge_ops(root: AmrNode, referenced: frozenset[str]) -> None:
         if not ops:
             return
         ops.sort(key=lambda item: (item[0], item[1]))
-        joined = " ".join(child.concept.label for _, _, child in ops)
-        merged_indices = {index for _, index, _ in ops}
-        base = node.absorbed if node.absorbed else (node.concept,)
-        node.absorbed = base + tuple(child.concept for _, _, child in ops)
-        node.concept = Concept(label=joined)
-        node.children = [pair for index, pair in enumerate(node.children)
-                         if index not in merged_indices]
+        taken = [(index, child) for _, index, child in ops]
+        _absorb(node, " ".join(child.concept.label for _, child in taken),
+                taken)
 
     def hoist_name(node: AmrNode):
         for index, (rel, child) in enumerate(node.children):

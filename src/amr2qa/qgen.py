@@ -45,22 +45,15 @@ class ArityMismatch(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class QuestionCandidate:
-    """A filled template for one tree position.
-
-    ``node_ref`` is the position that triggered generation; ``entity_ref``
-    is the node the answer comes from (the parent when the relation was
-    inverse). ``score`` is attached by :func:`best_question`.
-    """
+    """A filled template for one tree position. ``entity_ref`` is the node
+    the answer comes from (the parent when the relation was inverse)."""
 
     template_id: str
     filled_text: str
-    fill_words: tuple[str, ...]
-    node_ref: CondensedNode
     entity_ref: CondensedNode
     relation: str
-    score: object | None = None
 
 
 def fill_template(template: Template, fills: list[str]) -> str:
@@ -135,8 +128,6 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
         candidates.append(QuestionCandidate(
             template_id=template.id,
             filled_text=fill_template(template, fills),
-            fill_words=tuple(fills),
-            node_ref=node,
             entity_ref=entity,
             relation=relation.name,
         ))
@@ -148,14 +139,9 @@ def best_question(candidates: list[QuestionCandidate],
                   ) -> QuestionCandidate | None:
     """Argmax over candidate texts of ``scores``, which maps each text to
     its score; the earlier candidate wins ties, so template resource order
-    is the tie-break."""
-    best: QuestionCandidate | None = None
-    for candidate in candidates:
-        result = scores[candidate.filled_text]
-        if best is None or result.value > best.score.value:
-            candidate.score = result
-            best = candidate
-    return best
+    is the tie-break. Nothing is changed."""
+    return max(candidates, key=lambda c: scores[c.filled_text].value,
+               default=None)
 
 
 def sense_question(node: CondensedNode, ann: SentenceAnnotation,

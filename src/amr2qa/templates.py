@@ -271,12 +271,3 @@ def bundled_template_path() -> Path:
 
 def bundled_mapping_path() -> Path:
     return _DATA_DIR / "role_mapping.txt"
-
-
-def bundled_relations_path() -> Path:
-    return _DATA_DIR / "noncore_relations.txt"
-
-
-def default_store() -> TemplateStore:
-    """Store built from the bundled template pack and role mapping."""
-    return load_store(bundled_template_path(), bundled_mapping_path())

@@ -14,6 +14,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import amr2qa
 from amr2qa.annotate import SentenceAnnotation, Token
+from amr2qa.templates import (
+    bundled_mapping_path,
+    bundled_template_path,
+    load_store,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = str(pathlib.Path(amr2qa.__file__).resolve().parent.parent)
@@ -29,6 +34,11 @@ def run_bare(script: str) -> str:
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def default_store():
+    """The store built from the bundled template pack and role mapping."""
+    return load_store(bundled_template_path(), bundled_mapping_path())
 
 
 def random_tree_heads(rng: random.Random, n: int) -> list[int]:
@@ -217,7 +227,9 @@ class _ServedInThread:
 
     def _start_thread(self):
         self.url = f"http://127.0.0.1:{self.server_address[1]}/score"
-        self._thread = threading.Thread(target=self.serve_forever)
+        # a short poll, so leaving does not wait out the default 0.5 s
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        args=(0.01,))
 
     def __enter__(self):
         self._thread.start()

@@ -26,12 +26,12 @@ from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
 from amr2qa.qgen import best_question, generate_candidates
 from amr2qa.scorer import BaselineScorer
-from amr2qa.templates import default_store
 
 from helpers import (
     FIXTURES,
     MockLM,
     annotation_from_heads,
+    default_store,
     load_penman_corpus,
     random_tree_heads,
 )

@@ -120,6 +120,29 @@ class TestParseConllu:
             parse_conllu(text)
         assert exc.value.line == 1
 
+    # token(i) is tokens[i - 1], so any other order of ids would hand
+    # alignment and answers the wrong words
+    @pytest.mark.parametrize("ids, line", [
+        ((2, 1, 3), 2),      # out of order
+        ((1, 3), 3),         # a gap
+        ((1, 2, 2), 4),      # repeated
+    ], ids=["out-of-order", "gap", "repeated"])
+    def test_word_ids_must_run_from_one_in_order(self, ids, line):
+        text = "# sent_id = x\n" + "".join(
+            f"{i}\tw\tw\tX\tX\t_\t{0 if i == 1 else 1}\tdep\t_\t_\n"
+            for i in ids)
+        with pytest.raises(ConlluError) as exc:
+            parse_conllu(text)
+        assert exc.value.line == line
+        assert f"word id {ids[line - 2]} " in str(exc.value)
+
+    def test_ranges_and_empty_nodes_do_not_count_as_word_ids(self):
+        text = ("1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                "1\tdo\tdo\tAUX\tVBP\t_\t0\troot\t_\t_\n"
+                "1.1\tx\tx\tX\tX\t_\t_\t_\t_\t_\n"
+                "2\tn't\tnot\tPART\tRB\t_\t1\tadvmod\t_\t_\n")
+        assert [t.index for t in parse_conllu(text)[0].tokens] == [1, 2]
+
 
 def whole_text_parse_conllu(text):
     """The whole-text CoNLL-U reader as it was before the streaming one:
@@ -164,6 +187,9 @@ def whole_text_parse_conllu(text):
         except ValueError:
             raise BadColumnCount(f"token id {identifier!r} is not an integer",
                                  line=line_no) from None
+        if index != len(tokens) + 1:
+            raise ConlluError(f"word id {index} out of sequence, expected "
+                              f"{len(tokens) + 1}", line=line_no)
         try:
             head = int(columns[6])
         except ValueError:

@@ -151,6 +151,39 @@ class TestGenerate:
                    "--out", str(tmp_path / "o.jsonl")])
         assert rc == 2
 
+    def test_conllu_word_ids_out_of_order(self, tmp_path, capsys):
+        # token(i) reads the i-th word line, so swapped ids would give the
+        # answer "engine The"
+        lines = Path(MINI_CONLLU).read_text().splitlines(keepends=True)
+        lines[2:4] = lines[3:1:-1]
+        conllu = tmp_path / "swapped.conllu"
+        conllu.write_text("".join(lines))
+        out = tmp_path / "o.jsonl"
+        rc = main(["generate", "--amr", MINI_AMR, "--conllu", str(conllu),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "word id 2 out of sequence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_amr_file_not_utf8(self, tmp_path, capsys):
+        amr = tmp_path / "bad.amr"
+        amr.write_bytes(b"\xff\xfe")
+        rc = main(["generate", "--amr", str(amr), "--conllu", MINI_CONLLU,
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_conllu_file_not_utf8_leaves_no_dataset(self, tmp_path, capsys):
+        # the CoNLL-U file is read while the dataset is being written
+        conllu = tmp_path / "bad.conllu"
+        conllu.write_bytes(Path(MINI_CONLLU).read_bytes() + b"\xff\n")
+        out = tmp_path / "o.jsonl"
+        rc = main(["generate", "--amr", MINI_AMR, "--conllu", str(conllu),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert not (tmp_path / "o.jsonl.tmp").exists()
+
     def test_count_mismatch(self, tmp_path, capsys):
         conllu = tmp_path / "short.conllu"
         conllu.write_text(
@@ -262,7 +295,8 @@ class _ScorerHandler(BaseHTTPRequestHandler):
 def scorer_server():
     _ScorerHandler.received = []
     server = HTTPServer(("127.0.0.1", 0), _ScorerHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/score"
     server.shutdown()
@@ -329,6 +363,11 @@ class TestStats:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "gone.jsonl")]) == 2
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"sentence_id": "\xff"}\n')
+        assert main(["stats", str(bad)]) == 2
 
     def test_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

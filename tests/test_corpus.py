@@ -22,7 +22,6 @@ from amr2qa.corpus import (
     QaPair,
     RawBlock,
     UnresolvedId,
-    ZeroSentences,
     compute_stats,
     format_stats_table,
     iter_blocks,
@@ -349,9 +348,10 @@ class TestComputeStats:
         assert display["avg_questions_per_sentence"] == "0.00"
         assert stats.unique_word_count == 0
 
-    def test_zero_sentences(self):
-        with pytest.raises(ZeroSentences):
-            compute_stats([], 0)
+    def test_zero_sentences_zero_averages(self):
+        display = stats_display(compute_stats([], 0))
+        assert display["avg_questions_per_sentence"] == "0.00"
+        assert display["avg_question_length"] == "0.00"
 
     def test_rounding_is_half_up(self):
         pairs = [sample_pair() for _ in range(401)]

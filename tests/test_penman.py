@@ -184,12 +184,6 @@ class TestRelation:
         assert Relation("mod").base == "mod"
         assert Relation("consist-of").base == "consist-of"
 
-    def test_core(self):
-        assert Relation("ARG3").is_core
-        assert Relation("ARG1-of").is_core
-        assert not Relation("location").is_core
-        assert not Relation("op1").is_core
-
 
 class TestErrors:
 

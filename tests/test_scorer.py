@@ -161,7 +161,8 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def mock_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
     thread.start()
     _Handler.received = []
     _Handler.connection_headers = []

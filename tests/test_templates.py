@@ -16,9 +16,7 @@ from amr2qa.templates import (
     RoleMapping,
     TemplateError,
     UnknownPosTag,
-    bundled_relations_path,
     bundled_template_path,
-    default_store,
     load_mapping,
     load_store,
     load_templates,
@@ -26,7 +24,7 @@ from amr2qa.templates import (
     select_templates,
 )
 
-from helpers import run_bare
+from helpers import default_store, run_bare
 
 
 def write(tmp_path, name, text):
@@ -295,8 +293,10 @@ class TestSelect:
 BUNDLED_IDS = """
 import sys
 {block}
-from amr2qa.templates import default_store
-print("\\n".join(t.id for t in default_store().templates))
+from amr2qa.templates import (
+    bundled_mapping_path, bundled_template_path, load_store)
+store = load_store(bundled_template_path(), bundled_mapping_path())
+print("\\n".join(t.id for t in store.templates))
 print("hashlib loaded:", "hashlib" in sys.modules)
 """
 
@@ -351,7 +351,8 @@ class TestBundledPack:
 
     def test_every_listed_relation_covered_or_ignored(self):
         listed = []
-        text = bundled_relations_path().read_text(encoding="utf-8")
+        path = bundled_template_path().with_name("noncore_relations.txt")
+        text = path.read_text(encoding="utf-8")
         for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
