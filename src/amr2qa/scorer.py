@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
 ADD_K = 1.0            # add-one smoothing of the bigram baseline
+MAX_REPLY_HEAD = 65536  # bytes of status line and headers a reply may use
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 
 
 class ScorerUnavailable(RuntimeError):
@@ -122,66 +124,66 @@ class BaselineScorer:
 class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
-    One call is one request on a new connection, and every request carries
-    a timeout. Timeouts, connection and HTTP errors, non-2xx statuses,
-    malformed replies and non-finite logprobs all surface as
-    ScorerUnavailable.
+    One call is one HTTP/1.0 request on a new connection, which it asks the
+    server to close, under a timeout; ``ssl`` loads only for ``https``.
+    Timeouts, connection and protocol errors, non-2xx statuses, malformed
+    replies and non-finite logprobs all surface as ScorerUnavailable.
     """
 
     scorer_id = "remote"
 
     def __init__(self, url: str, timeout: float = 5.0):
-        # the HTTP client loads here, not at module import: a baseline run
-        # never needs it, and a remote run pays for it during set-up
-        import http.client
         import logging
         import os
         from urllib.parse import urlsplit
 
         parts = urlsplit(url)
-        factory = {"http": http.client.HTTPConnection,
-                   "https": http.client.HTTPSConnection}.get(parts.scheme)
-        if factory is None or not parts.hostname:
+        default_port = {"http": 80, "https": 443}.get(parts.scheme)
+        if default_port is None or not parts.hostname:
             raise ValueError(f"remote scorer needs an http(s) URL: {url!r}")
         if parts.username is not None:
             raise ValueError("remote scorer URL must not carry a user name")
+        # urlsplit drops tabs and line breaks, so check the URL as given
+        if any(c <= " " or c == "\x7f" for c in url):
+            raise ValueError(f"space or control character in URL: {url!r}")
         # the port goes apart from the host, so an IPv6 host is not split
-        port = factory.default_port if parts.port is None else parts.port
+        self._address = (parts.hostname, default_port if parts.port is None
+                         else parts.port)
+        self._timeout = timeout
+        self._tls = None
         if parts.scheme == "https":   # one TLS context for every connection
             import ssl
 
-            factory = partial(factory, context=ssl.create_default_context())
-        self._connect = partial(factory, parts.hostname, port, timeout=timeout)
-        try:   # opens no socket, but checks the host
-            self._connect()
-        except http.client.InvalidURL as exc:
-            raise ValueError(str(exc)) from exc
-        self._path = parts.path + ("?" + parts.query if parts.query else "")
-        self._client_error = http.client.HTTPException
+            self._tls = ssl.create_default_context()
+        host = parts.netloc if parts.netloc.isascii() else (
+            parts.netloc.encode("idna").decode())
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        self._head = (f"POST {target} HTTP/1.0\r\nHost: {host}\r\n"
+                      "Content-Type: application/json\r\n"
+                      "Connection: close\r\nContent-Length: ").encode("ascii")
         proxy = f"{parts.scheme}_proxy"
         if os.environ.get(proxy) or os.environ.get(proxy.upper()):
             logging.getLogger("amr2qa").warning(
                 "%s is set, but the remote scorer does not use a proxy: "
                 "it connects to %s directly", proxy, parts.hostname)
 
+    def _connect(self):
+        import socket   # not at module import: a baseline run never needs it
+
+        sock = socket.create_connection(self._address, self._timeout)
+        if self._tls is None:
+            return sock
+        with sock:   # a failed handshake closes it; a wrapped one is detached
+            return self._tls.wrap_socket(sock, server_hostname=self._address[0])
+
     def score(self, question: str) -> QuestionScore:
         payload = json.dumps({"text": question}).encode("utf-8")
-        connection = self._connect()
         try:
-            # a client that does not reuse connections must send "close"
-            # (RFC 9112 §9.6); without it, Python's http.server over TLS
-            # took 50 ms per request on loopback instead of 6 ms
-            connection.request("POST", self._path, payload,
-                               {"Content-Type": "application/json",
-                                "Connection": "close"})
-            reply = connection.getresponse()
-            if not 200 <= reply.status < 300:
-                raise ScorerUnavailable(f"status {reply.status}")
-            body = reply.read()
-        except (OSError, ValueError, self._client_error) as exc:
+            with self._connect() as sock, sock.makefile("rb") as reply:
+                sock.sendall(self._head + b"%d\r\n\r\n" % len(payload) + payload)
+                body = _read_reply(reply)
+        except (OSError, ValueError) as exc:
             raise ScorerUnavailable(str(exc)) from exc
-        finally:
-            connection.close()
         # ValueError covers bad UTF-8, bad JSON and an integer longer than
         # the int() digit limit
         try:
@@ -198,6 +200,31 @@ class RemoteScorer:
         if not math.isfinite(logprob):
             raise ScorerUnavailable(f"non-finite logprob: {logprob}")
         return QuestionScore(logprob, self.scorer_id)
+
+
+def _read_reply(reply) -> bytes:
+    """The body of the 2xx reply read from the binary file ``reply``. A
+    reply to HTTP/1.0 has no ``Transfer-Encoding`` (RFC 9112 §6.1), so it
+    ends at its ``Content-Length`` or else when the server closes (§6.3)."""
+    budget = MAX_REPLY_HEAD
+    lines = []
+    while (line := reply.readline(budget + 1)) not in (b"\r\n", b"\n", b""):
+        budget -= len(line)
+        if budget < 0:
+            raise ScorerUnavailable(f"reply head over {MAX_REPLY_HEAD} bytes")
+        lines.append(line)
+    status = _STATUS_LINE.match(lines[0]) if lines else None
+    if status is None or not 200 <= int(status[1]) < 300:
+        raise ScorerUnavailable(f"status line {lines[:1]}")
+    fields = {name.strip().lower(): value for name, _, value in
+              (line.partition(b":") for line in lines[1:])}
+    if b"transfer-encoding" in fields:
+        raise ScorerUnavailable("Transfer-Encoding in a reply to HTTP/1.0")
+    length = int(fields.get(b"content-length", -1))   # -1 reads to the end
+    body = reply.read(length)
+    if len(body) < length:
+        raise ScorerUnavailable(f"{len(body)} of {length} body bytes")
+    return body
 
 
 def make_scorer(kind: str = "baseline", url: str | None = None,

@@ -5,10 +5,13 @@ import json
 import os
 import pathlib
 import random
+import socket
 import socketserver
+import ssl
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -21,6 +24,7 @@ from amr2qa.templates import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+TLS_CERT = FIXTURES / "tls" / "cert.pem"   # self-signed: localhost, 127.0.0.1
 SRC = str(pathlib.Path(amr2qa.__file__).resolve().parent.parent)
 
 
@@ -34,6 +38,13 @@ def run_bare(script: str) -> str:
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def server_tls() -> ssl.SSLContext:
+    """A server-side TLS context that presents ``TLS_CERT``."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, FIXTURES / "tls" / "key.pem")
+    return context
 
 
 def default_store():
@@ -221,12 +232,17 @@ class _MockLMHandler(BaseHTTPRequestHandler):
 class _ServedInThread:
     """Mixin for a socketserver served from its own thread. Use it as a
     context manager: leaving stops the server, waits for its request
-    threads and closes its socket."""
+    threads and closes its socket. Given an ``ssl.SSLContext`` as ``tls``,
+    it serves HTTPS; handshakes run in the serving thread, on accept."""
 
     daemon_threads = False   # so server_close joins the request threads
 
-    def _start_thread(self):
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/score"
+    def _start_thread(self, tls=None):
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        host, port = self.server_address[:2]
+        host = f"[{host}]" if ":" in host else host
+        self.url = f"{'http' if tls is None else 'https'}://{host}:{port}/score"
         # a short poll, so leaving does not wait out the default 0.5 s
         self._thread = threading.Thread(target=self.serve_forever,
                                         args=(0.01,))
@@ -250,7 +266,7 @@ class MockLM(_ServedInThread, ThreadingHTTPServer):
     ``peak`` the most at once; ``requests`` counts them by text. Leaving
     it as a context manager also opens the gate."""
 
-    def __init__(self, fail_on=(), held=False):
+    def __init__(self, fail_on=(), held=False, tls=None):
         super().__init__(("127.0.0.1", 0), _MockLMHandler)
         self.fail_on = set(fail_on)
         self.gate = threading.Event()
@@ -259,7 +275,7 @@ class MockLM(_ServedInThread, ThreadingHTTPServer):
         self.lock = threading.Lock()
         self.open = self.peak = 0
         self.requests = Counter()
-        self._start_thread()
+        self._start_thread(tls)
 
     def __exit__(self, *exc):
         self.gate.set()
@@ -267,23 +283,55 @@ class MockLM(_ServedInThread, ThreadingHTTPServer):
 
 
 class _RawReplyHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True   # so each small write goes out alone
+
     def handle(self):
-        length = 0
+        server = self.server
+        head = []
         for line in self.rfile:   # the request line, then headers
             if not line.strip():
                 break
+            head.append(line)
+        server.heads.append(head)
+        length = 0
+        for line in head[1:]:
             name, _, value = line.partition(b":")
             if name.strip().lower() == b"content-length":
                 length = int(value)
         self.rfile.read(length)
-        self.wfile.write(self.server.reply)
+        step = server.write_size or len(server.reply) or 1
+        try:
+            for start in range(0, len(server.reply), step):
+                if start:
+                    time.sleep(0.001)
+                self.wfile.write(server.reply[start:start + step])
+        except OSError:   # the client gave up on the reply
+            return
+        if server.hold_open:   # until the client closes its end, or 10 s
+            self.request.settimeout(10)
+            try:
+                self.rfile.read()
+            except TimeoutError:
+                pass
 
 
 class RawReplyServer(_ServedInThread, socketserver.ThreadingTCPServer):
     """Answers the first request on each connection with the bytes
-    ``reply``, whatever they are, and closes the connection."""
+    ``reply``, whatever they are, and closes the connection.
 
-    def __init__(self, reply: bytes):
-        super().__init__(("127.0.0.1", 0), _RawReplyHandler)
+    ``host`` is the address it binds (``"::1"`` binds IPv6). With
+    ``write_size`` it writes the reply that many bytes at a time, with a
+    short pause between writes. With ``hold_open`` it keeps the
+    connection open after the reply until the client closes it.
+    ``heads`` lists each request's request line and header lines, as
+    received."""
+
+    def __init__(self, reply: bytes, host="127.0.0.1", write_size=None,
+                 hold_open=False, tls=None):
+        self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        super().__init__((host, 0), _RawReplyHandler)
         self.reply = reply
-        self._start_thread()
+        self.write_size = write_size
+        self.hold_open = hold_open
+        self.heads = []
+        self._start_thread(tls)

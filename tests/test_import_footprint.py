@@ -1,13 +1,13 @@
-"""The baseline path loads only the modules it uses.
+"""The baseline and remote paths load only the modules they use.
 
 Each check runs its work in a bare child interpreter (``helpers.run_bare``)
 that prints ``sys.modules`` once the work is done.
 """
 
-from helpers import FIXTURES, run_bare
+from helpers import FIXTURES, TLS_CERT, MockLM, run_bare, server_tls
 
-# the remote scorer's HTTP client and what it pulls in, the urllib client
-# it replaced, the stats-only numeric types, the remote scorer's request
+# the HTTP clients the remote scorer no longer uses and what they pull in,
+# the stats-only numeric types, the remote scorer's request
 # pool, the resource reader the bundled data no longer goes through, and
 # hashlib with its OpenSSL module (template ids are hashed with the
 # built-in SHA-1)
@@ -17,11 +17,16 @@ NOT_ON_BASELINE_PATH = (
     "_hashlib",
 )
 
+# the remote scorer speaks HTTP/1.0 over a socket: none of the standard
+# HTTP clients, and OpenSSL only for https
+NOT_ON_HTTP_PATH = ("http.client", "email", "ssl", "_ssl", "urllib.request",
+                    "hashlib", "_hashlib")
+
 SETUP = """
 from amr2qa.scorer import make_scorer
 from amr2qa.templates import bundled_mapping_path, bundled_template_path, load_store
 load_store(bundled_template_path(), bundled_mapping_path())
-make_scorer({scorer_args})
+scorer = make_scorer({scorer_args})
 """
 
 GENERATE = """
@@ -66,12 +71,24 @@ def test_four_worker_baseline_generate_loads_none_of_them(tmp_path):
         sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
 
 
-def test_remote_scorer_loads_the_http_client_when_built():
-    # building the scorer opens no connection, so the port need not listen
-    loaded = loaded_after(SETUP.format(
-        scorer_args='"remote", "http://127.0.0.1:9/score"'))
-    assert "http.client" in loaded
-    # urllib.request would bring hashlib, tempfile, shutil and the
-    # compression modules, none of which a scorer uses
-    assert loaded.isdisjoint({"urllib.request", "hashlib", "_hashlib"}), \
-        sorted(loaded.intersection({"urllib.request", "hashlib", "_hashlib"}))
+def remote_scorer_loads(url: str) -> set[str]:
+    """What is loaded after set-up with a remote scorer at ``url`` and one
+    scored request."""
+    return loaded_after(SETUP.format(scorer_args=f'"remote", {url!r}')
+                        + 'assert scorer.score("What ?").scorer_id == "remote"')
+
+
+def test_http_scorer_loads_no_http_client_and_no_ssl():
+    with MockLM() as lm:
+        loaded = remote_scorer_loads(lm.url)
+    assert loaded.isdisjoint(NOT_ON_HTTP_PATH), \
+        sorted(loaded.intersection(NOT_ON_HTTP_PATH))
+
+
+def test_https_scorer_loads_ssl_but_no_http_client(monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    with MockLM(tls=server_tls()) as lm:
+        loaded = remote_scorer_loads(lm.url)
+    assert "ssl" in loaded
+    assert loaded.isdisjoint({"http.client", "email"}), \
+        sorted(loaded.intersection({"http.client", "email"}))

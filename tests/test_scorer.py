@@ -1,11 +1,23 @@
-"""N-gram baseline, remote client and the per-sentence fallback."""
+"""N-gram baseline, remote client and the per-sentence fallback.
 
+The TLS tests use a self-signed certificate for ``localhost`` and
+``127.0.0.1`` in ``fixtures/tls``, made once with OpenSSL 3.5 (``-not_before``
+needs OpenSSL 3.4 or later) by::
+
+    openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 \
+        -nodes -keyout key.pem -out cert.pem -not_before 20000101000000Z \
+        -days 36500 -subj "/CN=localhost" \
+        -addext "subjectAltName=DNS:localhost,IP:127.0.0.1"
+"""
+
+import gc
 import itertools
 import json
 import math
 import random
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -26,7 +38,10 @@ from amr2qa.scorer import (
     train_ngram,
 )
 
-from helpers import RawReplyServer
+from helpers import TLS_CERT, MockLM, RawReplyServer, server_tls
+
+OK_REPLY = (b"HTTP/1.0 200 OK\r\nContent-Length: 17\r\n\r\n"
+            b'{"logprob": -1.5}')
 
 
 class TestTrain:
@@ -173,6 +188,18 @@ def mock_server():
     server.server_close()
 
 
+@pytest.fixture
+def no_leaked_sockets():
+    """Fails the test if a socket or file it opened was never closed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+
+
 class TestRemoteScorer:
     def test_pass_through(self, mock_server):
         result = RemoteScorer(mock_server).score("What was broken ?")
@@ -210,7 +237,7 @@ class TestRemoteScorer:
             with pytest.raises(ScorerUnavailable):
                 RemoteScorer(mock_server).score("What ?")
 
-    def test_unreachable_endpoint(self):
+    def test_unreachable_endpoint(self, no_leaked_sockets):
         scorer = RemoteScorer("http://127.0.0.1:1/score", timeout=0.5)
         with pytest.raises(ScorerUnavailable):
             scorer.score("What was broken ?")
@@ -241,7 +268,13 @@ class TestRemoteScorer:
     @pytest.mark.parametrize("url", ["ftp://x/score", "x/score", "http:///s",
                                      "http://127.0.0.1:port/score",
                                      "http://a b/score",
-                                     "http://user:pw@127.0.0.1:9/score"])
+                                     "http://user:pw@127.0.0.1:9/score",
+                                     "http://127.0.0.1:9/a b",
+                                     "http://127.0.0.1:9/a\x00b",
+                                     "http://127.0.0.1:9/a\x7fb",
+                                     "http://127.0.0.1:9/a\r\nX-Injected: 1",
+                                     "http://127.0.0.1:9/score?q=a b",
+                                     "http://127.0.0.1:9/sc\u00f6re"])
     def test_only_http_and_https_urls(self, url):
         with pytest.raises(ValueError):
             make_scorer("remote", url)
@@ -257,6 +290,105 @@ class TestRemoteScorer:
         RemoteScorer("https://127.0.0.1:9/score")
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "https_proxy is set" in caplog.text
+
+
+class TestHttp10:
+    """What the scorer writes and reads on the wire: one HTTP/1.0 request,
+    and a reply that ends at its Content-Length or at the end of the
+    connection."""
+
+    def score(self, reply, timeout=5.0, **server):
+        with RawReplyServer(reply, **server) as raw:
+            return RemoteScorer(raw.url, timeout=timeout).score("What ?")
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'11\r\n{"logprob": -1.5}\r\n0\r\n\r\n',
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: identity\r\n\r\n"
+        b'{"logprob": -1.5}',
+    ], ids=["chunked", "identity"])
+    def test_transfer_encoding_is_refused(self, reply):
+        # RFC 9112 §6.1: a server must not send it to an HTTP/1.0 request
+        with pytest.raises(ScorerUnavailable, match="Transfer-Encoding"):
+            self.score(reply)
+
+    def test_reply_without_length_is_read_to_the_end(self):
+        reply = b'HTTP/1.0 200 OK\r\nServer: x\r\n\r\n{"logprob": -1.5}'
+        assert self.score(reply).value == -1.5
+
+    def test_reply_written_a_few_bytes_at_a_time(self):
+        assert self.score(OK_REPLY, write_size=3).value == -1.5
+
+    def test_reply_read_to_its_length_when_the_server_holds_on(self):
+        # the server closes only after the client does, so waiting for the
+        # end of the connection would time out instead
+        assert self.score(OK_REPLY, timeout=1.0, hold_open=True).value == -1.5
+
+    def test_timeout_in_the_middle_of_a_reply(self, no_leaked_sockets):
+        with pytest.raises(ScorerUnavailable, match="timed out"):
+            self.score(OK_REPLY[:-5], timeout=0.2, hold_open=True)
+
+    def test_reply_head_over_64_kib(self):
+        filler = b"X-Filler: " + b"y" * 1000 + b"\r\n"
+        reply = OK_REPLY.replace(b"\r\n\r\n", b"\r\n" + filler * 66 + b"\r\n")
+        with pytest.raises(ScorerUnavailable, match="reply head"):
+            self.score(reply)
+        # just under the cap is read
+        reply = OK_REPLY.replace(b"\r\n\r\n", b"\r\n" + filler * 60 + b"\r\n")
+        assert self.score(reply).value == -1.5
+
+    @pytest.mark.parametrize("path, target", [
+        ("/score", b"/score"), ("", b"/"), ("/s?q=1", b"/s?q=1")])
+    def test_request_line_and_host(self, path, target):
+        with RawReplyServer(OK_REPLY) as raw:
+            RemoteScorer(raw.url.removesuffix("/score") + path).score("What ?")
+        request_line, *headers = raw.heads[0]
+        assert request_line == b"POST " + target + b" HTTP/1.0\r\n"
+        fields = dict(line.rstrip(b"\r\n").split(b": ", 1) for line in headers)
+        assert fields[b"Host"] == f"127.0.0.1:{raw.server_address[1]}".encode()
+        assert fields[b"Content-Length"] == b"18"   # {"text": "What ?"}
+
+    def test_ipv6_literal_round_trips(self):
+        try:
+            raw = RawReplyServer(OK_REPLY, host="::1")
+        except OSError as exc:
+            pytest.skip(f"cannot bind ::1: {exc}")
+        with raw:
+            url = f"http://[::1]:{raw.server_address[1]}/"
+            assert RemoteScorer(url).score("What ?").value == -1.5
+        host = [line for line in raw.heads[0] if line.startswith(b"Host:")]
+        assert host == [f"Host: [::1]:{raw.server_address[1]}\r\n".encode()]
+
+
+class TestTls:
+    """An https scorer verifies the server: the CA store it trusts comes
+    from ``ssl.create_default_context()``, so ``SSL_CERT_FILE`` applies."""
+
+    def test_trusted_certificate_scores(self, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        with MockLM(tls=server_tls()) as lm:
+            assert lm.url.startswith("https://127.0.0.1:")
+            assert RemoteScorer(lm.url).score("What ?").value == -6.0
+
+    def test_untrusted_certificate_is_unavailable(self, monkeypatch,
+                                                  no_leaked_sockets):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        with MockLM(tls=server_tls()) as lm:
+            with pytest.raises(ScorerUnavailable,
+                               match="CERTIFICATE_VERIFY_FAILED"):
+                RemoteScorer(lm.url).score("What ?")
+            assert lm.requests == {}
+
+    def test_hostname_that_does_not_match(self, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        try:   # the certificate names localhost and 127.0.0.1 only
+            raw = RawReplyServer(OK_REPLY, host="127.0.0.2", tls=server_tls())
+        except OSError as exc:
+            pytest.skip(f"cannot bind 127.0.0.2: {exc}")
+        with raw:
+            with pytest.raises(ScorerUnavailable, match="mismatch"):
+                RemoteScorer(raw.url).score("What ?")
+        assert raw.heads == []
 
 
 class _StubScorer:
