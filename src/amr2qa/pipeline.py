@@ -8,12 +8,13 @@ thread, and each sentence's lines are written as soon as they are ready,
 so memory grows with one sentence's work, not with the corpus. The
 dataset is renamed from ``<out>.tmp`` onto ``<out>`` only when the run
 completes. Each sentence's question texts are scored as one batch (see
-``BatchScorer``): all of a sentence's scores come from one scorer, and a
-text that recurs across sentences reaches the scorer once per run (up to
-``MEMO_CAPACITY`` texts held at a time). Only a remote scorer's requests
-run on threads, ``workers`` of them; output bytes do not depend on worker
-count. A failure inside one sentence (malformed graph, missing
-annotation, any generation error) is logged and counted, never fatal.
+``BatchScorer``): all of a sentence's scores (``score(text) -> float``)
+come from one scorer, and a remote scorer is asked for a text that
+recurs across sentences once per run (up to ``MEMO_CAPACITY`` texts held
+at a time). Only a remote scorer's requests run on threads, ``workers``
+of them; output bytes do not depend on worker count. A failure inside
+one sentence (malformed graph, missing annotation, any generation
+error) is logged and counted, never fatal.
 Unreadable files, bad template resources, malformed CoNLL-U and count
 mismatches abort the run.
 """
@@ -42,12 +43,7 @@ from .corpus import (
 )
 from .preprocess import preorder, preprocess
 from .qgen import best_question, generate_candidates, sense_question
-from .scorer import (
-    BaselineScorer,
-    QuestionScore,
-    ScorerUnavailable,
-    make_scorer,
-)
+from .scorer import BaselineScorer, ScorerUnavailable, make_scorer
 from .templates import (
     TemplateStore,
     bundled_mapping_path,
@@ -57,8 +53,8 @@ from .templates import (
 
 logger = logging.getLogger("amr2qa")
 
-# Texts the score memo holds at once; bounds its memory whatever the
-# corpus size.
+# Texts a remote scorer's score memo holds at once; bounds its memory
+# whatever the corpus size.
 MEMO_CAPACITY = 4096
 
 # Consecutive sentences with a failed scorer request that open the circuit.
@@ -115,19 +111,21 @@ class RunReport:
 class BatchScorer:
     """Scores one sentence's question texts at a time, on one scale.
 
-    ``score_all(texts)`` returns a score for every text: all from the
-    configured scorer or, when any of its requests for the batch fails, all
-    from the bundled baseline, so no argmax compares scores of two scorers.
-    A run-scoped memo holds up to ``MEMO_CAPACITY`` of the configured
-    scorer's scores (oldest evicted first); only the texts it lacks are
-    requested, once each, and a batch that falls back stores nothing.
-    After ``MAX_FAILURES`` consecutive failed batches the circuit opens and
-    every later batch goes straight to the baseline, so an unreachable
-    service costs a bounded number of timeouts per run. With ``workers >
-    1`` a batch's requests go over a pool of that many threads, made on
-    first use and shut down by ``close()``; a failed request cancels the
-    batch's requests not yet started. Otherwise they run in the calling
-    thread, and the first failure ends the batch.
+    ``score_all(texts)`` returns ``(scorer_id, scores)``, a score for every
+    text, all from the configured scorer or, when any of its requests for
+    the batch fails, all from the bundled baseline, so no argmax compares
+    scores of two scorers. A ``BaselineScorer`` scores each text afresh,
+    which costs less than remembering its score. For any other scorer a
+    run-scoped memo holds up to ``MEMO_CAPACITY`` of its scores (oldest
+    evicted first); only the texts it lacks are requested, once each, and
+    a batch that falls back stores nothing. After ``MAX_FAILURES``
+    consecutive failed batches the circuit opens and every later batch
+    goes straight to the baseline, so an unreachable service costs a
+    bounded number of timeouts per run. With ``workers > 1`` a batch's
+    requests go over a pool of that many threads, made on first use and
+    shut down by ``close()``; a failed request cancels the batch's
+    requests not yet started. Otherwise they run in the calling thread,
+    and the first failure ends the batch.
     """
 
     def __init__(self, scorer, workers: int = 1):
@@ -136,9 +134,8 @@ class BatchScorer:
         self._pool = None
         self._fallback = None
         # OrderedDict, not dict: evicting a plain dict's first key scans
-        # the deleted slots left at its front, which costs more than a
-        # baseline score.
-        self._scores: OrderedDict[str, QuestionScore] = OrderedDict()
+        # the deleted slots left at its front.
+        self._scores: OrderedDict[str, float] = OrderedDict()
         self._failures = 0
         self.hits = 0        # texts answered without a request
         self.fallbacks = 0   # texts scored by the baseline instead
@@ -147,7 +144,10 @@ class BatchScorer:
     def circuit_open(self) -> bool:
         return self._failures >= MAX_FAILURES
 
-    def score_all(self, texts: list[str]) -> dict[str, QuestionScore]:
+    def score_all(self, texts: list[str]) -> tuple[str, dict[str, float]]:
+        scorer = self._scorer
+        if isinstance(scorer, BaselineScorer):
+            return scorer.scorer_id, {text: scorer.score(text) for text in texts}
         if not self.circuit_open:
             scores = {text: self._scores.get(text) for text in texts}
             missing = [text for text, score in scores.items() if score is None]
@@ -160,13 +160,14 @@ class BatchScorer:
                     self._failures = 0
                 self._store(missing, scores)
                 self.hits += len(texts) - len(missing)
-                return scores
+                return scorer.scorer_id, scores
         if self._fallback is None:
             self._fallback = BaselineScorer.bundled()
         self.fallbacks += len(texts)
-        return {text: self._fallback.score(text) for text in texts}
+        scorer = self._fallback
+        return scorer.scorer_id, {text: scorer.score(text) for text in texts}
 
-    def _request(self, texts: list[str]) -> list[QuestionScore]:
+    def _request(self, texts: list[str]) -> list[float]:
         if self._workers == 1 or len(texts) < 2:
             return [self._scorer.score(text) for text in texts]
         if self._pool is None:
@@ -176,7 +177,7 @@ class BatchScorer:
             self._pool = ThreadPoolExecutor(max_workers=self._workers)
         return list(self._pool.map(self._scorer.score, texts))
 
-    def _store(self, texts: list[str], scores: dict[str, QuestionScore]):
+    def _store(self, texts: list[str], scores: dict[str, float]):
         for text in texts:
             self._scores[text] = scores[text]
             if len(self._scores) > MEMO_CAPACITY:
@@ -217,7 +218,7 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
         pair = sense_question(node, ann, alignment)
         if pair is not None:
             senses.setdefault((pair.question, pair.answer.text), pair)
-    scores = scorer.score_all(
+    scorer_id, scores = scorer.score_all(
         [candidate.filled_text for candidates in per_node
          for candidate in candidates]
         + [pair.question for pair in senses.values()])
@@ -228,7 +229,6 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             result.no_template += 1
             continue
         best = best_question(candidates, scores)
-        scored = scores[best.filled_text]
         answer = extract_answer(best.entity_ref, ann, alignment)
         key = (best.filled_text, answer.text)
         if key in seen:
@@ -242,18 +242,17 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             relation=best.relation,
             node=node.variable or "",
             template_id=best.template_id,
-            score=scored.value,
-            scorer_id=scored.scorer_id,
+            score=scores[best.filled_text],
+            scorer_id=scorer_id,
         ))
 
     for key, pair in senses.items():
         if key in seen:
             continue
         seen.add(key)
-        scored = scores[pair.question]
         result.pairs.append(replace(pair, sentence_id=entry.id,
-                                    score=scored.value,
-                                    scorer_id=scored.scorer_id))
+                                    score=scores[pair.question],
+                                    scorer_id=scorer_id))
         result.sense += 1
     return result
 

@@ -34,7 +34,6 @@ from .annotate import (
 from .corpus import QaPair
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
-from .scorer import QuestionScore
 from .templates import _BLANK_RE, Template, TemplateStore, select_templates
 
 SENSE_TEMPLATE_ID = "verb-sense"
@@ -135,12 +134,11 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
 
 
 def best_question(candidates: list[QuestionCandidate],
-                  scores: Mapping[str, QuestionScore]
-                  ) -> QuestionCandidate | None:
+                  scores: Mapping[str, float]) -> QuestionCandidate | None:
     """Argmax over candidate texts of ``scores``, which maps each text to
     its score; the earlier candidate wins ties, so template resource order
     is the tie-break. Nothing is changed."""
-    return max(candidates, key=lambda c: scores[c.filled_text].value,
+    return max(candidates, key=lambda c: scores[c.filled_text],
                default=None)
 
 

@@ -1,8 +1,8 @@
 """Fluency scoring for candidate questions.
 
-Two scorers share one contract (``score(text) -> QuestionScore``): a bundled
+Two scorers share one contract (``score(text) -> float``): a bundled
 add-one smoothed bigram baseline, and an HTTP client for an external language
-model. Every scorer's ``scorer_id`` attribute is the id its results carry.
+model. A scorer's ``scorer_id`` attribute names the scale of its scores.
 The pipeline scores each sentence as one batch and, when a remote request
 fails, rescores that whole sentence with the baseline
 (``pipeline.BatchScorer``), so a remote failure degrades a run instead of
@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
 ADD_K = 1.0            # add-one smoothing of the bigram baseline
-MAX_REPLY_HEAD = 65536  # bytes of status line and headers a reply may use
+MAX_REPLY = 65536      # bytes of status line, headers and body a reply may use
 _STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 
 
@@ -37,40 +36,42 @@ class EmptyCorpus(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class QuestionScore:
-    value: float
-    scorer_id: str
-
-
 class NgramModel:
-    """Add-one smoothed bigram counts, read-only after construction."""
+    """Add-one smoothed bigram log-probabilities, all computed from the
+    counts at construction; read-only after it."""
 
     def __init__(self, counts: dict[tuple[str, str], int]):
         self.counts = counts
-        self.context_counts: dict[tuple[str], int] = {}
-        self.unigram_counts: dict[str, int] = {}
+        context_counts: dict[str, int] = {}
         vocab: set[str] = set()
         for gram, count in counts.items():
-            self.context_counts[gram[:-1]] = (
-                self.context_counts.get(gram[:-1], 0) + count)
-            self.unigram_counts[gram[0]] = (
-                self.unigram_counts.get(gram[0], 0) + count)
+            context_counts[gram[0]] = context_counts.get(gram[0], 0) + count
             vocab.update(gram)
         self.vocabulary = frozenset(vocab)
-        self.vocabulary_size = len(vocab)
-        self.total = sum(counts.values())
+        k = ADD_K
+        smoothing = k * len(vocab)
+        # log P(b | a) for each seen bigram, for an unseen b after each
+        # seen a, and for any b after an unseen a
+        self._bigrams = {
+            gram: math.log((count + k) / (context_counts[gram[0]] + smoothing))
+            for gram, count in counts.items()}
+        self._unseen_after = {token: math.log(k / (count + smoothing))
+                              for token, count in context_counts.items()}
+        self._unseen_context = math.log(k / smoothing)
+        total = sum(counts.values())
+        self._unigrams = {token: math.log((count + k) / (total + smoothing))
+                          for token, count in context_counts.items()}
+        self._unseen_unigram = math.log(k / (total + smoothing))
 
     def logprob(self, gram: tuple[str, str]) -> float:
         """Smoothed log P(gram[1] | gram[0]). Finite for any tokens."""
-        k = ADD_K
-        denominator = self.context_counts.get(gram[:-1], 0) + k * self.vocabulary_size
-        return math.log((self.counts.get(gram, 0) + k) / denominator)
+        value = self._bigrams.get(gram)
+        if value is None:
+            value = self._unseen_after.get(gram[0], self._unseen_context)
+        return value
 
     def unigram_logprob(self, token: str) -> float:
-        k = ADD_K
-        denominator = self.total + k * self.vocabulary_size
-        return math.log((self.unigram_counts.get(token, 0) + k) / denominator)
+        return self._unigrams.get(token, self._unseen_unigram)
 
 
 def train_ngram(text: str) -> NgramModel:
@@ -96,9 +97,8 @@ def score_text(model: NgramModel, text: str) -> float:
     if not tokens:
         raise ValueError("cannot score an empty question")
     if len(tokens) == 1:
-        values = [model.unigram_logprob(tokens[0])]
-    else:
-        values = [model.logprob(gram) for gram in zip(tokens, tokens[1:])]
+        return model.unigram_logprob(tokens[0])
+    values = [model.logprob(gram) for gram in zip(tokens, tokens[1:])]
     return sum(values) / len(values)
 
 
@@ -117,8 +117,8 @@ class BaselineScorer:
         text = bundled_corpus_path().read_text(encoding="utf-8")
         return cls(train_ngram(text))
 
-    def score(self, question: str) -> QuestionScore:
-        return QuestionScore(score_text(self.model, question), self.scorer_id)
+    def score(self, question: str) -> float:
+        return score_text(self.model, question)
 
 
 class RemoteScorer:
@@ -176,7 +176,7 @@ class RemoteScorer:
         with sock:   # a failed handshake closes it; a wrapped one is detached
             return self._tls.wrap_socket(sock, server_hostname=self._address[0])
 
-    def score(self, question: str) -> QuestionScore:
+    def score(self, question: str) -> float:
         payload = json.dumps({"text": question}).encode("utf-8")
         try:
             with self._connect() as sock, sock.makefile("rb") as reply:
@@ -199,19 +199,20 @@ class RemoteScorer:
             logprob = math.inf
         if not math.isfinite(logprob):
             raise ScorerUnavailable(f"non-finite logprob: {logprob}")
-        return QuestionScore(logprob, self.scorer_id)
+        return logprob
 
 
 def _read_reply(reply) -> bytes:
     """The body of the 2xx reply read from the binary file ``reply``. A
     reply to HTTP/1.0 has no ``Transfer-Encoding`` (RFC 9112 §6.1), so it
-    ends at its ``Content-Length`` or else when the server closes (§6.3)."""
-    budget = MAX_REPLY_HEAD
+    ends at its ``Content-Length`` or else when the server closes (§6.3).
+    Head and body together may use ``MAX_REPLY`` bytes."""
+    budget = MAX_REPLY
     lines = []
     while (line := reply.readline(budget + 1)) not in (b"\r\n", b"\n", b""):
         budget -= len(line)
         if budget < 0:
-            raise ScorerUnavailable(f"reply head over {MAX_REPLY_HEAD} bytes")
+            raise ScorerUnavailable(f"reply head over {MAX_REPLY} bytes")
         lines.append(line)
     status = _STATUS_LINE.match(lines[0]) if lines else None
     if status is None or not 200 <= int(status[1]) < 300:
@@ -220,7 +221,14 @@ def _read_reply(reply) -> bytes:
               (line.partition(b":") for line in lines[1:])}
     if b"transfer-encoding" in fields:
         raise ScorerUnavailable("Transfer-Encoding in a reply to HTTP/1.0")
-    length = int(fields.get(b"content-length", -1))   # -1 reads to the end
+    if b"content-length" not in fields:   # read to the end, within budget
+        body = reply.read(budget + 1)
+        if len(body) > budget:
+            raise ScorerUnavailable(f"reply over {MAX_REPLY} bytes")
+        return body
+    length = int(fields[b"content-length"])
+    if not 0 <= length <= budget:   # read() would allocate it up front
+        raise ScorerUnavailable(f"Content-Length {length} out of range")
     body = reply.read(length)
     if len(body) < length:
         raise ScorerUnavailable(f"{len(body)} of {length} body bytes")

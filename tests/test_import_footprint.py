@@ -75,7 +75,7 @@ def remote_scorer_loads(url: str) -> set[str]:
     """What is loaded after set-up with a remote scorer at ``url`` and one
     scored request."""
     return loaded_after(SETUP.format(scorer_args=f'"remote", {url!r}')
-                        + 'assert scorer.score("What ?").scorer_id == "remote"')
+                        + 'assert scorer.score("What ?") == -6.0')
 
 
 def test_http_scorer_loads_no_http_client_and_no_ssl():

@@ -30,7 +30,6 @@ from amr2qa.pipeline import (
 )
 from amr2qa.scorer import (
     BaselineScorer,
-    QuestionScore,
     RemoteScorer,
     ScorerUnavailable,
 )
@@ -356,7 +355,7 @@ class FailsOnceOn:
         if text in self.pending:
             self.pending.discard(text)
             raise ScorerUnavailable("transient")
-        return QuestionScore(-float(len(text)), self.scorer_id)
+        return -float(len(text))
 
 
 class FailsFrom:
@@ -373,7 +372,7 @@ class FailsFrom:
         self.down = self.down or self.trigger in text
         if self.down:
             raise ScorerUnavailable("down")
-        return QuestionScore(-float(len(text)), self.scorer_id)
+        return -float(len(text))
 
 
 TRIGGER_AMR = """# ::id t1
@@ -399,14 +398,31 @@ class TestScoreMemo:
         monkeypatch.setattr(pipeline, "make_scorer",
                             lambda *args, **kwargs: counting)
         amr, conllu = repeated_corpus(tmp_path)
-        report = run_generate(mini_config(tmp_path / "out.jsonl",
-                                          amr_path=amr, conllu_path=conllu))
+        report = run_generate(mini_config(
+            tmp_path / "out.jsonl", amr_path=amr, conllu_path=conllu,
+            scorer="remote", scorer_url="http://unused"))
         assert report.sentences_processed == 9
         assert counting.texts
         assert set(counting.texts.values()) == {1}
         assert report.scorer_memo_hits >= 2 * len(counting.texts)
         assert (f"scorer memo hits      {report.scorer_memo_hits}"
                 in report.lines())
+
+    def test_baseline_keeps_no_memo(self, baseline):
+        scorer = BatchScorer(baseline)
+        texts = [f"What is item{i} ?" for i in range(5000)]
+        for text in texts:
+            scorer.score_all([text])
+        assert scorer.score_all(texts[:2]) == (
+            "baseline", {text: baseline.score(text) for text in texts[:2]})
+        assert (scorer.hits, len(scorer._scores)) == (0, 0)
+
+    def test_baseline_run_reports_no_memo_hits(self, tmp_path):
+        amr, conllu = repeated_corpus(tmp_path)
+        report = run_generate(mini_config(tmp_path / "out.jsonl",
+                                          amr_path=amr, conllu_path=conllu))
+        assert report.sentences_processed == 9
+        assert "scorer memo hits      0" in report.lines()
 
     def test_fallback_score_is_not_reused(self, tmp_path, monkeypatch):
         flaky_text = "What was broken ?"
@@ -526,14 +542,14 @@ class TestBatchScorer:
                                                             baseline):
         primary = FailsOnceOn({"b ?"})
         scorer = BatchScorer(primary)
-        assert scorer.score_all(["a ?"])["a ?"].scorer_id == "remote"
+        assert scorer.score_all(["a ?"])[0] == "remote"
         # "a ?" is in the memo, but the batch fails on "b ?"
         failed = scorer.score_all(["a ?", "b ?", "a ?"])
-        assert failed == {text: baseline.score(text)
-                          for text in ("a ?", "b ?")}
+        assert failed == ("baseline", {text: baseline.score(text)
+                                       for text in ("a ?", "b ?")})
         assert (scorer.hits, scorer.fallbacks) == (0, 3)
         again = scorer.score_all(["a ?", "b ?"])
-        assert {score.scorer_id for score in again.values()} == {"remote"}
+        assert again[0] == "remote"
         assert scorer.hits == 1
         assert primary.texts == {"a ?": 1, "b ?": 2}
         assert not scorer.circuit_open
@@ -558,8 +574,9 @@ class TestBatchScorer:
             scorer.close()
         assert not thread.is_alive()
         assert held == lm.peak == expected
-        assert sorted(results[0]) == sorted(texts)
-        assert {s.scorer_id for s in results[0].values()} == {"remote"}
+        scorer_id, scores = results[0]
+        assert sorted(scores) == sorted(texts)
+        assert scorer_id == "remote"
 
     def test_remote_run_closes_its_request_threads(self, tmp_path):
         amr, conllu = repeated_corpus(tmp_path, copies=2)
@@ -574,6 +591,19 @@ class TestBatchScorer:
 
     def test_http_protocol_error_falls_back(self, tmp_path):
         with RawReplyServer(b"garbage\r\n\r\n") as server:
+            report = run_generate(mini_config(
+                tmp_path / "out.jsonl", scorer="remote",
+                scorer_url=server.url))
+        assert "sentences failed      0" in report.lines()
+        assert report.sentences_processed == 3
+        assert report.scorer_fallbacks > 0
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.0 200 OK\r\nContent-Length: 1000000000000000\r\n\r\n",
+        b'HTTP/1.0 200 OK\r\n\r\n{"logprob": -1.5}' + b" " * 70_000,
+    ], ids=["huge-length", "no-length"])
+    def test_oversized_reply_falls_back(self, tmp_path, reply):
+        with RawReplyServer(reply) as server:
             report = run_generate(mini_config(
                 tmp_path / "out.jsonl", scorer="remote",
                 scorer_url=server.url))

@@ -21,7 +21,7 @@ from amr2qa.qgen import (
     generate_candidates,
     sense_question,
 )
-from amr2qa.scorer import BaselineScorer, QuestionScore
+from amr2qa.scorer import BaselineScorer
 from amr2qa.templates import Template
 
 from helpers import default_store
@@ -220,7 +220,7 @@ class _ConstantScorer:
         self.value = value
 
     def score(self, question):
-        return QuestionScore(self.value, "constant")
+        return self.value
 
 
 class _AffineScorer:
@@ -230,8 +230,7 @@ class _AffineScorer:
         self.shift = shift
 
     def score(self, question):
-        base = self.inner.score(question)
-        return QuestionScore(self.scale * base.value + self.shift, "affine")
+        return self.scale * self.inner.score(question) + self.shift
 
 
 def scored(candidates, scorer):

@@ -18,6 +18,7 @@ import random
 import threading
 import time
 import warnings
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -29,7 +30,6 @@ from amr2qa.scorer import (
     EOS,
     BaselineScorer,
     EmptyCorpus,
-    QuestionScore,
     RemoteScorer,
     ScorerUnavailable,
     bundled_corpus_path,
@@ -117,6 +117,46 @@ class TestScoreText:
         assert math.isfinite(score_text(self.model, " ".join(tokens)))
 
 
+class TestTablesMatchCounts:
+    """The precomputed tables give, bit for bit, the add-one formula
+    evaluated on the counts."""
+
+    @staticmethod
+    def counted(counts, text):
+        """The score of ``text`` from the counts at each lookup."""
+        vocabulary = {token for gram in counts for token in gram}
+        context = Counter()   # count of bigrams that start with a token
+        for (first, _), count in counts.items():
+            context[first] += count
+        smoothing = 1.0 * len(vocabulary)
+        tokens = text.split()
+        if len(tokens) == 1:
+            values = [math.log((context[tokens[0]] + 1.0)
+                               / (sum(counts.values()) + smoothing))]
+        else:
+            values = [math.log((counts.get(gram, 0) + 1.0)
+                               / (context[gram[0]] + smoothing))
+                      for gram in zip(tokens, tokens[1:])]
+        return sum(values) / len(values)
+
+    def test_bundled_model(self):
+        corpus = bundled_corpus_path().read_text(encoding="utf-8")
+        model = train_ngram(corpus)
+        lines = [line for line in corpus.splitlines() if line.split()]
+        tokens = sorted(model.vocabulary) + ["zz", "qq", "What?", ""]
+        rng = random.Random(11)
+        texts = lines + [
+            " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 8)))
+            for _ in range(3000)]
+        texts = [text for text in texts if text.split()]
+        assert any(len(text.split()) == 1 for text in texts)
+        for text in texts:
+            assert score_text(model, text) == self.counted(model.counts, text)
+        for token in tokens[:-1]:
+            assert (model.unigram_logprob(token)
+                    == self.counted(model.counts, token))
+
+
 class TestBundledBaseline:
     def setup_method(self):
         self.scorer = BaselineScorer.bundled()
@@ -124,8 +164,8 @@ class TestBundledBaseline:
     def test_auxiliary_variant_preferred(self):
         with_aux = self.scorer.score("What was broken ?")
         without = self.scorer.score("What broken ?")
-        assert with_aux.value > without.value
-        assert with_aux.scorer_id == "baseline"
+        assert with_aux > without
+        assert self.scorer.scorer_id == "baseline"
 
     def test_identical_strings_identical_scores(self):
         a = self.scorer.score("Where did someone go ?")
@@ -139,8 +179,8 @@ class TestBundledBaseline:
         shuffled = tokens[:]
         while shuffled == tokens:
             rng.shuffle(shuffled)
-        assert (self.scorer.score(line).value
-                >= self.scorer.score(" ".join(shuffled)).value)
+        assert (self.scorer.score(line)
+                >= self.scorer.score(" ".join(shuffled)))
 
     def test_corpus_never_contains_dropped_auxiliary_bigram(self):
         text = bundled_corpus_path().read_text(encoding="utf-8")
@@ -202,8 +242,9 @@ def no_leaked_sockets():
 
 class TestRemoteScorer:
     def test_pass_through(self, mock_server):
-        result = RemoteScorer(mock_server).score("What was broken ?")
-        assert result == QuestionScore(-3.2, "remote")
+        scorer = RemoteScorer(mock_server)
+        assert scorer.score("What was broken ?") == -3.2
+        assert scorer.scorer_id == "remote"
 
     def test_posts_text_as_json(self, mock_server):
         RemoteScorer(mock_server).score("Who made the cake ?")
@@ -244,7 +285,7 @@ class TestRemoteScorer:
 
     def test_integer_logprob_accepted(self, mock_server):
         _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -4}'))
-        assert RemoteScorer(mock_server).score("What ?").value == -4.0
+        assert RemoteScorer(mock_server).score("What ?") == -4.0
 
     def test_slow_reply_times_out(self, mock_server):
         def slow(body):
@@ -314,15 +355,15 @@ class TestHttp10:
 
     def test_reply_without_length_is_read_to_the_end(self):
         reply = b'HTTP/1.0 200 OK\r\nServer: x\r\n\r\n{"logprob": -1.5}'
-        assert self.score(reply).value == -1.5
+        assert self.score(reply) == -1.5
 
     def test_reply_written_a_few_bytes_at_a_time(self):
-        assert self.score(OK_REPLY, write_size=3).value == -1.5
+        assert self.score(OK_REPLY, write_size=3) == -1.5
 
     def test_reply_read_to_its_length_when_the_server_holds_on(self):
         # the server closes only after the client does, so waiting for the
         # end of the connection would time out instead
-        assert self.score(OK_REPLY, timeout=1.0, hold_open=True).value == -1.5
+        assert self.score(OK_REPLY, timeout=1.0, hold_open=True) == -1.5
 
     def test_timeout_in_the_middle_of_a_reply(self, no_leaked_sockets):
         with pytest.raises(ScorerUnavailable, match="timed out"):
@@ -335,7 +376,22 @@ class TestHttp10:
             self.score(reply)
         # just under the cap is read
         reply = OK_REPLY.replace(b"\r\n\r\n", b"\r\n" + filler * 60 + b"\r\n")
-        assert self.score(reply).value == -1.5
+        assert self.score(reply) == -1.5
+
+    @pytest.mark.parametrize("length", [10**15, 10**30, -1],
+                             ids=["1e15", "1e30", "negative"])
+    def test_content_length_out_of_range(self, length):
+        # read() would try to allocate the first, cannot take the second,
+        # and reads to the end for the third
+        reply = (b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % length
+                 + b'{"logprob": -1.5}')
+        with pytest.raises(ScorerUnavailable, match="Content-Length"):
+            self.score(reply)
+
+    def test_reply_without_length_over_64_kib(self):
+        reply = b'HTTP/1.0 200 OK\r\n\r\n{"logprob": -1.5}' + b" " * 70_000
+        with pytest.raises(ScorerUnavailable, match="reply over"):
+            self.score(reply)
 
     @pytest.mark.parametrize("path, target", [
         ("/score", b"/score"), ("", b"/"), ("/s?q=1", b"/s?q=1")])
@@ -355,7 +411,7 @@ class TestHttp10:
             pytest.skip(f"cannot bind ::1: {exc}")
         with raw:
             url = f"http://[::1]:{raw.server_address[1]}/"
-            assert RemoteScorer(url).score("What ?").value == -1.5
+            assert RemoteScorer(url).score("What ?") == -1.5
         host = [line for line in raw.heads[0] if line.startswith(b"Host:")]
         assert host == [f"Host: [::1]:{raw.server_address[1]}\r\n".encode()]
 
@@ -368,7 +424,7 @@ class TestTls:
         monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
         with MockLM(tls=server_tls()) as lm:
             assert lm.url.startswith("https://127.0.0.1:")
-            assert RemoteScorer(lm.url).score("What ?").value == -6.0
+            assert RemoteScorer(lm.url).score("What ?") == -6.0
 
     def test_untrusted_certificate_is_unavailable(self, monkeypatch,
                                                   no_leaked_sockets):
@@ -402,7 +458,7 @@ class _StubScorer:
         self.calls += 1
         if self.fail:
             raise ScorerUnavailable("stubbed outage")
-        return QuestionScore(self.value, self.scorer_id)
+        return self.value
 
 
 class TestBatchFallback:
@@ -417,14 +473,14 @@ class TestBatchFallback:
 
     def test_primary_used_when_healthy(self):
         scorer = BatchScorer(_StubScorer(value=-2.0, scorer_id="remote"))
-        result, = self.batches(scorer, 1)[0].values()
-        assert result == QuestionScore(-2.0, "remote")
+        scorer_id, scores = self.batches(scorer, 1)[0]
+        assert (scorer_id, *scores.values()) == ("remote", -2.0)
         assert scorer.fallbacks == 0
 
     def test_failure_falls_back_and_is_recorded(self):
         scorer = BatchScorer(_StubScorer(fail=True))
-        result, = self.batches(scorer, 1)[0].values()
-        assert result.scorer_id == "baseline"
+        scorer_id, scores = self.batches(scorer, 1)[0]
+        assert (scorer_id, len(scores)) == ("baseline", 1)
         assert scorer.fallbacks == 1
 
     def test_circuit_opens_after_consecutive_failures(self):
@@ -457,9 +513,9 @@ class TestBatchFallback:
     def test_failed_request_ends_the_batch(self):
         primary = _StubScorer(fail=True)
         scorer = BatchScorer(primary)
-        scores = scorer.score_all(["What ?", "Who ?", "What ?"])
+        scorer_id, _ = scorer.score_all(["What ?", "Who ?", "What ?"])
         assert primary.calls == 1
-        assert {s.scorer_id for s in scores.values()} == {"baseline"}
+        assert scorer_id == "baseline"
         assert scorer.fallbacks == 3
 
 
@@ -475,8 +531,8 @@ class TestMakeScorer:
     def test_scorer_id_matches_its_own_scores(self, mock_server):
         for scorer in (make_scorer("baseline"),
                        make_scorer("remote", url=mock_server)):
-            result = scorer.score("What ?")
-            assert result.scorer_id == scorer.scorer_id
+            scorer_id, _ = BatchScorer(scorer).score_all(["What ?"])
+            assert scorer_id == scorer.scorer_id
 
     def test_remote_requires_url(self):
         with pytest.raises(ValueError):
