@@ -1,6 +1,7 @@
 """Tests for graph preprocessing: drop, condense, merge, tree building."""
 
 import calendar
+import json
 import random
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from amr2qa.preprocess import (
 from helpers import FIXTURES, random_amr_text, random_promotion_amr_text
 
 PP_DIR = FIXTURES / "preprocess"
+RANDOM_GOLDEN = FIXTURES / "preprocess_random.golden"
 MONTHS = ["", "January", "February", "March", "April", "May", "June", "July",
           "August", "September", "October", "November", "December"]
 
@@ -37,6 +39,21 @@ def fixture_pairs():
         pairs.append((amr_path.read_text(encoding="utf-8"),
                       golden.read_text(encoding="utf-8"), amr_path.name))
     return pairs
+
+
+def random_golden_text():
+    """``format_tree`` and then each node's ``source_concepts`` labels, in
+    pre-order, for seeds 0-99 of each random graph generator."""
+    blocks = []
+    for make in (random_amr_text, random_promotion_amr_text):
+        for seed in range(100):
+            tree = preprocess(parse_penman(make(random.Random(seed))))
+            sources = "".join(
+                json.dumps([c.label for c in node.source_concepts]) + "\n"
+                for node in preorder(tree))
+            blocks.append(f"# {make.__name__} {seed}\n{format_tree(tree)}"
+                          f"source_concepts:\n{sources}")
+    return "".join(blocks)
 
 
 def run_passes(graph):
@@ -146,6 +163,15 @@ class TestCondenseEntities:
         assert g.root.concept.label == "1 year"
         assert g.root.children == []
         assert [c.label for c in g.root.absorbed] == ["temporal-quantity", "1", "year"]
+
+    def test_entity_condensed_before_its_ops_merge(self):
+        # the :quant child still has an :op child when condensing runs, so
+        # only the unit is absorbed; its op merges afterwards
+        tree = preprocess(parse_penman(
+            "(t / temporal-quantity :quant (x / thing :op1 5) :unit (y / year))"))
+        assert format_tree(tree) == "year [t]\n  :quant 5 [x]\n"
+        assert [c.label for c in tree.source_concepts] == \
+            ["temporal-quantity", "year"]
 
     def test_non_entity_graph_unchanged(self):
         text = "(e / eat-01 :ARG0 (m / mouse) :ARG1 (c / cheese))"
@@ -274,6 +300,9 @@ class TestPreprocess:
         assert len(pairs) == 21
         for amr, golden, name in pairs:
             assert format_tree(preprocess(parse_penman(amr))) == golden, name
+
+    def test_random_graph_golden(self):
+        assert random_golden_text() == RANDOM_GOLDEN.read_text(encoding="utf-8")
 
     def test_source_concepts_start_with_own_concept(self):
         tree = preprocess(parse_penman(
