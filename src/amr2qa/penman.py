@@ -114,18 +114,14 @@ class AmrNode:
 
     Exactly one occurrence per variable carries the concept definition; other
     occurrences are reentrant references with ``concept`` unset. Constants
-    have no variable.
+    have no variable. Preprocessing reads these nodes into a tree of its own
+    and does not change them.
     """
 
     variable: str | None
     concept: Concept | None
     children: list[tuple[Relation, "AmrNode"]] = field(default_factory=list)
     is_reentrant_ref: bool = False
-    absorbed: tuple[Concept, ...] = ()  # concepts merged in by preprocessing
-
-    @property
-    def is_constant(self) -> bool:
-        return self.concept is not None and self.concept.is_constant
 
 
 class AmrGraph:

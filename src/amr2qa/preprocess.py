@@ -4,10 +4,10 @@ Three passes run in a fixed order: drop ignored relations, condense entity
 subgraphs (``:quant``/``:unit`` pairs, date fields) into single multi-word
 concepts, then merge constant ``:op`` children into their owner. Dropping
 runs first so nothing is condensed into a subtree that is about to go away.
-:func:`preprocess` copies the parsed tree once and the passes change that
-copy in place, so the caller's graph is left as it was. The result is a
-tree of :class:`CondensedNode`, the unit that question generation
-traverses.
+:func:`preprocess` turns the parsed graph into a tree of
+:class:`CondensedNode` once, and the passes change that tree in place, so
+the caller's graph is left as it was. That tree is the unit question
+generation traverses.
 """
 
 from __future__ import annotations
@@ -66,32 +66,32 @@ class CondensedNode:
     parent: "CondensedNode | None" = None
 
 
-def _copy_node(node: AmrNode) -> AmrNode:
-    clone = AmrNode(variable=node.variable, concept=node.concept,
-                    is_reentrant_ref=node.is_reentrant_ref, absorbed=node.absorbed)
-    clone.children = [(rel, _copy_node(child)) for rel, child in node.children]
-    return clone
-
-
-def _is_leaf_value(node: AmrNode, referenced: frozenset[str]) -> bool:
-    """True for nodes whose concept can be absorbed as plain text: constants
-    and childless concept-bearing nodes. References are never absorbed, and
-    neither is a definition some other position still refers to."""
+def _condensed(node: AmrNode, relation: Relation | None) -> CondensedNode:
+    """A new condensed subtree for the parsed ``node``, before any pass: no
+    parent links yet, and a reference has no text."""
     if node.is_reentrant_ref:
-        return False
-    if node.variable is not None and node.variable in referenced:
-        return False
-    return node.concept is not None and not node.children
+        return CondensedNode(node.variable, "", (), relation, is_reference=True)
+    return CondensedNode(node.variable, node.concept.label, (node.concept,),
+                         relation, [_condensed(child, rel)
+                                    for rel, child in node.children])
 
 
-def _referenced_variables(root: AmrNode) -> frozenset[str]:
+def _is_leaf_value(node: CondensedNode, referenced: frozenset[str]) -> bool:
+    """True for nodes whose text can be absorbed as it is: constants and
+    childless definitions. References are never absorbed, and neither is a
+    definition some other position still refers to."""
+    return not (node.is_reference or node.variable in referenced
+                or node.children)
+
+
+def _referenced_variables(root: CondensedNode) -> frozenset[str]:
     out = set()
     stack = [root]
     while stack:
         node = stack.pop()
-        if node.is_reentrant_ref:
+        if node.is_reference:
             out.add(node.variable)
-        stack.extend(child for _, child in node.children)
+        stack.extend(node.children)
     return frozenset(out)
 
 
@@ -105,7 +105,7 @@ def _month_name(value: str) -> str:
     return value
 
 
-def drop_ignored(root: AmrNode) -> None:
+def drop_ignored(root: CondensedNode) -> None:
     """Remove, in place, edges whose relation is ignored, along with subtrees
     reachable only through them. If a dropped subtree held the definition of
     a variable still referenced elsewhere, the first surviving reference (in
@@ -113,38 +113,37 @@ def drop_ignored(root: AmrNode) -> None:
     subtree may repeat a definition an earlier reference already adopted;
     that later occurrence becomes a reference, so each variable keeps one
     definition."""
-    dropped_defs: dict[str, AmrNode] = {}
+    dropped_defs: dict[str, CondensedNode] = {}
 
-    def record_defs(node: AmrNode):
-        if node.variable is not None and not node.is_reentrant_ref:
+    def record_defs(node: CondensedNode):
+        if node.variable is not None and not node.is_reference:
             dropped_defs[node.variable] = node
-        for _, child in node.children:
+        for child in node.children:
             record_defs(child)
 
-    def prune(node: AmrNode):
+    def prune(node: CondensedNode):
         kept = []
-        for rel, child in node.children:
-            if rel.name in DEFAULT_IGNORED_RELATIONS:
-                prune(child)  # clean the subtree in case it gets promoted
+        for child in node.children:
+            prune(child)  # clean the subtree in case it gets promoted
+            if child.relation_to_parent.name in DEFAULT_IGNORED_RELATIONS:
                 record_defs(child)
             else:
-                prune(child)
-                kept.append((rel, child))
+                kept.append(child)
         node.children = kept
 
     prune(root)
     if not dropped_defs:
         return
 
-    def definitions(top: AmrNode):
+    def definitions(top: CondensedNode):
         # a caller that turns a yielded node into a reference (no children)
         # is not led below it
         stack = [top]
         while stack:
             node = stack.pop()
-            if node.variable is not None and not node.is_reentrant_ref:
+            if node.variable is not None and not node.is_reference:
                 yield node
-                stack.extend(child for _, child in node.children)
+                stack.extend(node.children)
 
     # every definition in the tree, so a reference that comes before its
     # definition is not promoted
@@ -152,15 +151,15 @@ def drop_ignored(root: AmrNode) -> None:
     stack = [root]
     while stack:
         node = stack.pop()
-        if node.is_reentrant_ref and node.variable not in defined \
+        if node.is_reference and node.variable not in defined \
                 and node.variable in dropped_defs:
             definition = dropped_defs.pop(node.variable)
-            node.concept = definition.concept
+            node.concept_text = definition.concept_text
+            node.source_concepts = definition.source_concepts
             # a copy: the dropped node may turn up again inside a subtree
             # adopted later, and must not share its list with this position
             node.children = list(definition.children)
-            node.absorbed = definition.absorbed
-            node.is_reentrant_ref = False
+            node.is_reference = False
             # the adopted subtree may hold a definition an earlier reference
             # adopted; the tree has it already, so this one becomes a
             # reference (no variable is defined twice in one parsed graph,
@@ -169,50 +168,52 @@ def drop_ignored(root: AmrNode) -> None:
                 if inner.variable not in defined:
                     defined.add(inner.variable)
                 else:
-                    inner.concept = None
+                    inner.concept_text = ""
+                    inner.source_concepts = ()
                     inner.children = []
-                    inner.absorbed = ()
-                    inner.is_reentrant_ref = True
-        stack.extend(child for _, child in reversed(node.children))
+                    inner.is_reference = True
+        stack.extend(reversed(node.children))
 
 
-def _absorb(node: AmrNode, label: str, taken: list[tuple]) -> None:
+def _absorb(node: CondensedNode, text: str, taken: list[tuple]) -> None:
     """Fold the ``(index, child)`` pairs ``taken`` into ``node``, in order:
-    ``label`` becomes its concept, theirs join ``absorbed``."""
-    base = node.absorbed if node.absorbed else (node.concept,)
-    node.absorbed = base + tuple(child.concept for _, child in taken)
-    node.concept = Concept(label=label)
+    ``text`` becomes its text, and each child's concept joins its
+    ``source_concepts``. A child that has absorbed others contributes its
+    text as one concept."""
+    node.source_concepts += tuple(
+        child.source_concepts[0] if len(child.source_concepts) == 1
+        else Concept(child.concept_text) for _, child in taken)
+    node.concept_text = text
     indices = {index for index, _ in taken}
-    node.children = [pair for index, pair in enumerate(node.children)
+    node.children = [child for index, child in enumerate(node.children)
                      if index not in indices]
 
 
-def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:
+def condense_entities(root: CondensedNode, referenced: frozenset[str]) -> None:
     """Replace, in place, entity nodes (date-entity, temporal-quantity, ...)
     by a single concept whose text joins their absorbable children in a
     fixed field order. Children that cannot be absorbed, or whose variable
     is in ``referenced``, stay attached."""
 
-    def visit(node: AmrNode):
-        for _, child in node.children:
+    def visit(node: CondensedNode):
+        for child in node.children:
             visit(child)
-        if node.is_reentrant_ref or node.concept is None or node.concept.is_constant:
+        if node.is_reference or node.concept_text not in DEFAULT_ENTITY_CONCEPTS:
             return
-        if node.concept.label not in DEFAULT_ENTITY_CONCEPTS:
-            return
-        is_date = node.concept.label == "date-entity"
+        is_date = node.concept_text == "date-entity"
         order = _DATE_FIELD_ORDER if is_date else _QUANTITY_FIELD_ORDER
-        by_field: dict[str, list[tuple[int, AmrNode]]] = {}
-        for index, (rel, child) in enumerate(node.children):
-            if rel.name in order and _is_leaf_value(child, referenced):
-                by_field.setdefault(rel.name, []).append((index, child))
+        by_field: dict[str, list[tuple[int, CondensedNode]]] = {}
+        for index, child in enumerate(node.children):
+            name = child.relation_to_parent.name
+            if name in order and _is_leaf_value(child, referenced):
+                by_field.setdefault(name, []).append((index, child))
         if not by_field:
             return
         parts = []
         taken = []
         for name in order:
             for index, child in by_field.get(name, ()):
-                text = child.concept.label
+                text = child.concept_text
                 if is_date and name == "month":
                     text = _month_name(text)
                 parts.append(text)
@@ -222,37 +223,38 @@ def condense_entities(root: AmrNode, referenced: frozenset[str]) -> None:
     visit(root)
 
 
-def merge_ops(root: AmrNode, referenced: frozenset[str]) -> None:
+def merge_ops(root: CondensedNode, referenced: frozenset[str]) -> None:
     """Join, in place, constant ``:opN`` children (numeric order) into their
     owner's concept text. Only constants merge; ``:op`` children that are
     concept nodes, as under conjunctions, stay separate. A merged ``name``
     node then replaces its parent's ``:name`` edge, so the parent carries
     the proper noun directly, unless its variable is in ``referenced``."""
 
-    def merge_node(node: AmrNode):
+    def merge_node(node: CondensedNode):
         ops = []
-        for index, (rel, child) in enumerate(node.children):
-            m = _OP_RE.match(rel.name)
-            if m and child.is_constant:
+        for index, child in enumerate(node.children):
+            m = _OP_RE.match(child.relation_to_parent.name)
+            if m and child.variable is None:   # only constants lack one
                 ops.append((int(m.group(1)), index, child))
         if not ops:
             return
         ops.sort(key=lambda item: (item[0], item[1]))
         taken = [(index, child) for _, index, child in ops]
-        _absorb(node, " ".join(child.concept.label for _, child in taken),
+        _absorb(node, " ".join(child.concept_text for _, child in taken),
                 taken)
 
-    def hoist_name(node: AmrNode):
-        for index, (rel, child) in enumerate(node.children):
-            if rel.name != "name" or child.is_reentrant_ref or not child.absorbed:
+    def hoist_name(node: CondensedNode):
+        for index, child in enumerate(node.children):
+            if child.relation_to_parent.name != "name" or child.is_reference:
                 continue
-            if child.absorbed[0].label != "name":
+            # a merged name node: its own concept and what it absorbed
+            if len(child.source_concepts) < 2 \
+                    or child.source_concepts[0].label != "name":
                 continue
-            if child.variable is not None and child.variable in referenced:
+            if child.variable in referenced:
                 continue
-            base = node.absorbed if node.absorbed else (node.concept,)
-            node.absorbed = base + child.absorbed
-            node.concept = child.concept
+            node.source_concepts += child.source_concepts
+            node.concept_text = child.concept_text
             # keep any leftover structure the name node still had
             node.children = (node.children[:index] + child.children
                              + node.children[index + 1:])
@@ -260,8 +262,8 @@ def merge_ops(root: AmrNode, referenced: frozenset[str]) -> None:
 
     # a node's merge and hoist see only its own children, each already
     # merged and hoisted, so one post-order walk does both
-    def visit(node: AmrNode):
-        for _, child in node.children:
+    def visit(node: CondensedNode):
+        for child in node.children:
             visit(child)
         merge_node(node)
         hoist_name(node)
@@ -270,10 +272,11 @@ def merge_ops(root: AmrNode, referenced: frozenset[str]) -> None:
 
 
 def preprocess(graph: AmrGraph) -> CondensedNode:
-    """Full pipeline: drop ignored edges, condense entities, merge ops, and
-    build the condensed tree. ``graph`` is not changed. Reentrant references
-    resolve to their definition's text but remain distinct positions."""
-    root = _copy_node(graph.root)
+    """Full pipeline: build the condensed tree, then drop ignored edges,
+    condense entities and merge ops on it. ``graph`` is not changed.
+    Reentrant references resolve to their definition's text but remain
+    distinct positions."""
+    root = _condensed(graph.root, None)
     drop_ignored(root)
     # only promotion in drop_ignored changes which variables are referenced
     referenced = _referenced_variables(root)
@@ -282,29 +285,21 @@ def preprocess(graph: AmrGraph) -> CondensedNode:
 
     definitions: dict[str, CondensedNode] = {}
     references: list[CondensedNode] = []
-
-    def build(node: AmrNode, relation: Relation | None,
-              parent: CondensedNode | None) -> CondensedNode:
-        out = CondensedNode(variable=node.variable, concept_text="",
-                            source_concepts=(), relation_to_parent=relation,
-                            is_reference=node.is_reentrant_ref, parent=parent)
-        if node.is_reentrant_ref:
-            references.append(out)  # its text is its definition's, set below
-            return out
-        out.concept_text = node.concept.label
-        out.source_concepts = node.absorbed if node.absorbed else (node.concept,)
-        if node.variable is not None:
-            definitions[node.variable] = out
-        for rel, child in node.children:
-            out.children.append(build(child, rel, out))
-        return out
-
-    tree = build(root, None, None)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_reference:
+            references.append(node)
+        elif node.variable is not None:
+            definitions[node.variable] = node
+        for child in node.children:
+            child.parent = node
+        stack.extend(node.children)
     for ref in references:
         definition = definitions[ref.variable]
         ref.concept_text = definition.concept_text
         ref.source_concepts = definition.source_concepts
-    return tree
+    return root
 
 
 def preorder(tree: CondensedNode) -> list[CondensedNode]:

@@ -9,12 +9,19 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr2qa.penman import AmrGraph, parse_penman, serialize_penman, to_triples
+from amr2qa.penman import (
+    AmrGraph,
+    AmrNode,
+    Concept,
+    parse_penman,
+    serialize_penman,
+    to_triples,
+)
 from amr2qa.preprocess import (
     DEFAULT_ENTITY_CONCEPTS,
     DEFAULT_IGNORED_RELATIONS,
     CondensedNode,
-    _copy_node,
+    _condensed,
     _referenced_variables,
     condense_entities,
     drop_ignored,
@@ -56,32 +63,55 @@ def random_golden_text():
     return "".join(blocks)
 
 
+def as_graph(node: CondensedNode) -> AmrNode:
+    """The parsed-graph form of a condensed tree that the passes ran on, the
+    inverse of ``_condensed``: a node that absorbed others has its text as
+    its concept, and a reference has no concept."""
+    if len(node.source_concepts) == 1:
+        concept = node.source_concepts[0]
+    elif node.source_concepts:
+        concept = Concept(label=node.concept_text)
+    else:
+        concept = None
+    return AmrNode(node.variable, concept,
+                   [(child.relation_to_parent, as_graph(child))
+                    for child in node.children], node.is_reference)
+
+
 def run_passes(graph):
-    """A new graph: ``graph`` copied, then all three passes run on the copy."""
-    root = _copy_node(graph.root)
+    """A new graph: all three passes run on ``graph``'s condensed tree."""
+    root = _condensed(graph.root, None)
     drop_ignored(root)
     referenced = _referenced_variables(root)
     condense_entities(root, referenced)
     merge_ops(root, referenced)
-    return AmrGraph(root)
+    return AmrGraph(as_graph(root))
 
 
 def dropped(text):
-    graph = parse_penman(text)
-    drop_ignored(graph.root)
-    return graph
+    root = _condensed(parse_penman(text).root, None)
+    drop_ignored(root)
+    return AmrGraph(as_graph(root))
+
+
+def condensed_tree(text):
+    root = _condensed(parse_penman(text).root, None)
+    condense_entities(root, _referenced_variables(root))
+    return root
 
 
 def condensed(text):
-    graph = parse_penman(text)
-    condense_entities(graph.root, _referenced_variables(graph.root))
-    return graph
+    return AmrGraph(as_graph(condensed_tree(text)))
+
+
+def merged_tree(text):
+    root = _condensed(parse_penman(text).root, None)
+    merge_ops(root, _referenced_variables(root))
+    return root
 
 
 def merged(text):
-    graph = parse_penman(text)
-    merge_ops(graph.root, _referenced_variables(graph.root))
-    return graph
+    return AmrGraph(as_graph(merged_tree(text)))
 
 
 def defined(graph):
@@ -159,10 +189,11 @@ class TestDropIgnored:
 class TestCondenseEntities:
 
     def test_temporal_quantity(self):
-        g = condensed("(t / temporal-quantity :quant 1 :unit (y / year))")
+        tree = condensed_tree("(t / temporal-quantity :quant 1 :unit (y / year))")
+        g = AmrGraph(as_graph(tree))
         assert g.root.concept.label == "1 year"
         assert g.root.children == []
-        assert [c.label for c in g.root.absorbed] == ["temporal-quantity", "1", "year"]
+        assert [c.label for c in tree.source_concepts] == ["temporal-quantity", "1", "year"]
 
     def test_entity_condensed_before_its_ops_merge(self):
         # the :quant child still has an :op child when condensing runs, so
@@ -235,10 +266,11 @@ class TestMergeOps:
         text = '(p / person :name (n / name :op1 "Nikola" :op2 "Tesla"))'
         expected = " ".join(m.group(1) for m in
                             re.finditer(r':op\d+ "([^"]+)"', text))
-        g = merged(text)
+        tree = merged_tree(text)
+        g = AmrGraph(as_graph(tree))
         assert g.root.concept.label == expected == "Nikola Tesla"
         assert g.root.children == []
-        assert [c.label for c in g.root.absorbed] == \
+        assert [c.label for c in tree.source_concepts] == \
             ["person", "name", "Nikola", "Tesla"]
 
     def test_numeric_op_order_beats_source_order(self):
@@ -403,7 +435,7 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     def test_one_definition_per_variable_after_promotion(self, seed):
         graph = parse_penman(random_promotion_amr_text(random.Random(seed)))
-        root = _copy_node(graph.root)
+        root = _condensed(graph.root, None)
         drop_ignored(root)
         positions, seen = [], set()
         stack = [root]
@@ -412,11 +444,11 @@ class TestInvariants:
             assert id(node) not in seen   # no node reached twice, no cycle
             seen.add(id(node))
             positions.append(node)
-            stack.extend(child for _, child in node.children)
+            stack.extend(node.children)
         children_lists = {id(node.children) for node in positions}
         assert len(children_lists) == len(positions)
         _assert_one_definition_each(
-            (node.variable, node.is_reentrant_ref) for node in positions)
+            (node.variable, node.is_reference) for node in positions)
         tree = preprocess(graph)
         _assert_one_definition_each(
             (node.variable, node.is_reference) for node in preorder(tree))
