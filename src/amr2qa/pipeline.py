@@ -114,18 +114,18 @@ class BatchScorer:
     ``score_all(texts)`` returns ``(scorer_id, scores)``, a score for every
     text, all from the configured scorer or, when any of its requests for
     the batch fails, all from the bundled baseline, so no argmax compares
-    scores of two scorers. A ``BaselineScorer`` scores each text afresh,
-    which costs less than remembering its score. For any other scorer a
-    run-scoped memo holds up to ``MEMO_CAPACITY`` of its scores (oldest
-    evicted first); only the texts it lacks are requested, once each, and
-    a batch that falls back stores nothing. After ``MAX_FAILURES``
-    consecutive failed batches the circuit opens and every later batch
-    goes straight to the baseline, so an unreachable service costs a
-    bounded number of timeouts per run. With ``workers > 1`` a batch's
-    requests go over a pool of that many threads, made on first use and
-    shut down by ``close()``; a failed request cancels the batch's
-    requests not yet started. Otherwise they run in the calling thread,
-    and the first failure ends the batch.
+    scores of two scorers. A baseline scores each distinct text of the
+    batch once, afresh, which costs less than remembering its score. For
+    any other scorer a run-scoped memo holds up to ``MEMO_CAPACITY`` of its
+    scores (oldest evicted first); only the texts it lacks are requested,
+    once each, and a batch that falls back stores nothing. After
+    ``MAX_FAILURES`` consecutive failed batches the circuit opens and every
+    later batch goes straight to the baseline, so an unreachable service
+    costs a bounded number of timeouts per run. With ``workers > 1`` a
+    batch's requests go over a pool of that many threads, made on first use
+    and shut down by ``close()``; a failed request cancels the batch's
+    requests not yet started. Otherwise they run in the calling thread, and
+    the first failure ends the batch.
     """
 
     def __init__(self, scorer, workers: int = 1):
@@ -147,7 +147,8 @@ class BatchScorer:
     def score_all(self, texts: list[str]) -> tuple[str, dict[str, float]]:
         scorer = self._scorer
         if isinstance(scorer, BaselineScorer):
-            return scorer.scorer_id, {text: scorer.score(text) for text in texts}
+            return scorer.scorer_id, {text: scorer.score(text)
+                                      for text in dict.fromkeys(texts)}
         if not self.circuit_open:
             scores = {text: self._scores.get(text) for text in texts}
             missing = [text for text, score in scores.items() if score is None]
@@ -165,7 +166,8 @@ class BatchScorer:
             self._fallback = BaselineScorer.bundled()
         self.fallbacks += len(texts)
         scorer = self._fallback
-        return scorer.scorer_id, {text: scorer.score(text) for text in texts}
+        return scorer.scorer_id, {text: scorer.score(text)
+                                  for text in dict.fromkeys(texts)}
 
     def _request(self, texts: list[str]) -> list[float]:
         if self._workers == 1 or len(texts) < 2:

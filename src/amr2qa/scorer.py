@@ -41,13 +41,11 @@ class NgramModel:
     counts at construction; read-only after it."""
 
     def __init__(self, counts: dict[tuple[str, str], int]):
-        self.counts = counts
         context_counts: dict[str, int] = {}
         vocab: set[str] = set()
         for gram, count in counts.items():
             context_counts[gram[0]] = context_counts.get(gram[0], 0) + count
             vocab.update(gram)
-        self.vocabulary = frozenset(vocab)
         k = ADD_K
         smoothing = k * len(vocab)
         # log P(b | a) for each seen bigram, for an unseen b after each
@@ -205,7 +203,8 @@ class RemoteScorer:
 def _read_reply(reply) -> bytes:
     """The body of the 2xx reply read from the binary file ``reply``. A
     reply to HTTP/1.0 has no ``Transfer-Encoding`` (RFC 9112 §6.1), so it
-    ends at its ``Content-Length`` or else when the server closes (§6.3).
+    ends at its ``Content-Length`` or else when the server closes (§6.3);
+    differing ``Content-Length`` values are refused.
     Head and body together may use ``MAX_REPLY`` bytes."""
     budget = MAX_REPLY
     lines = []
@@ -217,16 +216,20 @@ def _read_reply(reply) -> bytes:
     status = _STATUS_LINE.match(lines[0]) if lines else None
     if status is None or not 200 <= int(status[1]) < 300:
         raise ScorerUnavailable(f"status line {lines[:1]}")
-    fields = {name.strip().lower(): value for name, _, value in
-              (line.partition(b":") for line in lines[1:])}
-    if b"transfer-encoding" in fields:
+    fields = [(name.strip().lower(), value) for name, _, value in
+              (line.partition(b":") for line in lines[1:])]
+    if any(name == b"transfer-encoding" for name, _ in fields):
         raise ScorerUnavailable("Transfer-Encoding in a reply to HTTP/1.0")
-    if b"content-length" not in fields:   # read to the end, within budget
+    lengths = {int(value) for name, value in fields
+               if name == b"content-length"}
+    if not lengths:   # read to the end, within budget
         body = reply.read(budget + 1)
         if len(body) > budget:
             raise ScorerUnavailable(f"reply over {MAX_REPLY} bytes")
         return body
-    length = int(fields[b"content-length"])
+    if len(lengths) > 1:   # invalid framing (§6.3)
+        raise ScorerUnavailable(f"differing Content-Length {sorted(lengths)}")
+    length, = lengths
     if not 0 <= length <= budget:   # read() would allocate it up front
         raise ScorerUnavailable(f"Content-Length {length} out of range")
     body = reply.read(length)

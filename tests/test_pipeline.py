@@ -554,6 +554,23 @@ class TestBatchScorer:
         assert primary.texts == {"a ?": 1, "b ?": 2}
         assert not scorer.circuit_open
 
+    @pytest.mark.parametrize("direct", [True, False],
+                             ids=["baseline", "fallback"])
+    def test_repeated_text_scored_once(self, monkeypatch, direct):
+        calls = Counter()
+        score = BaselineScorer.score
+
+        def counted(self, text):
+            calls[text] += 1
+            return score(self, text)
+
+        monkeypatch.setattr(BaselineScorer, "score", counted)
+        scorer = BatchScorer(BaselineScorer.bundled() if direct
+                             else FailsOnceOn({"a ?"}))
+        scorer_id, scores = scorer.score_all(["a ?"] * 3)
+        assert (scorer_id, list(scores)) == ("baseline", ["a ?"])
+        assert calls == {"a ?": 1}
+
     @pytest.mark.parametrize("missing", [1, 3, 4, 9])
     def test_requests_in_flight_match_the_worker_count(self, missing):
         texts = [f"What is item{i} ?" for i in range(missing)]

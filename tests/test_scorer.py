@@ -47,17 +47,22 @@ OK_REPLY = (b"HTTP/1.0 200 OK\r\nContent-Length: 17\r\n\r\n"
 class TestTrain:
     def test_hand_counted_bigrams(self):
         model = train_ngram("a b . a b .")
-        assert model.counts[("a", "b")] == 2
-        assert model.counts[("b", ".")] == 2
-        assert model.counts[(".", "a")] == 1
-        assert model.counts[(BOS, "a")] == 1
-        assert model.counts[(".", EOS)] == 1
+        # padded: <s> a b . a b . </s>; vocabulary of 5; contexts <s> once,
+        # a, b and . twice each
+        assert model.logprob(("a", "b")) == math.log(3 / 7)
+        assert model.logprob(("b", ".")) == math.log(3 / 7)
+        assert model.logprob((".", "a")) == math.log(2 / 7)
+        assert model.logprob((BOS, "a")) == math.log(2 / 6)
+        assert model.logprob((".", EOS)) == math.log(2 / 7)
+        assert model.logprob(("a", ".")) == math.log(1 / 7)
 
     def test_lines_padded_independently(self):
         model = train_ngram("a b\na b")
-        assert model.counts[(BOS, "a")] == 2
-        assert model.counts[("b", EOS)] == 2
-        assert ("b", "a") not in model.counts
+        # <s> a b </s> twice: vocabulary of 4, each context twice, and no
+        # (b, a) across the line break
+        assert model.logprob((BOS, "a")) == math.log(3 / 6)
+        assert model.logprob(("b", EOS)) == math.log(3 / 6)
+        assert model.logprob(("b", "a")) == math.log(1 / 6)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -73,7 +78,9 @@ class TestTrain:
 
     def test_vocabulary_includes_boundaries(self):
         model = train_ngram("a b")
-        assert model.vocabulary == {BOS, EOS, "a", "b"}
+        # add-one over a vocabulary of 4: <s>, a, b and </s>; three bigrams
+        assert model.logprob(("zz", "a")) == math.log(1 / 4)
+        assert model.unigram_logprob("zz") == math.log(1 / 7)
 
     def test_add_one_smoothing_by_hand(self):
         model = train_ngram("a b")
@@ -119,7 +126,16 @@ class TestScoreText:
 
 class TestTablesMatchCounts:
     """The precomputed tables give, bit for bit, the add-one formula
-    evaluated on the counts."""
+    evaluated on the corpus's padded bigram counts, counted here."""
+
+    @staticmethod
+    def padded_bigrams(corpus):
+        counts = Counter()
+        for line in corpus.splitlines():
+            if line.split():
+                padded = [BOS, *line.split(), EOS]
+                counts.update(zip(padded, padded[1:]))
+        return counts
 
     @staticmethod
     def counted(counts, text):
@@ -142,8 +158,10 @@ class TestTablesMatchCounts:
     def test_bundled_model(self):
         corpus = bundled_corpus_path().read_text(encoding="utf-8")
         model = train_ngram(corpus)
+        counts = self.padded_bigrams(corpus)
         lines = [line for line in corpus.splitlines() if line.split()]
-        tokens = sorted(model.vocabulary) + ["zz", "qq", "What?", ""]
+        vocabulary = {token for gram in counts for token in gram}
+        tokens = sorted(vocabulary) + ["zz", "qq", "What?", ""]
         rng = random.Random(11)
         texts = lines + [
             " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 8)))
@@ -151,10 +169,10 @@ class TestTablesMatchCounts:
         texts = [text for text in texts if text.split()]
         assert any(len(text.split()) == 1 for text in texts)
         for text in texts:
-            assert score_text(model, text) == self.counted(model.counts, text)
+            assert score_text(model, text) == self.counted(counts, text)
         for token in tokens[:-1]:
             assert (model.unigram_logprob(token)
-                    == self.counted(model.counts, token))
+                    == self.counted(counts, token))
 
 
 class TestBundledBaseline:
@@ -387,6 +405,18 @@ class TestHttp10:
                  + b'{"logprob": -1.5}')
         with pytest.raises(ScorerUnavailable, match="Content-Length"):
             self.score(reply)
+
+    def test_differing_content_lengths_are_refused(self):
+        # RFC 9112 §6.3: differing values are invalid framing
+        reply = OK_REPLY.replace(b"Content-Length: 17",
+                                 b"Content-Length: 3\r\nContent-Length: 17")
+        with pytest.raises(ScorerUnavailable, match="Content-Length"):
+            self.score(reply)
+
+    def test_repeated_equal_content_length_is_read(self):
+        reply = OK_REPLY.replace(b"Content-Length: 17",
+                                 b"Content-Length: 17\r\nContent-Length: 17")
+        assert self.score(reply) == -1.5
 
     def test_reply_without_length_over_64_kib(self):
         reply = b'HTTP/1.0 200 OK\r\n\r\n{"logprob": -1.5}' + b" " * 70_000
