@@ -54,7 +54,8 @@ class CondensedNode:
     "Barack Obama"). ``source_concepts`` lists the node's own original
     concept first, then every concept folded into it. Reentrant references
     keep their own tree position with ``is_reference`` set and share the
-    definition's text.
+    definition's text. The passes change these nodes in place; ``parent``
+    and a reference's text are set once they are done.
     """
 
     variable: str | None
