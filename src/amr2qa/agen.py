@@ -10,7 +10,7 @@ because unlike fallback answers they must keep the sense suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .annotate import Alignment, SentenceAnnotation, range_head, subtree_span
 from .penman import strip_sense
@@ -21,8 +21,7 @@ CONCEPT_FALLBACK = "concept_fallback"
 SENSE = "sense"
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     kind: str
     text: str
     span: tuple[int, int] | None = None

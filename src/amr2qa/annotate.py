@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .penman import strip_sense
 from .preprocess import CondensedNode, preorder
@@ -50,8 +50,7 @@ class CyclicTree(ConlluError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One CoNLL-U word line. ``head`` is the 1-based index of the governor,
     0 for the sentence root."""
 
@@ -66,12 +65,21 @@ class Token:
     space_after: bool = True
 
 
-@dataclass
 class SentenceAnnotation:
-    sentence_id: str
-    text: str
-    tokens: list[Token]
-    _children: dict[int, list[Token]] = field(default=None, repr=False, compare=False)
+    """One sentence's tokens. Two annotations are equal when their id, text
+    and tokens are."""
+
+    def __init__(self, sentence_id: str, text: str, tokens: list[Token]):
+        self.sentence_id = sentence_id
+        self.text = text
+        self.tokens = tokens
+        self._children: dict[int, list[Token]] | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not SentenceAnnotation:
+            return NotImplemented
+        return (self.sentence_id, self.text, self.tokens) \
+            == (other.sentence_id, other.text, other.tokens)
 
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]

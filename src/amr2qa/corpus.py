@@ -17,8 +17,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
 from .penman import AmrGraph, PenmanError, parse_penman
@@ -62,15 +61,13 @@ class DatasetFormatError(CorpusError):
         self.line = line
 
 
-@dataclass
-class AmrCorpusEntry:
+class AmrCorpusEntry(NamedTuple):
     id: str
     sentence: str
     graph: AmrGraph
 
 
-@dataclass
-class QaPair:
+class QaPair(NamedTuple):
     sentence_id: str
     question: str
     answer: Answer
@@ -81,8 +78,7 @@ class QaPair:
     scorer_id: str = ""
 
 
-@dataclass(frozen=True)
-class RawBlock:
+class RawBlock(NamedTuple):
     """One corpus block before graph parsing: metadata plus the PENMAN body.
     Lets the pipeline treat a malformed graph as a per-sentence failure
     instead of aborting the whole read."""
@@ -224,8 +220,7 @@ def iter_dataset(path) -> Iterator[QaPair]:
             yield pair
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     total_questions: int
     avg_questions_per_sentence: Fraction
     unique_word_count: int

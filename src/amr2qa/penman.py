@@ -12,7 +12,7 @@ to the single defining occurrence of their variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 CORE_RELATIONS = frozenset({"ARG0", "ARG1", "ARG2", "ARG3", "ARG4", "ARG5"})
 
@@ -64,8 +64,7 @@ class MalformedGraph(PenmanError):
     """Structural errors other than the dedicated classes above."""
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     """Label on an AMR node: a frame (``break-01``), a word, or a constant."""
 
     label: str
@@ -92,8 +91,7 @@ def strip_sense(label: str) -> str:
     return m.group(1) if m else label
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Edge label without the leading colon, e.g. ``ARG1``, ``location``."""
 
     name: str
@@ -108,7 +106,6 @@ class Relation:
         return self.name[:-3] if self.is_inverse else self.name
 
 
-@dataclass(eq=False)
 class AmrNode:
     """One occurrence of a variable (or constant) in the PENMAN tree.
 
@@ -118,10 +115,15 @@ class AmrNode:
     and does not change them.
     """
 
-    variable: str | None
-    concept: Concept | None
-    children: list[tuple[Relation, "AmrNode"]] = field(default_factory=list)
-    is_reentrant_ref: bool = False
+    __slots__ = ("variable", "concept", "children", "is_reentrant_ref")
+
+    def __init__(self, variable: str | None, concept: Concept | None,
+                 children: list[tuple[Relation, AmrNode]] | None = None,
+                 is_reentrant_ref: bool = False):
+        self.variable = variable
+        self.concept = concept
+        self.children = [] if children is None else children
+        self.is_reentrant_ref = is_reentrant_ref
 
 
 class AmrGraph:

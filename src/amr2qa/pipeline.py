@@ -26,8 +26,8 @@ import time
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import closing
-from dataclasses import dataclass, field, replace
 from itertools import chain, zip_longest
+from typing import NamedTuple
 
 from .agen import extract_answer
 from .annotate import SentenceAnnotation, align_concepts, iter_conllu
@@ -61,8 +61,7 @@ MEMO_CAPACITY = 4096
 MAX_FAILURES = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     amr_path: str
     conllu_path: str
     output_path: str
@@ -75,23 +74,23 @@ class RunConfig:
     workers: int = 1
 
 
-@dataclass
 class RunReport:
     """Run accounting. Every non-root condensed node of every processed
     sentence lands in exactly one bucket: a primary question, skipped with
     no usable template, or skipped as a duplicate. Sense questions are
-    emitted on top of that."""
+    emitted on top of that. Each counter starts at the class's 0 and
+    ``run_generate`` adds to it."""
 
-    sentences_processed: int = 0
-    sentences_failed: int = 0
-    questions_emitted: int = 0
-    sense_questions: int = 0
-    non_root_nodes: int = 0
-    skipped_no_template: int = 0
-    skipped_duplicate: int = 0
-    scorer_fallbacks: int = 0
-    scorer_memo_hits: int = 0
-    wall_time_seconds: float = 0.0
+    sentences_processed = 0
+    sentences_failed = 0
+    questions_emitted = 0
+    sense_questions = 0
+    non_root_nodes = 0
+    skipped_no_template = 0
+    skipped_duplicate = 0
+    scorer_fallbacks = 0
+    scorer_memo_hits = 0
+    wall_time_seconds = 0.0
 
     def lines(self) -> list[str]:
         return [
@@ -118,7 +117,9 @@ class BatchScorer:
     batch once, afresh, which costs less than remembering its score. For
     any other scorer a run-scoped memo holds up to ``MEMO_CAPACITY`` of its
     scores (oldest evicted first); only the texts it lacks are requested,
-    once each, and a batch that falls back stores nothing. After
+    once each, and a batch that falls back stores nothing. ``hits`` counts
+    the distinct texts of each batch that the memo answered, so a text
+    repeated within one batch is not a hit. After
     ``MAX_FAILURES`` consecutive failed batches the circuit opens and every
     later batch goes straight to the baseline, so an unreachable service
     costs a bounded number of timeouts per run. With ``workers > 1`` a
@@ -137,7 +138,7 @@ class BatchScorer:
         # the deleted slots left at its front.
         self._scores: OrderedDict[str, float] = OrderedDict()
         self._failures = 0
-        self.hits = 0        # texts answered without a request
+        self.hits = 0        # distinct texts of a batch the memo answered
         self.fallbacks = 0   # texts scored by the baseline instead
 
     @property
@@ -160,7 +161,7 @@ class BatchScorer:
                 if missing:
                     self._failures = 0
                 self._store(missing, scores)
-                self.hits += len(texts) - len(missing)
+                self.hits += len(scores) - len(missing)
                 return scorer.scorer_id, scores
         if self._fallback is None:
             self._fallback = BaselineScorer.bundled()
@@ -190,13 +191,12 @@ class BatchScorer:
             self._pool.shutdown()
 
 
-@dataclass
 class _SentenceResult:
-    pairs: list[QaPair] = field(default_factory=list)
-    non_root: int = 0
-    no_template: int = 0
-    duplicate: int = 0
-    sense: int = 0
+    no_template = duplicate = sense = 0
+
+    def __init__(self, non_root: int):
+        self.pairs: list[QaPair] = []
+        self.non_root = non_root
 
 
 def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
@@ -212,7 +212,7 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
     tree = preprocess(entry.graph)
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
-    result = _SentenceResult(non_root=len(nodes) - 1)
+    result = _SentenceResult(len(nodes) - 1)
     per_node = [generate_candidates(node, node.parent, store, ann, alignment)
                 for node in nodes[1:]]
     senses: dict[tuple[str, str], QaPair] = {}
@@ -252,9 +252,11 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
         if key in seen:
             continue
         seen.add(key)
-        result.pairs.append(replace(pair, sentence_id=entry.id,
-                                    score=scores[pair.question],
-                                    scorer_id=scorer_id))
+        # a new pair, not pair._replace: that copies through a temporary
+        # tuple, and CPython keeps up to 2,000 of those on a free list
+        result.pairs.append(QaPair(entry.id, pair.question, pair.answer,
+                                   pair.relation, pair.node, pair.template_id,
+                                   scores[pair.question], scorer_id))
         result.sense += 1
     return result
 

@@ -13,7 +13,6 @@ generation traverses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .penman import AmrGraph, AmrNode, Concept, Relation
 
@@ -46,7 +45,6 @@ _MONTH_NAMES = ("", "January", "February", "March", "April", "May", "June",
                 "December")
 
 
-@dataclass(eq=False)
 class CondensedNode:
     """One position in the preprocessed tree.
 
@@ -58,13 +56,21 @@ class CondensedNode:
     and a reference's text are set once they are done.
     """
 
-    variable: str | None
-    concept_text: str
-    source_concepts: tuple[Concept, ...]
-    relation_to_parent: Relation | None
-    children: list["CondensedNode"] = field(default_factory=list)
-    is_reference: bool = False
-    parent: "CondensedNode | None" = None
+    __slots__ = ("variable", "concept_text", "source_concepts",
+                 "relation_to_parent", "children", "is_reference", "parent")
+
+    def __init__(self, variable: str | None, concept_text: str,
+                 source_concepts: tuple[Concept, ...],
+                 relation_to_parent: Relation | None,
+                 children: list[CondensedNode] | None = None,
+                 is_reference: bool = False):
+        self.variable = variable
+        self.concept_text = concept_text
+        self.source_concepts = source_concepts
+        self.relation_to_parent = relation_to_parent
+        self.children = [] if children is None else children
+        self.is_reference = is_reference
+        self.parent: CondensedNode | None = None
 
 
 def _condensed(node: AmrNode, relation: Relation | None) -> CondensedNode:

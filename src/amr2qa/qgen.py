@@ -19,9 +19,8 @@ with ties going to the earlier template in resource order.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agen import SENSE, Answer, span_text
 from .annotate import (
@@ -34,7 +33,7 @@ from .annotate import (
 from .corpus import QaPair
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
-from .templates import _BLANK_RE, Template, TemplateStore, select_templates
+from .templates import Template, TemplateStore, select_templates
 
 SENSE_TEMPLATE_ID = "verb-sense"
 SENSE_RELATION = "sense"
@@ -44,8 +43,7 @@ class ArityMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class QuestionCandidate:
+class QuestionCandidate(NamedTuple):
     """A filled template for one tree position. ``entity_ref`` is the node
     the answer comes from (the parent when the relation was inverse)."""
 
@@ -56,20 +54,15 @@ class QuestionCandidate:
 
 
 def fill_template(template: Template, fills: list[str]) -> str:
-    """Blanks replaced in index order; spacing and the terminal question
-    mark come from the pattern itself."""
+    """Blank ``{k}`` replaced by ``fills[k]``; spacing and the terminal
+    question mark come from the pattern itself."""
     if len(fills) != template.blank_count:
         raise ArityMismatch(
             f"template {template.id} has {template.blank_count} blanks, "
             f"got {len(fills)} fills")
-
-    def replace(match: re.Match) -> str:
-        index = int(match.group(1))
-        if index >= len(fills):
-            raise ArityMismatch(f"no fill for blank {{{index}}}")
-        return fills[index]
-
-    return _BLANK_RE.sub(replace, template.pattern)
+    pieces = list(template.pieces)
+    pieces[1::2] = [fills[index] for index in pieces[1::2]]
+    return "".join(pieces)
 
 
 def _guess_pos(node: CondensedNode) -> str:

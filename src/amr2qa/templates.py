@@ -16,8 +16,8 @@ File formats (UTF-8, LF, ``#`` comments):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 try:  # the built-in SHA-1 spares a run hashlib's OpenSSL
     from _sha1 import sha1
@@ -71,10 +71,10 @@ class IncompleteMapping(TemplateError):
     """A mapping names a thematic role that has no core template."""
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """One question pattern. ``blank_pos[k]`` is the set of coarse POS tags
-    accepted for blank ``{k}``."""
+    accepted for blank ``{k}``. ``pieces`` is the pattern as
+    :func:`split_pattern` cuts it."""
 
     id: str
     kind: str            # "core" | "noncore"
@@ -82,6 +82,7 @@ class Template:
     tense: str           # "past" | "present" | "future" | "any"
     pattern: str
     blank_pos: tuple[frozenset[str], ...]
+    pieces: tuple[str | int, ...]
 
     @property
     def blank_count(self) -> int:
@@ -91,12 +92,12 @@ class Template:
         return self.tense == "any" or tense == "any" or self.tense == tense
 
 
-@dataclass
 class RoleMapping:
     """(lemma, sense, ARGn) -> thematic role, with per-ARGn fallbacks."""
 
-    entries: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    fallback: dict[str, str] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[tuple[str, str, str], str] = {}
+        self.fallback: dict[str, str] = {}
 
     def roles_used(self) -> set[str]:
         return set(self.entries.values()) | set(self.fallback.values())
@@ -126,6 +127,14 @@ def _parse_blank_pos(column: str, line_no: int) -> tuple[frozenset[str], ...]:
     return tuple(blanks)
 
 
+def split_pattern(pattern: str) -> tuple[str | int, ...]:
+    """``pattern`` cut at its ``{k}`` blanks: the literal text between them
+    at even positions, each blank's index ``k`` at the odd ones."""
+    pieces: list = _BLANK_RE.split(pattern)
+    pieces[1::2] = map(int, pieces[1::2])
+    return tuple(pieces)
+
+
 def _parse_template_line(line: str, line_no: int) -> Template:
     columns = line.split("|")
     if len(columns) != 5:
@@ -143,7 +152,8 @@ def _parse_template_line(line: str, line_no: int) -> Template:
         raise MalformedRecord(
             f"pattern must start with a wh-word or How, found {first_word!r}",
             line=line_no)
-    indices = sorted({int(m) for m in _BLANK_RE.findall(pattern)})
+    pieces = split_pattern(pattern)
+    indices = sorted(set(pieces[1::2]))
     if not indices:
         raise MalformedRecord("pattern has no blank markers", line=line_no)
     if indices != list(range(len(indices))):
@@ -158,7 +168,8 @@ def _parse_template_line(line: str, line_no: int) -> Template:
         "|".join([kind, key, tense, pattern, pos_column]).encode("utf-8")
     ).hexdigest()[:8]
     return Template(id=f"{kind}:{key}:{digest}", kind=kind, key=key,
-                    tense=tense, pattern=pattern, blank_pos=blank_pos)
+                    tense=tense, pattern=pattern, blank_pos=blank_pos,
+                    pieces=pieces)
 
 
 def load_templates(path) -> TemplateStore:

@@ -6,6 +6,12 @@ that prints ``sys.modules`` once the work is done.
 
 from helpers import FIXTURES, TLS_CERT, MockLM, run_bare, server_tls
 
+# dataclasses and what it loads to generate methods: inspect, which pulls
+# in ast and dis. The record types are named tuples and plain classes,
+# which need none of it; loading it cost about 1 MiB of peak RSS and a
+# fifth of the package's import time.
+NO_CLASS_GENERATION = ("dataclasses", "inspect", "ast", "dis")
+
 # the HTTP clients the remote scorer no longer uses and what they pull in,
 # the stats-only numeric types, the remote scorer's request
 # pool, the resource reader the bundled data no longer goes through, and
@@ -15,12 +21,12 @@ NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources", "hashlib",
     "_hashlib",
-)
+) + NO_CLASS_GENERATION
 
 # the remote scorer speaks HTTP/1.0 over a socket: none of the standard
 # HTTP clients, and OpenSSL only for https
 NOT_ON_HTTP_PATH = ("http.client", "email", "ssl", "_ssl", "urllib.request",
-                    "hashlib", "_hashlib")
+                    "hashlib", "_hashlib") + NO_CLASS_GENERATION
 
 SETUP = """
 from amr2qa.scorer import make_scorer

@@ -9,7 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synth_corpus
 from amr2qa import corpus, pipeline
 from amr2qa.annotate import BadColumnCount, parse_conllu
 from amr2qa.corpus import (
@@ -313,6 +316,70 @@ class TestRunGenerate:
                 "template_id", "score", "scorer_id"}
 
 
+def corrupt(block: str, kind: str, at: int) -> str:
+    """``block`` with its ``::snt`` line dropped, or with its one-line
+    graph cut short, given one parenthesis too few or too many, or nested
+    3,000 deep. A parse uses up its parentheses in pairs, so a graph that
+    is cut short or has unpaired parentheses cannot parse."""
+    lines = block.split("\n")
+    if kind == "drop-snt":
+        return "\n".join(line for line in lines
+                         if not line.startswith("# ::snt"))
+    graph = lines[-1]
+    parens = [i for i, char in enumerate(graph) if char in "()"]
+    if kind == "nest":
+        graph = ("".join(f"(d{i} / deep :mod " for i in range(3000)) + graph
+                 + ")" * 3000)
+    elif kind == "truncate":
+        graph = graph[:1 + at % (len(graph) - 1)]
+    elif kind == "delete":
+        cut = parens[at % len(parens)]
+        graph = graph[:cut] + graph[cut + 1:]
+    else:   # insert, before a parenthesis, so never inside a string
+        cut = parens[at % len(parens)]
+        graph = graph[:cut] + "()"[at % 2] + graph[cut:]
+    return "\n".join(lines[:-1] + [graph])
+
+
+SMALL_AMR, SMALL_CONLLU = synth_corpus.generate(20, seed=11)
+
+
+def run_lines(directory: Path, amr_text: str):
+    """The report and dataset lines of a run on ``amr_text`` and the small
+    corpus's annotations."""
+    amr, conllu = directory / "in.amr", directory / "in.conllu"
+    amr.write_text(amr_text)
+    conllu.write_text(SMALL_CONLLU)
+    out = directory / "out.jsonl"
+    report = run_generate(mini_config(out, amr_path=str(amr),
+                                      conllu_path=str(conllu)))
+    return report, out.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    return run_lines(tmp_path_factory.mktemp("clean"), SMALL_AMR)
+
+
+class TestBadSentence:
+    @settings(max_examples=25, deadline=None)
+    @given(index=st.integers(0, 19),
+           kind=st.sampled_from(["truncate", "delete", "insert", "nest",
+                                 "drop-snt"]),
+           at=st.integers(0, 10**6))
+    def test_costs_only_that_sentence(self, clean_run, tmp_path_factory,
+                                      index, kind, at):
+        clean_report, clean_lines = clean_run
+        blocks = SMALL_AMR.rstrip("\n").split("\n\n")
+        bad_id = blocks[index].split("\n")[0].removeprefix("# ::id ")
+        blocks[index] = corrupt(blocks[index], kind, at)
+        report, lines = run_lines(tmp_path_factory.mktemp("bad"),
+                                  "\n\n".join(blocks) + "\n")
+        assert report.sentences_failed == clean_report.sentences_failed + 1
+        assert lines == [line for line in clean_lines
+                         if json.loads(line)["sentence_id"] != bad_id]
+
+
 def repeated_corpus(tmp_path, copies: int = 3) -> tuple[str, str]:
     """The mini corpus ``copies`` times over, with unique graph ids, so
     every question text recurs across sentences."""
@@ -407,6 +474,15 @@ class TestScoreMemo:
         assert report.scorer_memo_hits >= 2 * len(counting.texts)
         assert (f"scorer memo hits      {report.scorer_memo_hits}"
                 in report.lines())
+
+    def test_text_repeated_within_a_batch_is_no_memo_hit(self):
+        primary = FailsOnceOn(())
+        scorer = BatchScorer(primary)
+        assert scorer.score_all(["a ?", "a ?", "b ?"])[0] == "remote"
+        assert scorer.hits == 0
+        scorer.score_all(["a ?", "a ?", "c ?"])
+        assert scorer.hits == 1
+        assert primary.texts == {"a ?": 1, "b ?": 1, "c ?": 1}
 
     def test_baseline_keeps_no_memo(self, baseline):
         scorer = BatchScorer(baseline)

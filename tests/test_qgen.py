@@ -3,7 +3,6 @@ selection and predicate-sense questions."""
 
 import copy
 import re
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from amr2qa.qgen import (
     sense_question,
 )
 from amr2qa.scorer import BaselineScorer
-from amr2qa.templates import Template
+from amr2qa.templates import Template, split_pattern
 
 from helpers import default_store
 
@@ -87,7 +86,8 @@ def template_for(pattern, tense="past", pos="VERB", kind="core", key="Patient"):
     blanks = {int(m) for m in re.findall(r"\{(\d+)\}", pattern)}
     return Template(id=f"test:{pattern}", kind=kind, key=key, tense=tense,
                     pattern=pattern,
-                    blank_pos=tuple(frozenset({pos}) for _ in blanks))
+                    blank_pos=tuple(frozenset({pos}) for _ in blanks),
+                    pieces=split_pattern(pattern))
 
 
 class TestFillTemplate:
@@ -109,7 +109,8 @@ class TestFillTemplate:
 
     def test_zero_blank_pass_through(self):
         t = Template(id="x", kind="core", key="k", tense="any",
-                     pattern="Who knows ?", blank_pos=())
+                     pattern="Who knows ?", blank_pos=(),
+                     pieces=split_pattern("Who knows ?"))
         assert fill_template(t, []) == "Who knows ?"
 
     def test_fill_text_is_literal(self):
@@ -264,8 +265,9 @@ class TestBestQuestion:
         before = [copy.copy(c) for c in candidates]
         best_question(candidates, scored(candidates, self.baseline))
         assert candidates == before
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             candidates[0].template_id = "other"
+        assert candidates[0].template_id == "first"
 
     def test_singleton(self):
         only = _candidate("What was broken ?")
