@@ -192,10 +192,12 @@ def write_dataset(pairs: Iterable[QaPair], path) -> None:
     they run out. On any exception the tmp file is removed instead and
     ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.tmp"
+    # one encoder: json.dumps builds a new one for each non-default call
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             for pair in pairs:
-                handle.write(json.dumps(pair_to_json(pair), ensure_ascii=False))
+                handle.write(encode(pair_to_json(pair)))
                 handle.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -153,16 +153,17 @@ def to_triples(graph: AmrGraph) -> list[tuple[str, str, str]]:
     in their source form (quotes kept)."""
     instances = []
     edges = []
-
-    def visit(node: AmrNode):
+    # each edge is listed when its target is reached, so in pre-order
+    stack = [(graph.root, None)]
+    while stack:
+        node, edge = stack.pop()
+        if edge is not None:
+            edges.append(edge)
         if node.variable is not None and not node.is_reentrant_ref:
             instances.append((node.variable, "instance", node.concept.label))
-        for rel, child in node.children:
+        for rel, child in reversed(node.children):
             target = child.variable if child.variable is not None else _constant_text(child.concept)
-            edges.append((node.variable, rel.name, target))
-            visit(child)
-
-    visit(graph.root)
+            stack.append((child, (node.variable, rel.name, target)))
     return instances + edges
 
 

@@ -5,7 +5,9 @@ Sentences stream: the AMR file is read block by block and the CoNLL-U file
 sentence by sentence (by-id pairing indexes the annotations, so it holds
 that file). Sentences run one at a time, in input order, in the calling
 thread, and each sentence's lines are written as soon as they are ready,
-so memory grows with one sentence's work, not with the corpus. The
+so memory grows with one sentence's work, not with the corpus. Nothing a
+sentence builds holds a reference cycle, so its trees and candidates are
+freed when it is done, without waiting for the cyclic collector. The
 dataset is renamed from ``<out>.tmp`` onto ``<out>`` only when the run
 completes. Each sentence's question texts are scored as one batch (see
 ``BatchScorer``): all of a sentence's scores (``score(text) -> float``)
@@ -117,9 +119,9 @@ class BatchScorer:
     batch once, afresh, which costs less than remembering its score. For
     any other scorer a run-scoped memo holds up to ``MEMO_CAPACITY`` of its
     scores (oldest evicted first); only the texts it lacks are requested,
-    once each, and a batch that falls back stores nothing. ``hits`` counts
-    the distinct texts of each batch that the memo answered, so a text
-    repeated within one batch is not a hit. After
+    once each, and a batch that falls back stores nothing. ``hits`` and
+    ``fallbacks`` count the distinct texts of each batch that the memo
+    answered or the baseline scored instead, so a repeat counts once. After
     ``MAX_FAILURES`` consecutive failed batches the circuit opens and every
     later batch goes straight to the baseline, so an unreachable service
     costs a bounded number of timeouts per run. With ``workers > 1`` a
@@ -139,7 +141,7 @@ class BatchScorer:
         self._scores: OrderedDict[str, float] = OrderedDict()
         self._failures = 0
         self.hits = 0        # distinct texts of a batch the memo answered
-        self.fallbacks = 0   # texts scored by the baseline instead
+        self.fallbacks = 0   # distinct texts of a batch the baseline scored
 
     @property
     def circuit_open(self) -> bool:
@@ -165,10 +167,10 @@ class BatchScorer:
                 return scorer.scorer_id, scores
         if self._fallback is None:
             self._fallback = BaselineScorer.bundled()
-        self.fallbacks += len(texts)
         scorer = self._fallback
-        return scorer.scorer_id, {text: scorer.score(text)
-                                  for text in dict.fromkeys(texts)}
+        scores = {text: scorer.score(text) for text in dict.fromkeys(texts)}
+        self.fallbacks += len(scores)
+        return scorer.scorer_id, scores
 
     def _request(self, texts: list[str]) -> list[float]:
         if self._workers == 1 or len(texts) < 2:
@@ -213,7 +215,8 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
     result = _SentenceResult(len(nodes) - 1)
-    per_node = [generate_candidates(node, node.parent, store, ann, alignment)
+    parent = {child: node for node in nodes for child in node.children}
+    per_node = [generate_candidates(node, parent[node], store, ann, alignment)
                 for node in nodes[1:]]
     senses: dict[tuple[str, str], QaPair] = {}
     for node in nodes:

@@ -52,12 +52,13 @@ class CondensedNode:
     "Barack Obama"). ``source_concepts`` lists the node's own original
     concept first, then every concept folded into it. Reentrant references
     keep their own tree position with ``is_reference`` set and share the
-    definition's text. The passes change these nodes in place; ``parent``
-    and a reference's text are set once they are done.
+    definition's text. The passes change these nodes in place, and a
+    reference's text is set once they are done. A node holds no link to its
+    parent, so a tree has no cycle and is freed as soon as it is dropped.
     """
 
     __slots__ = ("variable", "concept_text", "source_concepts",
-                 "relation_to_parent", "children", "is_reference", "parent")
+                 "relation_to_parent", "children", "is_reference")
 
     def __init__(self, variable: str | None, concept_text: str,
                  source_concepts: tuple[Concept, ...],
@@ -70,12 +71,11 @@ class CondensedNode:
         self.relation_to_parent = relation_to_parent
         self.children = [] if children is None else children
         self.is_reference = is_reference
-        self.parent: CondensedNode | None = None
 
 
 def _condensed(node: AmrNode, relation: Relation | None) -> CondensedNode:
-    """A new condensed subtree for the parsed ``node``, before any pass: no
-    parent links yet, and a reference has no text."""
+    """A new condensed subtree for the parsed ``node``, before any pass: a
+    reference has no text yet."""
     if node.is_reentrant_ref:
         return CondensedNode(node.variable, "", (), relation, is_reference=True)
     return CondensedNode(node.variable, node.concept.label, (node.concept,),
@@ -121,24 +121,19 @@ def drop_ignored(root: CondensedNode) -> None:
     that later occurrence becomes a reference, so each variable keeps one
     definition."""
     dropped_defs: dict[str, CondensedNode] = {}
-
-    def record_defs(node: CondensedNode):
-        if node.variable is not None and not node.is_reference:
+    # dropped subtrees are cleaned too, in case one gets promoted
+    stack = [(root, False)]
+    while stack:
+        node, dropped = stack.pop()
+        if dropped and node.variable is not None and not node.is_reference:
             dropped_defs[node.variable] = node
-        for child in node.children:
-            record_defs(child)
-
-    def prune(node: CondensedNode):
         kept = []
         for child in node.children:
-            prune(child)  # clean the subtree in case it gets promoted
-            if child.relation_to_parent.name in DEFAULT_IGNORED_RELATIONS:
-                record_defs(child)
-            else:
+            ignored = child.relation_to_parent.name in DEFAULT_IGNORED_RELATIONS
+            if not ignored:
                 kept.append(child)
+            stack.append((child, dropped or ignored))
         node.children = kept
-
-    prune(root)
     if not dropped_defs:
         return
 
@@ -201,33 +196,33 @@ def condense_entities(root: CondensedNode, referenced: frozenset[str]) -> None:
     by a single concept whose text joins their absorbable children in a
     fixed field order. Children that cannot be absorbed, or whose variable
     is in ``referenced``, stay attached."""
+    # children first: a node's text joins its children's condensed texts
+    for node in reversed(preorder(root)):
+        _condense_entity(node, referenced)
 
-    def visit(node: CondensedNode):
-        for child in node.children:
-            visit(child)
-        if node.is_reference or node.concept_text not in DEFAULT_ENTITY_CONCEPTS:
-            return
-        is_date = node.concept_text == "date-entity"
-        order = _DATE_FIELD_ORDER if is_date else _QUANTITY_FIELD_ORDER
-        by_field: dict[str, list[tuple[int, CondensedNode]]] = {}
-        for index, child in enumerate(node.children):
-            name = child.relation_to_parent.name
-            if name in order and _is_leaf_value(child, referenced):
-                by_field.setdefault(name, []).append((index, child))
-        if not by_field:
-            return
-        parts = []
-        taken = []
-        for name in order:
-            for index, child in by_field.get(name, ()):
-                text = child.concept_text
-                if is_date and name == "month":
-                    text = _month_name(text)
-                parts.append(text)
-                taken.append((index, child))
-        _absorb(node, " ".join(parts), taken)
 
-    visit(root)
+def _condense_entity(node: CondensedNode, referenced: frozenset[str]) -> None:
+    if node.is_reference or node.concept_text not in DEFAULT_ENTITY_CONCEPTS:
+        return
+    is_date = node.concept_text == "date-entity"
+    order = _DATE_FIELD_ORDER if is_date else _QUANTITY_FIELD_ORDER
+    by_field: dict[str, list[tuple[int, CondensedNode]]] = {}
+    for index, child in enumerate(node.children):
+        name = child.relation_to_parent.name
+        if name in order and _is_leaf_value(child, referenced):
+            by_field.setdefault(name, []).append((index, child))
+    if not by_field:
+        return
+    parts = []
+    taken = []
+    for name in order:
+        for index, child in by_field.get(name, ()):
+            text = child.concept_text
+            if is_date and name == "month":
+                text = _month_name(text)
+            parts.append(text)
+            taken.append((index, child))
+    _absorb(node, " ".join(parts), taken)
 
 
 def merge_ops(root: CondensedNode, referenced: frozenset[str]) -> None:
@@ -236,46 +231,42 @@ def merge_ops(root: CondensedNode, referenced: frozenset[str]) -> None:
     concept nodes, as under conjunctions, stay separate. A merged ``name``
     node then replaces its parent's ``:name`` edge, so the parent carries
     the proper noun directly, unless its variable is in ``referenced``."""
-
-    def merge_node(node: CondensedNode):
-        ops = []
-        for index, child in enumerate(node.children):
-            m = _OP_RE.match(child.relation_to_parent.name)
-            if m and child.variable is None:   # only constants lack one
-                ops.append((int(m.group(1)), index, child))
-        if not ops:
-            return
-        ops.sort(key=lambda item: (item[0], item[1]))
-        taken = [(index, child) for _, index, child in ops]
-        _absorb(node, " ".join(child.concept_text for _, child in taken),
-                taken)
-
-    def hoist_name(node: CondensedNode):
-        for index, child in enumerate(node.children):
-            if child.relation_to_parent.name != "name" or child.is_reference:
-                continue
-            # a merged name node: its own concept and what it absorbed
-            if len(child.source_concepts) < 2 \
-                    or child.source_concepts[0].label != "name":
-                continue
-            if child.variable in referenced:
-                continue
-            node.source_concepts += child.source_concepts
-            node.concept_text = child.concept_text
-            # keep any leftover structure the name node still had
-            node.children = (node.children[:index] + child.children
-                             + node.children[index + 1:])
-            break
-
     # a node's merge and hoist see only its own children, each already
-    # merged and hoisted, so one post-order walk does both
-    def visit(node: CondensedNode):
-        for child in node.children:
-            visit(child)
-        merge_node(node)
-        hoist_name(node)
+    # merged and hoisted, so one children-first walk does both
+    for node in reversed(preorder(root)):
+        _merge_op_constants(node)
+        _hoist_name(node, referenced)
 
-    visit(root)
+
+def _merge_op_constants(node: CondensedNode) -> None:
+    ops = []
+    for index, child in enumerate(node.children):
+        m = _OP_RE.match(child.relation_to_parent.name)
+        if m and child.variable is None:   # only constants lack one
+            ops.append((int(m.group(1)), index, child))
+    if not ops:
+        return
+    ops.sort(key=lambda item: (item[0], item[1]))
+    taken = [(index, child) for _, index, child in ops]
+    _absorb(node, " ".join(child.concept_text for _, child in taken), taken)
+
+
+def _hoist_name(node: CondensedNode, referenced: frozenset[str]) -> None:
+    for index, child in enumerate(node.children):
+        if child.relation_to_parent.name != "name" or child.is_reference:
+            continue
+        # a merged name node: its own concept and what it absorbed
+        if len(child.source_concepts) < 2 \
+                or child.source_concepts[0].label != "name":
+            continue
+        if child.variable in referenced:
+            continue
+        node.source_concepts += child.source_concepts
+        node.concept_text = child.concept_text
+        # keep any leftover structure the name node still had
+        node.children = (node.children[:index] + child.children
+                         + node.children[index + 1:])
+        break
 
 
 def preprocess(graph: AmrGraph) -> CondensedNode:
@@ -299,8 +290,6 @@ def preprocess(graph: AmrGraph) -> CondensedNode:
             references.append(node)
         elif node.variable is not None:
             definitions[node.variable] = node
-        for child in node.children:
-            child.parent = node
         stack.extend(node.children)
     for ref in references:
         definition = definitions[ref.variable]
@@ -325,14 +314,12 @@ def format_tree(tree: CondensedNode) -> str:
     """Stable plain-text rendering, one node per line, used for golden-file
     comparison and CLI inspection."""
     lines = []
-
-    def visit(node: CondensedNode, depth: int):
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         head = f":{node.relation_to_parent.name} " if node.relation_to_parent else ""
         var = f" [{node.variable}]" if node.variable is not None else ""
         ref = " (ref)" if node.is_reference else ""
         lines.append(f"{'  ' * depth}{head}{node.concept_text}{var}{ref}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(tree, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

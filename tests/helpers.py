@@ -1,6 +1,7 @@
 """Shared fixture loading, fuzz-input generation and a mock language-model
 endpoint for the test suite."""
 
+import gc
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import amr2qa
@@ -45,6 +47,20 @@ def server_tls() -> ssl.SSLContext:
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(TLS_CERT, FIXTURES / "tls" / "key.pem")
     return context
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Assert that the block leaves nothing that only the cyclic garbage
+    collector can free: collect first, run the block with the collector
+    off, then expect ``gc.collect()`` to find nothing unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def default_store():

@@ -150,7 +150,7 @@ def test_criterion_4_engine_example_selection():
     tree = preprocess(parse_penman("(b / break-01 :ARG1 (e / engine))"))
     alignment = align_concepts(tree, BROKEN)
     engine = preorder(tree)[1]
-    candidates = generate_candidates(engine, engine.parent, default_store(),
+    candidates = generate_candidates(engine, tree, default_store(),
                                      BROKEN, alignment)
     texts = [c.filled_text for c in candidates]
     assert "What was broken ?" in texts

@@ -31,13 +31,14 @@ from amr2qa.pipeline import (
     process_sentence,
     run_generate,
 )
+from amr2qa.qgen import generate_candidates
 from amr2qa.scorer import (
     BaselineScorer,
     RemoteScorer,
     ScorerUnavailable,
 )
 
-from helpers import MockLM, RawReplyServer, default_store
+from helpers import MockLM, RawReplyServer, default_store, no_cyclic_garbage
 from test_qgen import BROKEN
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -117,6 +118,27 @@ class TestProcessSentence:
         assert result.non_root == 1
         assert result.no_template == 1
         assert [p.relation for p in result.pairs] == ["sense"]
+
+    def test_candidates_get_their_tree_parent(self, store, batch,
+                                              monkeypatch):
+        calls = []
+
+        def recorded(node, parent, *args):
+            candidates = generate_candidates(node, parent, *args)
+            calls.append((node, parent, candidates))
+            return candidates
+
+        monkeypatch.setattr(pipeline, "generate_candidates", recorded)
+        entry = entry_for(
+            "(p / person :ARG0-of (i / invent-01 :ARG1 (c / car)))")
+        process_sentence(entry, BROKEN, store, batch)
+        assert [(node.variable, parent.variable)
+                for node, parent, _ in calls] == [("i", "p"), ("c", "i")]
+        assert all(node in parent.children for node, parent, _ in calls)
+        # the inverse edge asks about the parent: the answer comes from p
+        invent, person, candidates = calls[0]
+        assert candidates
+        assert all(c.entity_ref is person for c in candidates)
 
     def test_every_node_lands_in_one_bucket(self, store, batch):
         entry = entry_for(
@@ -623,7 +645,7 @@ class TestBatchScorer:
         failed = scorer.score_all(["a ?", "b ?", "a ?"])
         assert failed == ("baseline", {text: baseline.score(text)
                                        for text in ("a ?", "b ?")})
-        assert (scorer.hits, scorer.fallbacks) == (0, 3)
+        assert (scorer.hits, scorer.fallbacks) == (0, 2)
         again = scorer.score_all(["a ?", "b ?"])
         assert again[0] == "remote"
         assert scorer.hits == 1
@@ -837,6 +859,13 @@ class TestStreaming:
 
         peak(2)   # the first run fills lazily built tables
         assert peak(16) < 1.5 * peak(2)
+
+    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path):
+        # each sentence's trees and candidates are freed when it is done
+        config = mini_config(tmp_path / "out.jsonl")
+        run_generate(config)   # the first run fills lazily built tables
+        with no_cyclic_garbage():
+            run_generate(config)
 
     def test_sentences_in_flight_stay_within_the_bound(self, tmp_path,
                                                        monkeypatch):

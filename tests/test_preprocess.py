@@ -31,7 +31,12 @@ from amr2qa.preprocess import (
     preprocess,
 )
 
-from helpers import FIXTURES, random_amr_text, random_promotion_amr_text
+from helpers import (
+    FIXTURES,
+    no_cyclic_garbage,
+    random_amr_text,
+    random_promotion_amr_text,
+)
 
 PP_DIR = FIXTURES / "preprocess"
 RANDOM_GOLDEN = FIXTURES / "preprocess_random.golden"
@@ -356,11 +361,6 @@ class TestPreorder:
         assert [n.concept_text for n in preorder(tree)] == \
             ["root-01", "xray", "zulu", "yankee"]
 
-    def test_parent_links(self):
-        tree = preprocess(parse_penman("(b / break-01 :ARG1 (e / engine))"))
-        assert tree.parent is None
-        assert tree.children[0].parent is tree
-
 
 class TestInvariants:
 
@@ -452,6 +452,16 @@ class TestInvariants:
         tree = preprocess(graph)
         _assert_one_definition_each(
             (node.variable, node.is_reference) for node in preorder(tree))
+
+    @given(st.integers(0, 10**9), st.sampled_from(
+        [random_amr_text, random_promotion_amr_text]))
+    @settings(max_examples=60, deadline=None)
+    def test_no_cyclic_garbage(self, seed, make):
+        text = make(random.Random(seed))
+        with no_cyclic_garbage():
+            graph = parse_penman(text)
+            format_tree(preprocess(graph))
+            to_triples(graph)
 
 
 def _assert_one_definition_each(occurrences):

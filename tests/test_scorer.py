@@ -546,7 +546,7 @@ class TestBatchFallback:
         scorer_id, _ = scorer.score_all(["What ?", "Who ?", "What ?"])
         assert primary.calls == 1
         assert scorer_id == "baseline"
-        assert scorer.fallbacks == 3
+        assert scorer.fallbacks == 2   # distinct texts
 
 
 class TestMakeScorer:
