@@ -1,12 +1,12 @@
-"""Preprocessing passes that turn a parsed AMR graph into a condensed tree.
+"""Preprocessing that turns a parsed AMR graph into a condensed tree.
 
-Three passes run in a fixed order: drop ignored relations, condense entity
-subgraphs (``:quant``/``:unit`` pairs, date fields) into single multi-word
-concepts, then merge constant ``:op`` children into their owner. Dropping
-runs first so nothing is condensed into a subtree that is about to go away.
-:func:`preprocess` turns the parsed graph into a tree of
-:class:`CondensedNode` once, and the passes change that tree in place, so
-the caller's graph is left as it was. That tree is the unit question
+:func:`preprocess` reads the parsed graph once into a tree of
+:class:`CondensedNode`, leaving out ignored relations and the subtrees
+reachable only through them, so nothing is condensed into a subtree that
+goes away. Two passes then change that tree in place, in a fixed order:
+condense entity subgraphs (``:quant``/``:unit`` pairs, date fields) into
+single multi-word concepts, then merge constant ``:op`` children into their
+owner. The caller's graph is left as it was. That tree is the unit question
 generation traverses.
 """
 
@@ -63,24 +63,73 @@ class CondensedNode:
     def __init__(self, variable: str | None, concept_text: str,
                  source_concepts: tuple[Concept, ...],
                  relation_to_parent: Relation | None,
-                 children: list[CondensedNode] | None = None,
                  is_reference: bool = False):
         self.variable = variable
         self.concept_text = concept_text
         self.source_concepts = source_concepts
         self.relation_to_parent = relation_to_parent
-        self.children = [] if children is None else children
+        self.children = []
         self.is_reference = is_reference
 
 
-def _condensed(node: AmrNode, relation: Relation | None) -> CondensedNode:
-    """A new condensed subtree for the parsed ``node``, before any pass: a
-    reference has no text yet."""
-    if node.is_reentrant_ref:
-        return CondensedNode(node.variable, "", (), relation, is_reference=True)
-    return CondensedNode(node.variable, node.concept.label, (node.concept,),
-                         relation, [_condensed(child, rel)
-                                    for rel, child in node.children])
+def _claim(top: AmrNode, owner: dict[str, AmrNode],
+           dropped: dict[str, AmrNode]) -> None:
+    """Make ``top`` the owner of every definition in its subtree that no
+    subtree owns yet, and record in ``dropped`` the definitions under its
+    ignored edges. Below a definition owned elsewhere, which is a reference
+    in this subtree, nothing is claimed."""
+    stack = [(top, False)]
+    while stack:
+        node, ignored = stack.pop()
+        variable = node.variable
+        if variable is None or node.is_reentrant_ref:
+            continue
+        if ignored:
+            dropped[variable] = node
+        elif variable in owner:
+            continue
+        else:
+            owner[variable] = top
+        for relation, child in node.children:
+            stack.append((child, ignored
+                          or relation.name in DEFAULT_IGNORED_RELATIONS))
+
+
+def _build(graph: AmrGraph) -> tuple[CondensedNode, dict[str, CondensedNode],
+                                     list[CondensedNode]]:
+    """The condensed tree of ``graph`` without its ignored edges, before the
+    other passes, with its definitions by variable and its references, which
+    have no text yet. A definition found only under an ignored edge is built
+    at the first reference to its variable in pre-order. That placed subtree
+    owns each definition in it that no other subtree owns, and one owned
+    elsewhere is a reference there, so each variable has one definition."""
+    owner: dict[str, AmrNode] = {}
+    dropped: dict[str, AmrNode] = {}
+    _claim(graph.root, owner, dropped)
+    definitions: dict[str, CondensedNode] = {}
+    references: list[CondensedNode] = []
+    out: list[CondensedNode] = []
+    stack = [(graph.root, None, out, graph.root)]
+    while stack:
+        node, relation, siblings, top = stack.pop()
+        variable = node.variable
+        if node.is_reentrant_ref and variable not in owner:
+            node = top = dropped[variable]
+            _claim(top, owner, dropped)
+        if node.is_reentrant_ref or (variable is not None
+                                     and owner[variable] is not top):
+            built = CondensedNode(variable, "", (), relation, True)
+            references.append(built)
+        else:
+            built = CondensedNode(variable, node.concept.label,
+                                  (node.concept,), relation)
+            if variable is not None:
+                definitions[variable] = built
+            for rel, child in reversed(node.children):
+                if rel.name not in DEFAULT_IGNORED_RELATIONS:
+                    stack.append((child, rel, built.children, top))
+        siblings.append(built)
+    return out[0], definitions, references
 
 
 def _is_leaf_value(node: CondensedNode, referenced: frozenset[str]) -> bool:
@@ -91,17 +140,6 @@ def _is_leaf_value(node: CondensedNode, referenced: frozenset[str]) -> bool:
                 or node.children)
 
 
-def _referenced_variables(root: CondensedNode) -> frozenset[str]:
-    out = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_reference:
-            out.add(node.variable)
-        stack.extend(node.children)
-    return frozenset(out)
-
-
 def _month_name(value: str) -> str:
     try:
         number = int(value)
@@ -110,71 +148,6 @@ def _month_name(value: str) -> str:
     if 1 <= number <= 12:
         return _MONTH_NAMES[number]
     return value
-
-
-def drop_ignored(root: CondensedNode) -> None:
-    """Remove, in place, edges whose relation is ignored, along with subtrees
-    reachable only through them. If a dropped subtree held the definition of
-    a variable still referenced elsewhere, the first surviving reference (in
-    pre-order) adopts the definition, so no reference dangles. An adopted
-    subtree may repeat a definition an earlier reference already adopted;
-    that later occurrence becomes a reference, so each variable keeps one
-    definition."""
-    dropped_defs: dict[str, CondensedNode] = {}
-    # dropped subtrees are cleaned too, in case one gets promoted
-    stack = [(root, False)]
-    while stack:
-        node, dropped = stack.pop()
-        if dropped and node.variable is not None and not node.is_reference:
-            dropped_defs[node.variable] = node
-        kept = []
-        for child in node.children:
-            ignored = child.relation_to_parent.name in DEFAULT_IGNORED_RELATIONS
-            if not ignored:
-                kept.append(child)
-            stack.append((child, dropped or ignored))
-        node.children = kept
-    if not dropped_defs:
-        return
-
-    def definitions(top: CondensedNode):
-        # a caller that turns a yielded node into a reference (no children)
-        # is not led below it
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            if node.variable is not None and not node.is_reference:
-                yield node
-                stack.extend(node.children)
-
-    # every definition in the tree, so a reference that comes before its
-    # definition is not promoted
-    defined = {node.variable for node in definitions(root)}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_reference and node.variable not in defined \
-                and node.variable in dropped_defs:
-            definition = dropped_defs.pop(node.variable)
-            node.concept_text = definition.concept_text
-            node.source_concepts = definition.source_concepts
-            # a copy: the dropped node may turn up again inside a subtree
-            # adopted later, and must not share its list with this position
-            node.children = list(definition.children)
-            node.is_reference = False
-            # the adopted subtree may hold a definition an earlier reference
-            # adopted; the tree has it already, so this one becomes a
-            # reference (no variable is defined twice in one parsed graph,
-            # so the order of this walk does not matter)
-            for inner in definitions(node):
-                if inner.variable not in defined:
-                    defined.add(inner.variable)
-                else:
-                    inner.concept_text = ""
-                    inner.source_concepts = ()
-                    inner.children = []
-                    inner.is_reference = True
-        stack.extend(reversed(node.children))
 
 
 def _absorb(node: CondensedNode, text: str, taken: list[tuple]) -> None:
@@ -270,27 +243,15 @@ def _hoist_name(node: CondensedNode, referenced: frozenset[str]) -> None:
 
 
 def preprocess(graph: AmrGraph) -> CondensedNode:
-    """Full pipeline: build the condensed tree, then drop ignored edges,
+    """Full pipeline: build the condensed tree without ignored edges, then
     condense entities and merge ops on it. ``graph`` is not changed.
     Reentrant references resolve to their definition's text but remain
     distinct positions."""
-    root = _condensed(graph.root, None)
-    drop_ignored(root)
-    # only promotion in drop_ignored changes which variables are referenced
-    referenced = _referenced_variables(root)
+    root, definitions, references = _build(graph)
+    referenced = frozenset(ref.variable for ref in references)
     condense_entities(root, referenced)
     merge_ops(root, referenced)
-
-    definitions: dict[str, CondensedNode] = {}
-    references: list[CondensedNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_reference:
-            references.append(node)
-        elif node.variable is not None:
-            definitions[node.variable] = node
-        stack.extend(node.children)
+    # neither pass absorbs a referenced definition, so each is still in place
     for ref in references:
         definition = definitions[ref.variable]
         ref.concept_text = definition.concept_text

@@ -27,6 +27,7 @@ from amr2qa.corpus import (
 from amr2qa.pipeline import (
     BatchScorer,
     RunConfig,
+    RunReport,
     _pair_blocks,
     process_sentence,
     run_generate,
@@ -366,21 +367,22 @@ def corrupt(block: str, kind: str, at: int) -> str:
 SMALL_AMR, SMALL_CONLLU = synth_corpus.generate(20, seed=11)
 
 
-def run_lines(directory: Path, amr_text: str):
-    """The report and dataset lines of a run on ``amr_text`` and the small
-    corpus's annotations."""
+def run_text(directory: Path, amr_text: str, conllu_text=SMALL_CONLLU):
+    """The report and dataset text of a run on ``amr_text`` and
+    ``conllu_text``, by default the small corpus's annotations."""
     amr, conllu = directory / "in.amr", directory / "in.conllu"
     amr.write_text(amr_text)
-    conllu.write_text(SMALL_CONLLU)
+    conllu.write_text(conllu_text)
     out = directory / "out.jsonl"
     report = run_generate(mini_config(out, amr_path=str(amr),
                                       conllu_path=str(conllu)))
-    return report, out.read_text().splitlines()
+    return report, out.read_text()
 
 
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
-    return run_lines(tmp_path_factory.mktemp("clean"), SMALL_AMR)
+    report, text = run_text(tmp_path_factory.mktemp("clean"), SMALL_AMR)
+    return report, text.splitlines()
 
 
 class TestBadSentence:
@@ -395,11 +397,42 @@ class TestBadSentence:
         blocks = SMALL_AMR.rstrip("\n").split("\n\n")
         bad_id = blocks[index].split("\n")[0].removeprefix("# ::id ")
         blocks[index] = corrupt(blocks[index], kind, at)
-        report, lines = run_lines(tmp_path_factory.mktemp("bad"),
-                                  "\n\n".join(blocks) + "\n")
+        report, text = run_text(tmp_path_factory.mktemp("bad"),
+                                "\n\n".join(blocks) + "\n")
         assert report.sentences_failed == clean_report.sentences_failed + 1
-        assert lines == [line for line in clean_lines
-                         if json.loads(line)["sentence_id"] != bad_id]
+        assert text.splitlines() == [
+            line for line in clean_lines
+            if json.loads(line)["sentence_id"] != bad_id]
+
+
+# every RunReport counter but the float wall time
+COUNTERS = [name for name, value in vars(RunReport).items()
+            if type(value) is int]
+
+
+class TestConcatenation:
+    @settings(max_examples=6, deadline=None)
+    @given(sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+    def test_two_corpora_run_together_concatenate(self, tmp_path_factory,
+                                                  sizes, seeds):
+        # each corpus's ids get their own prefix, so no id is shared
+        parts = []
+        for k, (n, seed) in enumerate(zip(sizes, seeds)):
+            amr, conllu = synth_corpus.generate(n, seed=seed)
+            parts.append((amr.replace("# ::id lp", f"# ::id c{k}lp"),
+                          conllu.replace("# sent_id = lp",
+                                         f"# sent_id = c{k}lp")))
+        (amr_a, conllu_a), (amr_b, conllu_b) = parts
+        runs = [run_text(tmp_path_factory.mktemp("cat"), amr, conllu)
+                for amr, conllu in [*parts, (amr_a + "\n" + amr_b,
+                                             conllu_a + "\n" + conllu_b)]]
+        (report_a, text_a), (report_b, text_b), (report, text) = runs
+        assert text == text_a + text_b
+        assert report.sentences_processed == sum(sizes)
+        assert {name: getattr(report, name) for name in COUNTERS} == {
+            name: getattr(report_a, name) + getattr(report_b, name)
+            for name in COUNTERS}
 
 
 def repeated_corpus(tmp_path, copies: int = 3) -> tuple[str, str]:

@@ -21,10 +21,8 @@ from amr2qa.preprocess import (
     DEFAULT_ENTITY_CONCEPTS,
     DEFAULT_IGNORED_RELATIONS,
     CondensedNode,
-    _condensed,
-    _referenced_variables,
+    _build,
     condense_entities,
-    drop_ignored,
     format_tree,
     merge_ops,
     preorder,
@@ -70,7 +68,7 @@ def random_golden_text():
 
 def as_graph(node: CondensedNode) -> AmrNode:
     """The parsed-graph form of a condensed tree that the passes ran on, the
-    inverse of ``_condensed``: a node that absorbed others has its text as
+    inverse of ``_build``: a node that absorbed others has its text as
     its concept, and a reference has no concept."""
     if len(node.source_concepts) == 1:
         concept = node.source_concepts[0]
@@ -83,25 +81,27 @@ def as_graph(node: CondensedNode) -> AmrNode:
                     for child in node.children], node.is_reference)
 
 
+def built(graph):
+    """``_build``'s tree for ``graph`` and the variables it references."""
+    root, _, references = _build(graph)
+    return root, frozenset(ref.variable for ref in references)
+
+
 def run_passes(graph):
-    """A new graph: all three passes run on ``graph``'s condensed tree."""
-    root = _condensed(graph.root, None)
-    drop_ignored(root)
-    referenced = _referenced_variables(root)
+    """A new graph: all the passes run on ``graph``'s condensed tree."""
+    root, referenced = built(graph)
     condense_entities(root, referenced)
     merge_ops(root, referenced)
     return AmrGraph(as_graph(root))
 
 
 def dropped(text):
-    root = _condensed(parse_penman(text).root, None)
-    drop_ignored(root)
-    return AmrGraph(as_graph(root))
+    return AmrGraph(as_graph(_build(parse_penman(text))[0]))
 
 
 def condensed_tree(text):
-    root = _condensed(parse_penman(text).root, None)
-    condense_entities(root, _referenced_variables(root))
+    root, referenced = built(parse_penman(text))
+    condense_entities(root, referenced)
     return root
 
 
@@ -110,8 +110,8 @@ def condensed(text):
 
 
 def merged_tree(text):
-    root = _condensed(parse_penman(text).root, None)
-    merge_ops(root, _referenced_variables(root))
+    root, referenced = built(parse_penman(text))
+    merge_ops(root, referenced)
     return root
 
 
@@ -181,6 +181,17 @@ class TestDropIgnored:
         (_, inner), = second.children
         assert (inner.variable, inner.is_reentrant_ref) == ("v", True)
         assert inner.concept is None and inner.children == []
+
+    def test_placed_subtree_claims_its_definitions_when_placed(self):
+        # the promoted subtree of a owns b's definition under :ARG2, so the
+        # :ARG1 reference reached first stays a reference
+        g = dropped("(r / root-01 :ARG0 a :mode (a / alpha :ARG1 b"
+                    " :ARG2 (b / beta)))")
+        (_, alpha), = g.root.children
+        kinds = [(rel.name, child.variable, child.is_reentrant_ref)
+                 for rel, child in alpha.children]
+        assert kinds == [("ARG1", "b", True), ("ARG2", "b", False)]
+        assert defined(g)["b"].concept.label == "beta"
 
     def test_reference_inside_dropped_subtree_vanishes(self):
         g = dropped("(s / see-01 :ARG0 (i / i) :wiki (t / thing :poss i))")
@@ -435,8 +446,7 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     def test_one_definition_per_variable_after_promotion(self, seed):
         graph = parse_penman(random_promotion_amr_text(random.Random(seed)))
-        root = _condensed(graph.root, None)
-        drop_ignored(root)
+        root, definitions, references = _build(graph)
         positions, seen = [], set()
         stack = [root]
         while stack:
@@ -447,6 +457,11 @@ class TestInvariants:
             stack.extend(node.children)
         children_lists = {id(node.children) for node in positions}
         assert len(children_lists) == len(positions)
+        assert sorted(id(node) for node in references) == \
+            sorted(id(node) for node in positions if node.is_reference)
+        assert {var: id(node) for var, node in definitions.items()} == \
+            {node.variable: id(node) for node in positions
+             if node.variable is not None and not node.is_reference}
         _assert_one_definition_each(
             (node.variable, node.is_reference) for node in positions)
         tree = preprocess(graph)
