@@ -33,12 +33,12 @@ from .corpus import (
     stats_display,
 )
 from .penman import PenmanError, parse_penman, serialize_penman
-from .pipeline import RunConfig, run_generate
+from .pipeline import PAIRINGS, RunConfig, run_generate
 from .preprocess import format_tree, preorder, preprocess
-from .templates import TemplateError
+from .scorer import SCORERS
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or bad configuration; maps to exit code 1."""
 
 
@@ -49,8 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_CONFIG_KEYS = ("amr", "conllu", "templates", "mapping", "out",
-                "scorer", "scorer_url", "pair", "workers")
+# config-file key (the flag's dest) -> RunConfig field
+_FIELDS = {"amr": "amr_path", "conllu": "conllu_path", "out": "output_path",
+           "templates": "template_path", "mapping": "mapping_path",
+           "scorer": "scorer", "scorer_url": "scorer_url", "pair": "pairing",
+           "workers": "workers"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mapping", help="role mapping file "
                                        "(default: bundled pack)")
     gen.add_argument("--out", help="output JSONL dataset path")
-    gen.add_argument("--scorer", choices=("baseline", "remote"),
+    gen.add_argument("--scorer", choices=tuple(SCORERS),
                      help="question scorer (default baseline)")
     gen.add_argument("--scorer-url", dest="scorer_url",
                      help="endpoint for --scorer remote")
-    gen.add_argument("--pair", choices=("by-order", "by-id"),
+    gen.add_argument("--pair", choices=tuple(PAIRINGS),
                      help="how graphs match annotations (default by-order)")
     gen.add_argument("--workers", type=int,
                      help="concurrent requests to the remote scorer; no "
@@ -102,14 +105,12 @@ def _load_config_file(path: str) -> dict:
             raise UsageError(f"config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
         raise UsageError(f"config {path}: unknown keys {', '.join(unknown)}")
     for key, value in data.items():
-        # type(), not isinstance(): true is not a worker count
-        if key == "workers" and type(value) is not int:
-            raise UsageError(f"config {path}: workers must be an integer, "
-                             f"got {value!r}")
+        # every flag but --workers gives a string; run_generate checks
+        # workers
         if key != "workers" and not isinstance(value, str):
             raise UsageError(f"config {path}: {key} must be a string, "
                              f"got {value!r}")
@@ -117,39 +118,22 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, flags, and environment into a RunConfig."""
-    merged: dict = {"amr": None, "conllu": None, "out": None,
-                    "templates": None, "mapping": None, "scorer": "baseline",
-                    "scorer_url": None, "pair": "by-order", "workers": 1}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    """Merge config file, flags, and environment into a RunConfig. A
+    setting none of them gives keeps RunConfig's default; run_generate
+    checks the values."""
+    settings = _load_config_file(args.config) if args.config else {}
+    for key in _FIELDS:
+        value = getattr(args, key)
         if value is not None:
-            merged[key] = value
+            settings[key] = value
     env_url = os.environ.get("ASQ_SCORER_URL")
     if env_url:
-        merged["scorer_url"] = env_url
-
+        settings["scorer_url"] = env_url
     for key in ("amr", "conllu", "out"):
-        if not merged[key]:
+        if not settings.get(key):
             raise UsageError(f"--{key} is required")
-    if merged["scorer"] not in ("baseline", "remote"):
-        raise UsageError(f"unknown scorer {merged['scorer']!r}")
-    if merged["pair"] not in ("by-order", "by-id"):
-        raise UsageError(f"unknown pairing strategy {merged['pair']!r}")
-    workers = merged["workers"]
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
-    if merged["scorer"] == "remote" and not merged["scorer_url"]:
-        raise UsageError("--scorer remote requires a scorer URL")
-
-    return RunConfig(amr_path=merged["amr"], conllu_path=merged["conllu"],
-                     output_path=merged["out"],
-                     template_path=merged["templates"],
-                     mapping_path=merged["mapping"], scorer=merged["scorer"],
-                     scorer_url=merged["scorer_url"], pairing=merged["pair"],
-                     workers=workers)
+    return RunConfig(**{_FIELDS[key]: value
+                        for key, value in settings.items()})
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -211,15 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_inspect(args)
     except SystemExit as exc:      # argparse --help
         return exc.code if isinstance(exc.code, int) else 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ZeroSentences as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TemplateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, UnicodeDecodeError, ConlluError, CorpusError,
             PenmanError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,7 +131,7 @@ class BatchScorer:
     the first failure ends the batch.
     """
 
-    def __init__(self, scorer, workers: int = 1):
+    def __init__(self, scorer, workers: int):
         self._scorer = scorer
         self._workers = workers
         self._pool = None
@@ -264,24 +264,6 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
     return result
 
 
-def _pair_blocks(blocks: Iterable[RawBlock], annotations, strategy):
-    """(block, annotation-or-None) work items, drawn as they are consumed.
-    A missing by-id annotation becomes a per-sentence failure downstream;
-    count and uniqueness problems abort because silent misalignment would
-    corrupt every pair."""
-    if strategy == "by-order":
-        return _lockstep(blocks, annotations)
-    if strategy == "by-id":
-        index = {}
-        for ann in list(annotations):   # any ConlluError before this one
-            if ann.sentence_id in index:
-                raise UnresolvedId(
-                    f"annotation id {ann.sentence_id!r} is not unique")
-            index[ann.sentence_id] = ann
-        return ((raw, index.get(raw.label)) for raw in blocks)
-    raise ValueError(f"unknown pairing strategy {strategy!r}")
-
-
 def _lockstep(blocks: Iterable[RawBlock], annotations) -> Iterator[tuple]:
     """by-order pairs. The side that is left over is counted to its end
     for the CountMismatch message; counting annotations reads them all, so
@@ -295,17 +277,44 @@ def _lockstep(blocks: Iterable[RawBlock], annotations) -> Iterator[tuple]:
         yield raw, ann
 
 
-def run_generate(config: RunConfig) -> RunReport:
-    started = time.perf_counter()
-    if config.workers < 1:
-        raise ValueError("worker count must be >= 1")
+def _by_id(blocks: Iterable[RawBlock], annotations):
+    """by-id pairs. A block no annotation id matches gets None, a
+    per-sentence failure downstream. The annotations are indexed before
+    the first pair is drawn; a repeated id aborts the run, since it would
+    pair a sentence with the wrong annotation."""
+    index = {}
+    for ann in list(annotations):   # any ConlluError before this one
+        if ann.sentence_id in index:
+            raise UnresolvedId(
+                f"annotation id {ann.sentence_id!r} is not unique")
+        index[ann.sentence_id] = ann
+    return ((raw, index.get(raw.label)) for raw in blocks)
 
-    store = load_store(config.template_path or bundled_template_path(),
-                       config.mapping_path or bundled_mapping_path())
-    # threads overlap only requests that wait on the network
+
+# --pair value -> (blocks, annotations) -> (block, annotation-or-None)
+# work items, drawn as they are consumed
+PAIRINGS = {"by-order": _lockstep, "by-id": _by_id}
+
+
+def run_generate(config: RunConfig) -> RunReport:
+    """Checks the settings, then runs. An unknown pairing or scorer, a
+    worker count that is not an int of at least 1, or a missing or
+    malformed scorer URL raises ValueError before any input file is
+    read."""
+    started = time.perf_counter()
+    pair_up = PAIRINGS.get(config.pairing)
+    if pair_up is None:
+        raise ValueError(f"unknown pairing strategy {config.pairing!r}")
+    # type(), not isinstance(): True is not a worker count
+    if type(config.workers) is not int or config.workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, "
+                         f"got {config.workers!r}")
+    # only a remote scorer's requests reach BatchScorer's threads
     scorer = BatchScorer(make_scorer(config.scorer, config.scorer_url,
                                      timeout=config.scorer_timeout),
-                         config.workers if config.scorer == "remote" else 1)
+                         config.workers)
+    store = load_store(config.template_path or bundled_template_path(),
+                       config.mapping_path or bundled_mapping_path())
     report = RunReport()
 
     def sentences(tasks) -> Iterator[QaPair]:
@@ -334,8 +343,7 @@ def run_generate(config: RunConfig) -> RunReport:
         if first is None:
             raise ZeroSentences("no sentences in the AMR corpus")
         with open(config.conllu_path, encoding="utf-8") as conllu:
-            tasks = _pair_blocks(chain([first], blocks), iter_conllu(conllu),
-                                 config.pairing)
+            tasks = pair_up(chain([first], blocks), iter_conllu(conllu))
             write_dataset(sentences(tasks), config.output_path)
 
     report.scorer_fallbacks = scorer.fallbacks

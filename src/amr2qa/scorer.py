@@ -238,14 +238,23 @@ def _read_reply(reply) -> bytes:
     return body
 
 
-def make_scorer(kind: str = "baseline", url: str | None = None,
-                timeout: float = 5.0):
-    """Scorer factory used by the pipeline and CLI. The pipeline, not the
-    scorer, falls back to the bundled baseline when a remote request fails."""
-    if kind == "baseline":
-        return BaselineScorer.bundled()
-    if kind == "remote":
-        if not url:
-            raise ValueError("remote scorer requires a URL")
-        return RemoteScorer(url, timeout=timeout)
-    raise ValueError(f"unknown scorer kind {kind!r}")
+def _remote(url: str | None, timeout: float) -> RemoteScorer:
+    if not url:
+        raise ValueError("remote scorer requires a scorer URL")
+    return RemoteScorer(url, timeout=timeout)
+
+
+# --scorer value -> factory(url, timeout)
+SCORERS = {"baseline": lambda url, timeout: BaselineScorer.bundled(),
+           "remote": _remote}
+
+
+def make_scorer(kind: str, url: str | None = None, timeout: float = 5.0):
+    """Scorer factory used by the pipeline. An unknown kind, or a remote
+    scorer without an http(s) URL, raises ValueError. The pipeline, not
+    the scorer, falls back to the bundled baseline when a remote request
+    fails."""
+    factory = SCORERS.get(kind)
+    if factory is None:
+        raise ValueError(f"unknown scorer {kind!r}")
+    return factory(url, timeout)

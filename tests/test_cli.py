@@ -18,6 +18,7 @@ import amr2qa
 from amr2qa.cli import main
 from amr2qa.corpus import split_blocks
 from amr2qa.penman import parse_penman, serialize_penman
+from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -271,6 +272,59 @@ class TestConfigFile:
     def test_config_file_missing(self, tmp_path, capsys):
         rc = main(["generate", "--config", str(tmp_path / "gone.json")])
         assert rc == 2
+
+
+# Settings errors, as config-file keys. Each is refused before any input
+# file is read, whichever door it comes through.
+BAD_SETTINGS = {
+    "unknown-pairing": {"pair": "by-vibes"},
+    "unknown-scorer": {"scorer": "oracle"},
+    "remote-without-url": {"scorer": "remote"},
+    "ftp-url": {"scorer": "remote", "scorer_url": "ftp://x/score"},
+    "zero-workers": {"workers": 0},
+    "bool-workers": {"workers": True},   # no flag can say this one
+}
+
+
+class TestSettingsCheckedFirst:
+    @pytest.fixture(params=["missing", "empty"])
+    def amr(self, request, tmp_path):
+        path = tmp_path / "in.amr"
+        if request.param == "empty":
+            path.write_text("")
+        return str(path)
+
+    @pytest.mark.parametrize("name, door", [
+        (name, door) for name, bad in BAD_SETTINGS.items()
+        for door in ("flags", "config", "library")
+        if door != "flags" or True not in bad.values()])
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys, amr,
+                                              name, door):
+        bad = BAD_SETTINGS[name]
+        out = tmp_path / "o.jsonl"
+        if door == "library":
+            config = RunConfig(amr_path=amr, conllu_path=MINI_CONLLU,
+                               output_path=str(out),
+                               **{"pairing" if key == "pair" else key: value
+                                  for key, value in bad.items()})
+            with pytest.raises(ValueError) as caught:
+                run_generate(config)
+            # not ZeroSentences, which is a ValueError too
+            assert caught.type is ValueError
+        else:
+            paths = {"amr": amr, "conllu": MINI_CONLLU, "out": str(out)}
+            if door == "flags":
+                argv = ["generate"] + [
+                    arg for key, value in {**paths, **bad}.items()
+                    for arg in ("--" + key.replace("_", "-"), str(value))]
+            else:
+                cfg = tmp_path / "run.json"
+                cfg.write_text(json.dumps({**paths, **bad}))
+                argv = ["generate", "--config", str(cfg)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "o.jsonl.tmp").exists()
 
 
 class _ScorerHandler(BaseHTTPRequestHandler):

@@ -31,7 +31,7 @@ from amr2qa.corpus import (
     stats_display,
     write_dataset,
 )
-from amr2qa.pipeline import RunConfig, _pair_blocks, run_generate
+from amr2qa.pipeline import PAIRINGS, RunConfig, run_generate
 
 from helpers import FIXTURES, load_penman_corpus
 
@@ -134,26 +134,26 @@ class TestPairAnnotations:
 
     def test_by_order(self):
         blocks, annotations = mini_pairs()
-        paired = list(_pair_blocks(blocks, annotations, "by-order"))
+        paired = list(PAIRINGS["by-order"](blocks, annotations))
         assert [(b.id, a.sentence_id) for b, a in paired] == [
             ("s1", "s1"), ("s2", "s2"), ("s3", "s3")]
 
     def test_by_order_count_mismatch(self):
         blocks, annotations = mini_pairs()
         with pytest.raises(CountMismatch):
-            list(_pair_blocks(blocks, annotations[:2], "by-order"))
+            list(PAIRINGS["by-order"](blocks, annotations[:2]))
 
     def test_by_id_handles_reordering(self):
         blocks, annotations = mini_pairs()
         shuffled = [annotations[2], annotations[0], annotations[1]]
-        paired = list(_pair_blocks(blocks, shuffled, "by-id"))
+        paired = list(PAIRINGS["by-id"](blocks, shuffled))
         assert all(b.id == a.sentence_id for b, a in paired)
         assert [b.id for b, _ in paired] == ["s1", "s2", "s3"]
 
     def test_by_id_unresolved(self, tmp_path, caplog):
         # an unresolved id fails that sentence alone, named in the log
         blocks, annotations = mini_pairs()
-        paired = list(_pair_blocks(blocks, annotations[:2], "by-id"))
+        paired = list(PAIRINGS["by-id"](blocks, annotations[:2]))
         assert [(b.id, a is None) for b, a in paired] == [
             ("s1", False), ("s2", False), ("s3", True)]
         conllu = write(tmp_path, "two.conllu", "\n\n".join(
@@ -167,11 +167,13 @@ class TestPairAnnotations:
     def test_by_id_duplicate_annotation_ids(self):
         blocks, annotations = mini_pairs()
         with pytest.raises(UnresolvedId):
-            list(_pair_blocks(blocks, annotations + [annotations[0]], "by-id"))
+            list(PAIRINGS["by-id"](blocks, annotations + [annotations[0]]))
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            _pair_blocks([], [], "by-vibes")
+    def test_unknown_strategy(self, tmp_path):
+        with pytest.raises(ValueError, match="by-vibes"):
+            run_generate(RunConfig(
+                amr_path=str(MINI_AMR), conllu_path=str(MINI_CONLLU),
+                output_path=str(tmp_path / "out.jsonl"), pairing="by-vibes"))
 
 
 def whole_text_split_blocks(text):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import threading
 import time
 import tracemalloc
@@ -26,9 +27,9 @@ from amr2qa.corpus import (
 )
 from amr2qa.pipeline import (
     BatchScorer,
+    PAIRINGS,
     RunConfig,
     RunReport,
-    _pair_blocks,
     process_sentence,
     run_generate,
 )
@@ -66,7 +67,7 @@ def baseline():
 
 @pytest.fixture
 def batch(baseline):
-    return BatchScorer(baseline)
+    return BatchScorer(baseline, workers=1)
 
 
 def entry_for(amr_text: str, position: int = 1):
@@ -160,33 +161,34 @@ class TestPairBlocks:
         return parse_conllu(Path(MINI_CONLLU).read_text())
 
     def test_by_order_zips(self):
-        tasks = _pair_blocks(self.blocks(), self.anns(), "by-order")
+        tasks = PAIRINGS["by-order"](self.blocks(), self.anns())
         assert [(raw.id, ann.sentence_id) for raw, ann in tasks] == [
             ("s1", "s1"), ("s2", "s2"), ("s3", "s3")]
 
     def test_by_order_count_mismatch(self):
         with pytest.raises(CountMismatch):
-            list(_pair_blocks(self.blocks(), self.anns()[:2], "by-order"))
+            list(PAIRINGS["by-order"](self.blocks(), self.anns()[:2]))
 
     def test_by_id_reorders(self):
         anns = self.anns()
-        tasks = _pair_blocks(self.blocks(), list(reversed(anns)), "by-id")
+        tasks = PAIRINGS["by-id"](self.blocks(), list(reversed(anns)))
         assert [(raw.id, ann.sentence_id) for raw, ann in tasks] == [
             ("s1", "s1"), ("s2", "s2"), ("s3", "s3")]
 
     def test_by_id_missing_annotation_yields_none(self):
-        tasks = list(_pair_blocks(self.blocks(), self.anns()[:2], "by-id"))
+        tasks = list(PAIRINGS["by-id"](self.blocks(), self.anns()[:2]))
         assert tasks[2][1] is None
         assert tasks[0][1] is not None
 
     def test_by_id_duplicate_annotation_ids(self):
         anns = self.anns()
         with pytest.raises(UnresolvedId):
-            _pair_blocks(self.blocks(), [anns[0], anns[0]], "by-id")
+            PAIRINGS["by-id"](self.blocks(), [anns[0], anns[0]])
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            _pair_blocks(self.blocks(), self.anns(), "by-balloon")
+    def test_unknown_strategy(self, tmp_path):
+        with pytest.raises(ValueError, match="by-balloon"):
+            run_generate(mini_config(tmp_path / "o.jsonl",
+                                     pairing="by-balloon"))
 
 
 class TestRunGenerate:
@@ -367,15 +369,17 @@ def corrupt(block: str, kind: str, at: int) -> str:
 SMALL_AMR, SMALL_CONLLU = synth_corpus.generate(20, seed=11)
 
 
-def run_text(directory: Path, amr_text: str, conllu_text=SMALL_CONLLU):
+def run_text(directory: Path, amr_text: str, conllu_text=SMALL_CONLLU,
+             **settings):
     """The report and dataset text of a run on ``amr_text`` and
-    ``conllu_text``, by default the small corpus's annotations."""
+    ``conllu_text``, by default the small corpus's annotations, with
+    ``settings`` as RunConfig fields."""
     amr, conllu = directory / "in.amr", directory / "in.conllu"
     amr.write_text(amr_text)
     conllu.write_text(conllu_text)
     out = directory / "out.jsonl"
     report = run_generate(mini_config(out, amr_path=str(amr),
-                                      conllu_path=str(conllu)))
+                                      conllu_path=str(conllu), **settings))
     return report, out.read_text()
 
 
@@ -433,6 +437,63 @@ class TestConcatenation:
         assert {name: getattr(report, name) for name in COUNTERS} == {
             name: getattr(report_a, name) + getattr(report_b, name)
             for name in COUNTERS}
+
+
+class TestPairing:
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_by_id_over_a_permutation_equals_by_order(
+            self, clean_run, tmp_path_factory, seed):
+        _, clean_lines = clean_run
+        blocks = SMALL_CONLLU.rstrip("\n").split("\n\n")
+        random.Random(seed).shuffle(blocks)
+        _, text = run_text(tmp_path_factory.mktemp("perm"), SMALL_AMR,
+                           "\n\n".join(blocks) + "\n", pairing="by-id")
+        assert text == "".join(line + "\n" for line in clean_lines)
+
+
+def lines_by_sentence(lines) -> dict[str, list[str]]:
+    grouped: dict[str, list[str]] = {}
+    for line in lines:
+        grouped.setdefault(json.loads(line)["sentence_id"], []).append(line)
+    return grouped
+
+
+@pytest.fixture(scope="module")
+def remote_run(tmp_path_factory):
+    """Every text the small corpus asks a remote scorer for, and a healthy
+    remote run's lines by sentence."""
+    with MockLM() as lm:
+        _, text = run_text(tmp_path_factory.mktemp("remote"), SMALL_AMR,
+                           scorer="remote", scorer_url=lm.url)
+    return sorted(lm.requests), lines_by_sentence(text.splitlines())
+
+
+class TestRandomRemoteFailures:
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10**6), failing=st.integers(1, 12))
+    def test_each_sentence_stays_on_one_scale(
+            self, clean_run, remote_run, tmp_path_factory, seed, failing):
+        # the mock scores below the baseline, so a sentence that mixed the
+        # two scales, or fell back only in part, would select otherwise
+        texts, healthy = remote_run
+        baseline = lines_by_sentence(clean_run[1])
+        fail_on = random.Random(seed).sample(texts, failing)
+        outputs = []
+        for workers in (1, 4):
+            with MockLM(fail_on=fail_on) as lm:
+                report, text = run_text(
+                    tmp_path_factory.mktemp("fail"), SMALL_AMR,
+                    scorer="remote", scorer_url=lm.url, workers=workers)
+            assert report.scorer_fallbacks > 0
+            outputs.append(text)
+            for sentence, lines in lines_by_sentence(
+                    text.splitlines()).items():
+                [scorer_id] = {json.loads(line)["scorer_id"]
+                               for line in lines}
+                expected = baseline if scorer_id == "baseline" else healthy
+                assert lines == expected[sentence]
+        assert outputs[0] == outputs[1]
 
 
 def repeated_corpus(tmp_path, copies: int = 3) -> tuple[str, str]:
@@ -532,7 +593,7 @@ class TestScoreMemo:
 
     def test_text_repeated_within_a_batch_is_no_memo_hit(self):
         primary = FailsOnceOn(())
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         assert scorer.score_all(["a ?", "a ?", "b ?"])[0] == "remote"
         assert scorer.hits == 0
         scorer.score_all(["a ?", "a ?", "c ?"])
@@ -540,7 +601,7 @@ class TestScoreMemo:
         assert primary.texts == {"a ?": 1, "b ?": 1, "c ?": 1}
 
     def test_baseline_keeps_no_memo(self, baseline):
-        scorer = BatchScorer(baseline)
+        scorer = BatchScorer(baseline, workers=1)
         texts = [f"What is item{i} ?" for i in range(5000)]
         for text in texts:
             scorer.score_all([text])
@@ -579,7 +640,7 @@ class TestScoreMemo:
 
     def test_memo_holds_at_most_capacity(self, baseline):
         counting = CountingScorer(baseline)
-        memo = BatchScorer(counting)
+        memo = BatchScorer(counting, workers=1)
         texts = [f"What is item{i} ?" for i in range(pipeline.MEMO_CAPACITY
                                                     + 100)]
         for text in texts:
@@ -602,8 +663,9 @@ class TestScoreMemo:
         pairs = []
         blocks = split_blocks(Path(amr).read_text())
         for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
+            batch = BatchScorer(baseline, workers=1)
             pairs.extend(process_sentence(parse_block(raw), ann, store,
-                                          BatchScorer(baseline)).pairs)
+                                          batch).pairs)
         plain = tmp_path / "plain.jsonl"
         write_dataset(pairs, str(plain))
         assert memoized.read_bytes() == plain.read_bytes()
@@ -672,7 +734,7 @@ class TestBatchScorer:
     def test_failed_batch_is_all_baseline_and_stores_nothing(self,
                                                             baseline):
         primary = FailsOnceOn({"b ?"})
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         assert scorer.score_all(["a ?"])[0] == "remote"
         # "a ?" is in the memo, but the batch fails on "b ?"
         failed = scorer.score_all(["a ?", "b ?", "a ?"])
@@ -697,7 +759,7 @@ class TestBatchScorer:
 
         monkeypatch.setattr(BaselineScorer, "score", counted)
         scorer = BatchScorer(BaselineScorer.bundled() if direct
-                             else FailsOnceOn({"a ?"}))
+                             else FailsOnceOn({"a ?"}), workers=1)
         scorer_id, scores = scorer.score_all(["a ?"] * 3)
         assert (scorer_id, list(scores)) == ("baseline", ["a ?"])
         assert calls == {"a ?": 1}

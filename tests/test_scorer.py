@@ -502,20 +502,21 @@ class TestBatchFallback:
         return [scorer.score_all([next(self.texts)]) for _ in range(count)]
 
     def test_primary_used_when_healthy(self):
-        scorer = BatchScorer(_StubScorer(value=-2.0, scorer_id="remote"))
+        scorer = BatchScorer(_StubScorer(value=-2.0, scorer_id="remote"),
+                             workers=1)
         scorer_id, scores = self.batches(scorer, 1)[0]
         assert (scorer_id, *scores.values()) == ("remote", -2.0)
         assert scorer.fallbacks == 0
 
     def test_failure_falls_back_and_is_recorded(self):
-        scorer = BatchScorer(_StubScorer(fail=True))
+        scorer = BatchScorer(_StubScorer(fail=True), workers=1)
         scorer_id, scores = self.batches(scorer, 1)[0]
         assert (scorer_id, len(scores)) == ("baseline", 1)
         assert scorer.fallbacks == 1
 
     def test_circuit_opens_after_consecutive_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         self.batches(scorer, 10)
         assert scorer.circuit_open
         assert primary.calls == 3
@@ -523,7 +524,7 @@ class TestBatchFallback:
 
     def test_circuit_closed_until_max_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         self.batches(scorer, MAX_FAILURES - 1)
         assert not scorer.circuit_open
         self.batches(scorer, 1)
@@ -532,7 +533,7 @@ class TestBatchFallback:
 
     def test_success_resets_failure_streak(self):
         primary = _StubScorer(scorer_id="remote")
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         for _ in range(2):
             for fail in (True, False, True):
                 primary.fail = fail
@@ -542,7 +543,7 @@ class TestBatchFallback:
 
     def test_failed_request_ends_the_batch(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary)
+        scorer = BatchScorer(primary, workers=1)
         scorer_id, _ = scorer.score_all(["What ?", "Who ?", "What ?"])
         assert primary.calls == 1
         assert scorer_id == "baseline"
@@ -561,7 +562,8 @@ class TestMakeScorer:
     def test_scorer_id_matches_its_own_scores(self, mock_server):
         for scorer in (make_scorer("baseline"),
                        make_scorer("remote", url=mock_server)):
-            scorer_id, _ = BatchScorer(scorer).score_all(["What ?"])
+            batch = BatchScorer(scorer, workers=1)
+            scorer_id, _ = batch.score_all(["What ?"])
             assert scorer_id == scorer.scorer_id
 
     def test_remote_requires_url(self):
