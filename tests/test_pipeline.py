@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior on small corpora."""
 
 import gc
+import hashlib
 import json
 import random
 import threading
@@ -494,6 +495,53 @@ class TestRandomRemoteFailures:
                 expected = baseline if scorer_id == "baseline" else healthy
                 assert lines == expected[sentence]
         assert outputs[0] == outputs[1]
+
+
+PIPELINE_GOLDEN = FIXTURES.parent / "pipeline_runs.golden"
+
+
+def shuffled(conllu_text: str, seed: int) -> str:
+    blocks = conllu_text.rstrip("\n").split("\n\n")
+    random.Random(seed).shuffle(blocks)
+    return "\n\n".join(blocks) + "\n"
+
+
+def whole_run_lines(tmp_path_factory) -> list[str]:
+    """One line per pinned run: its corpus and settings, the dataset's
+    sha256 and every RunReport counter. The runs are the synth corpus at
+    three seeds, by-id pairing over a shuffled CoNLL-U file, and a remote
+    scorer on MockLM with four workers, healthy and with three of the
+    texts it was asked for failing."""
+    lines = []
+
+    def run(label, amr_text, conllu_text, **settings):
+        directory = tmp_path_factory.mktemp("golden")
+        report, _ = run_text(directory, amr_text, conllu_text, **settings)
+        digest = hashlib.sha256(
+            (directory / "out.jsonl").read_bytes()).hexdigest()
+        lines.append(" ".join([label, f"sha256={digest}"] + [
+            f"{name}={getattr(report, name)}" for name in COUNTERS]))
+
+    for seed in (1, 2, 3):
+        run(f"synth n=300 seed={seed} by-order baseline workers=1",
+            *synth_corpus.generate(300, seed=seed))
+    amr, conllu = synth_corpus.generate(300, seed=4)
+    run("synth n=300 seed=4 by-id-shuffled baseline workers=1",
+        amr, shuffled(conllu, 4), pairing="by-id")
+    amr, conllu = synth_corpus.generate(300, seed=5)
+    with MockLM() as lm:
+        run("synth n=300 seed=5 by-order remote workers=4", amr, conllu,
+            scorer="remote", scorer_url=lm.url, workers=4)
+    with MockLM(fail_on=sorted(lm.requests)[::60]) as lm:
+        run("synth n=300 seed=5 by-order remote-failing workers=4", amr,
+            conllu, scorer="remote", scorer_url=lm.url, workers=4)
+    return lines
+
+
+class TestWholeRunGolden:
+    def test_runs_match_golden(self, tmp_path_factory):
+        golden = PIPELINE_GOLDEN.read_text(encoding="ascii").splitlines()
+        assert whole_run_lines(tmp_path_factory) == golden
 
 
 def repeated_corpus(tmp_path, copies: int = 3) -> tuple[str, str]:

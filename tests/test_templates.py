@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from amr2qa.penman import Concept
+from amr2qa.penman import CORE_RELATIONS, Concept
 from amr2qa.preprocess import DEFAULT_IGNORED_RELATIONS
 from amr2qa.templates import (
+    TENSES,
+    UPOS_TAGS,
     BlankIndexGap,
     DuplicateId,
     IncompleteMapping,
@@ -16,6 +19,7 @@ from amr2qa.templates import (
     RoleMapping,
     TemplateError,
     UnknownPosTag,
+    bundled_mapping_path,
     bundled_template_path,
     load_mapping,
     load_store,
@@ -35,6 +39,47 @@ def write(tmp_path, name, text):
 
 MINIMAL_MAPPING = "*|*|ARG0|Agent\n"
 MINIMAL_TEMPLATES = "core|Agent|past|Who {0} ?|VERB\n"
+SELECT_GOLDEN = Path(__file__).parent / "fixtures" / "select_templates.golden"
+
+
+def resource_rows(path) -> list[list[str]]:
+    """The stripped ``|``-separated fields of each record of a bundled
+    resource file, comments and blank lines left out."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            rows.append([c.strip() for c in line.split("|")])
+    return rows
+
+
+def selection_lines() -> list[str]:
+    """One line per non-empty ``select_templates`` result on the bundled
+    pack, for every tense and UPOS tag: relation, predicate (``-`` for
+    none), tense, UPOS and the template ids. The edges are every mapping
+    entry; each ARGn with no predicate, an unlisted one, a senseless one
+    and a sense the mapping does not list; and every non-core key with and
+    without a predicate."""
+    store = default_store()
+    edges = [(relation, f"{lemma}-{sense}") for lemma, sense, relation, _
+             in resource_rows(bundled_mapping_path()) if lemma != "*"]
+    edges += [(relation, label) for relation in sorted(CORE_RELATIONS)
+              for label in (None, "jettison-01", "dog", "make-02")]
+    noncore = dict.fromkeys(key for kind, key, *_ in
+                            resource_rows(bundled_template_path())
+                            if kind == "noncore")
+    edges += [(relation, label) for relation in noncore
+              for label in (None, "make-01")]
+    lines = []
+    for relation, label in edges:
+        predicate = Concept.from_label(label) if label else None
+        for tense in TENSES:
+            for pos in sorted(UPOS_TAGS):
+                hits = select_templates(store, relation, predicate, tense, pos)
+                if hits:
+                    lines.append(" ".join([relation, label or "-", tense, pos,
+                                           *(t.id for t in hits)]))
+    return lines
 
 
 class TestLoadTemplates:
@@ -283,6 +328,18 @@ class TestSelect:
             "Who {0} ?", "What {0} ?", "Who was {0} ?", "What was {0} ?",
             "Who were {0} ?", "What were {0} ?"]
 
+    def test_noncore_record_named_like_a_core_relation_is_not_core(
+            self, tmp_path):
+        templates = write(tmp_path, "t.txt", MINIMAL_TEMPLATES
+                          + "noncore|ARG0|past|What {0} ?|VERB\n")
+        store = load_store(templates, write(tmp_path, "m.txt", MINIMAL_MAPPING))
+        hits = select_templates(store, "ARG0", None, "past", "VERB")
+        assert [t.pattern for t in hits] == ["Who {0} ?"]
+
+    def test_bundled_selection_matches_golden(self):
+        golden = SELECT_GOLDEN.read_text(encoding="ascii").splitlines()
+        assert selection_lines() == golden
+
     def test_degree_accepts_adjective_and_adverb(self):
         for pos in ("ADJ", "ADV"):
             hits = select_templates(self.store, "degree", None, "present", pos)
@@ -315,13 +372,9 @@ class TestBundledPack:
 
     def test_ids_are_the_sha1_of_the_joined_fields(self):
         expected = []
-        text = bundled_template_path().read_text(encoding="utf-8")
-        for line in text.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                fields = [c.strip() for c in line.split("|")]
-                digest = hashlib.sha1("|".join(fields).encode()).hexdigest()[:8]
-                expected.append(f"{fields[0]}:{fields[1]}:" + digest)
+        for fields in resource_rows(bundled_template_path()):
+            digest = hashlib.sha1("|".join(fields).encode()).hexdigest()[:8]
+            expected.append(f"{fields[0]}:{fields[1]}:" + digest)
         assert [t.id for t in self.store.templates] == expected
 
     def test_ids_are_the_same_without_the_built_in_sha1(self):
