@@ -61,7 +61,6 @@ class Token(NamedTuple):
     xpos: str
     feats: dict
     head: int
-    deprel: str
     space_after: bool = True
 
 
@@ -199,7 +198,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         tokens.append(Token(index=index, surface=columns[1], lemma=columns[2],
                             upos=columns[3], xpos=columns[4],
                             feats=_parse_feats(columns[5]), head=head,
-                            deprel=columns[7], space_after=space_after))
+                            space_after=space_after))
         token_lines.append(line_no)
     yield from flush()
 

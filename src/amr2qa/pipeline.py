@@ -297,14 +297,16 @@ PAIRINGS = {"by-order": _lockstep, "by-id": _by_id}
 
 
 def run_generate(config: RunConfig) -> RunReport:
-    """Checks the settings, then runs. An unknown pairing or scorer, a
-    worker count that is not an int of at least 1, or a missing or
+    """Checks the settings, then runs. An unknown or non-string pairing
+    or scorer, a worker count that is not an int of at least 1, a scorer
+    timeout that is not a finite number above 0, or a missing or
     malformed scorer URL raises ValueError before any input file is
     read."""
     started = time.perf_counter()
-    pair_up = PAIRINGS.get(config.pairing)
+    pairing = config.pairing
+    pair_up = PAIRINGS.get(pairing) if isinstance(pairing, str) else None
     if pair_up is None:
-        raise ValueError(f"unknown pairing strategy {config.pairing!r}")
+        raise ValueError(f"unknown pairing strategy {pairing!r}")
     # type(), not isinstance(): True is not a worker count
     if type(config.workers) is not int or config.workers < 1:
         raise ValueError(f"workers must be an integer >= 1, "

@@ -250,11 +250,17 @@ SCORERS = {"baseline": lambda url, timeout: BaselineScorer.bundled(),
 
 
 def make_scorer(kind: str, url: str | None = None, timeout: float = 5.0):
-    """Scorer factory used by the pipeline. An unknown kind, or a remote
-    scorer without an http(s) URL, raises ValueError. The pipeline, not
-    the scorer, falls back to the bundled baseline when a remote request
-    fails."""
-    factory = SCORERS.get(kind)
+    """Scorer factory used by the pipeline. An unknown or non-string kind,
+    a timeout that is not a number of seconds above 0 and below infinity,
+    or a remote scorer without an http(s) URL raises ValueError before any
+    file is read. The pipeline, not the scorer, falls back to the bundled
+    baseline when a remote request fails."""
+    factory = SCORERS.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ValueError(f"unknown scorer {kind!r}")
+    # a comparison, not math.isfinite: that overflows on a huge int
+    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf):
+        raise ValueError(f"scorer timeout must be a number of seconds "
+                         f"above 0 and finite, got {timeout!r}")
     return factory(url, timeout)

@@ -2,9 +2,10 @@
 
 Core roles (ARG0..ARG5) are predicate-dependent, so their templates are keyed
 by thematic role and reached through a (lemma, sense, ARGn) -> role mapping
-with per-relation fallbacks. Non-core templates are keyed by the relation
-name directly. Each template stores a tense tag and per-blank accepted POS
-tags; selection filters on both.
+with per-relation fallbacks. The mapping is resolved once, at load: each of
+its keys points straight at its role's templates. Non-core templates are
+keyed by the relation name directly. Each template stores a tense tag and
+per-blank accepted POS tags; selection filters on both.
 
 File formats (UTF-8, LF, ``#`` comments):
   templates: ``kind|key|tense|pattern|pos0[,pos1...]`` one record per line,
@@ -16,6 +17,7 @@ File formats (UTF-8, LF, ``#`` comments):
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,10 +65,6 @@ class BlankIndexGap(TemplateError):
     pass
 
 
-class NoMappingAndNoFallback(TemplateError):
-    pass
-
-
 class IncompleteMapping(TemplateError):
     """A mapping names a thematic role that has no core template."""
 
@@ -92,28 +90,35 @@ class Template(NamedTuple):
         return self.tense == "any" or tense == "any" or self.tense == tense
 
 
-class RoleMapping:
-    """(lemma, sense, ARGn) -> thematic role, with per-ARGn fallbacks."""
-
-    def __init__(self):
-        self.entries: dict[tuple[str, str, str], str] = {}
-        self.fallback: dict[str, str] = {}
-
-    def roles_used(self) -> set[str]:
-        return set(self.entries.values()) | set(self.fallback.values())
+# a mapping entry's (lemma, sense, ARGn), or ARGn for its fallback
+MappingKey = tuple[str, str, str] | str
 
 
-class TemplateStore:
-    """Immutable after load; templates keep resource-file order throughout."""
+class TemplateStore(NamedTuple):
+    """A template pack with its role mapping resolved. ``core`` maps each
+    mapping key to its role's core templates and ``noncore`` each relation
+    name to its templates; every list keeps resource-file order."""
 
-    def __init__(self, templates: list[Template], mapping: RoleMapping | None = None):
-        self.templates = list(templates)
-        self.mapping = mapping
-        self.core: dict[str, list[Template]] = {}
-        self.noncore: dict[str, list[Template]] = {}
-        for template in self.templates:
-            bucket = self.core if template.kind == "core" else self.noncore
-            bucket.setdefault(template.key, []).append(template)
+    templates: list[Template]
+    core: dict[MappingKey, list[Template]]
+    noncore: dict[str, list[Template]]
+
+
+def _records(path, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """The line number and stripped ``|``-separated fields of each record
+    of a resource file. Blank and ``#`` lines are skipped; a record with
+    another field count raises MalformedRecord."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            columns = [c.strip() for c in line.split("|")]
+            if len(columns) != fields:
+                raise MalformedRecord(
+                    f"expected {fields} fields, found {len(columns)}",
+                    line=line_no)
+            yield line_no, columns
 
 
 def _parse_blank_pos(column: str, line_no: int) -> tuple[frozenset[str], ...]:
@@ -135,11 +140,8 @@ def split_pattern(pattern: str) -> tuple[str | int, ...]:
     return tuple(pieces)
 
 
-def _parse_template_line(line: str, line_no: int) -> Template:
-    columns = line.split("|")
-    if len(columns) != 5:
-        raise MalformedRecord(f"expected 5 fields, found {len(columns)}", line=line_no)
-    kind, key, tense, pattern, pos_column = (c.strip() for c in columns)
+def _parse_template(columns: list[str], line_no: int) -> Template:
+    kind, key, tense, pattern, pos_column = columns
     if kind not in ("core", "noncore"):
         raise MalformedRecord(f"kind must be core or noncore, found {kind!r}",
                               line=line_no)
@@ -164,87 +166,64 @@ def _parse_template_line(line: str, line_no: int) -> Template:
         raise MalformedRecord(
             f"{len(indices)} blanks but {len(blank_pos)} POS constraints",
             line=line_no)
-    digest = sha1(
-        "|".join([kind, key, tense, pattern, pos_column]).encode("utf-8")
-    ).hexdigest()[:8]
+    digest = sha1("|".join(columns).encode("utf-8")).hexdigest()[:8]
     return Template(id=f"{kind}:{key}:{digest}", kind=kind, key=key,
                     tense=tense, pattern=pattern, blank_pos=blank_pos,
                     pieces=pieces)
 
 
-def load_templates(path) -> TemplateStore:
-    """Read and validate a template resource file. The returned store has no
-    role mapping attached; see :func:`load_store`."""
+def load_templates(path) -> list[Template]:
+    """Read and validate a template resource file, in file order."""
     templates: list[Template] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            template = _parse_template_line(line, line_no)
-            if template.id in seen:
-                raise DuplicateId(f"duplicate template record {line!r}", line=line_no)
-            seen.add(template.id)
-            templates.append(template)
-    return TemplateStore(templates)
+    for line_no, columns in _records(path, 5):
+        template = _parse_template(columns, line_no)
+        if template.id in seen:
+            raise DuplicateId(
+                f"duplicate template record {'|'.join(columns)!r}",
+                line=line_no)
+        seen.add(template.id)
+        templates.append(template)
+    return templates
 
 
-def load_mapping(path) -> RoleMapping:
-    mapping = RoleMapping()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            columns = [c.strip() for c in line.split("|")]
-            if len(columns) != 4:
-                raise MalformedRecord(f"expected 4 fields, found {len(columns)}",
-                                      line=line_no)
-            lemma, sense, relation, role = columns
-            if relation not in CORE_RELATIONS:
-                raise MalformedRecord(f"{relation!r} is not a core relation",
-                                      line=line_no)
-            if not role:
-                raise MalformedRecord("empty role", line=line_no)
-            if lemma == "*" and sense == "*":
-                if relation in mapping.fallback:
-                    raise MalformedRecord(f"duplicate fallback for {relation}",
-                                          line=line_no)
-                mapping.fallback[relation] = role
-            else:
-                key = (lemma, sense, relation)
-                if key in mapping.entries:
-                    raise MalformedRecord(f"duplicate mapping for {key}", line=line_no)
-                mapping.entries[key] = role
+def load_mapping(path) -> dict[MappingKey, str]:
+    """Read a role mapping file: each entry's (lemma, sense, ARGn), and
+    ARGn for each ``*|*`` fallback, to its thematic role."""
+    mapping: dict[MappingKey, str] = {}
+    for line_no, (lemma, sense, relation, role) in _records(path, 4):
+        if relation not in CORE_RELATIONS:
+            raise MalformedRecord(f"{relation!r} is not a core relation",
+                                  line=line_no)
+        if not role:
+            raise MalformedRecord("empty role", line=line_no)
+        fallback = lemma == "*" and sense == "*"
+        key = relation if fallback else (lemma, sense, relation)
+        if key in mapping:
+            raise MalformedRecord(
+                f"duplicate fallback for {relation}" if fallback
+                else f"duplicate mapping for {key}", line=line_no)
+        mapping[key] = role
     return mapping
 
 
 def load_store(template_path, mapping_path) -> TemplateStore:
-    """Load templates and mapping together and check the cross-invariant:
-    every thematic role the mapping can produce has at least one core
-    template."""
-    store = load_templates(template_path)
+    """Load templates and mapping together and resolve each mapping key to
+    its role's core templates. A role with no core template raises
+    IncompleteMapping, naming the first such role in sorted order."""
+    templates = load_templates(template_path)
     mapping = load_mapping(mapping_path)
-    for role in sorted(mapping.roles_used()):
-        if role not in store.core:
-            raise IncompleteMapping(
-                f"role {role!r} is mapped to but has no core template")
-    return TemplateStore(store.templates, mapping)
-
-
-def resolve_core_role(mapping: RoleMapping, predicate: Concept | None,
-                      relation: str) -> str:
-    """Thematic role for (predicate, ARGn): the exact (lemma, sense) entry
-    when present, the ARGn fallback otherwise."""
-    if predicate is not None:
-        key = (predicate.lemma, predicate.sense or "", relation)
-        if key in mapping.entries:
-            return mapping.entries[key]
-    if relation in mapping.fallback:
-        return mapping.fallback[relation]
-    raise NoMappingAndNoFallback(
-        f"no mapping for {relation} and no fallback configured")
+    roles: dict[str, list[Template]] = {}
+    noncore: dict[str, list[Template]] = {}
+    for template in templates:
+        bucket = roles if template.kind == "core" else noncore
+        bucket.setdefault(template.key, []).append(template)
+    missing = sorted(set(mapping.values()) - roles.keys())
+    if missing:
+        raise IncompleteMapping(
+            f"role {missing[0]!r} is mapped to but has no core template")
+    core = {key: roles[role] for key, role in mapping.items()}
+    return TemplateStore(templates, core, noncore)
 
 
 def select_templates(store: TemplateStore, relation: str,
@@ -252,21 +231,18 @@ def select_templates(store: TemplateStore, relation: str,
                      pos: str) -> list[Template]:
     """Templates for one edge, in resource-file order.
 
-    ``relation`` is the base relation name (callers strip ``-of``). The core
-    path resolves the thematic role first; the non-core path keys on the
-    relation directly. Results are filtered by tense compatibility and by the
+    ``relation`` is the base relation name (callers strip ``-of``). A core
+    relation takes the templates of the predicate's exact mapping entry,
+    else of the relation's fallback; a non-core one keys on the relation
+    directly. Results are filtered by tense compatibility and by the
     blank-0 POS constraint. An empty list is a normal outcome.
     """
     if relation in CORE_RELATIONS:
-        if store.mapping is None:
-            return []
-        try:
-            role = resolve_core_role(store.mapping, predicate, relation)
-        except NoMappingAndNoFallback:
-            return []
-        candidates = store.core.get(role, [])
+        exact = None if predicate is None else store.core.get(
+            (predicate.lemma, predicate.sense or "", relation))
+        candidates = exact or store.core.get(relation, ())
     else:
-        candidates = store.noncore.get(relation, [])
+        candidates = store.noncore.get(relation, ())
     return [t for t in candidates
             if t.matches_tense(tense) and pos in t.blank_pos[0]]
 

@@ -198,7 +198,6 @@ def whole_text_parse_conllu(text):
         tokens.append(Token(index=index, surface=columns[1], lemma=columns[2],
                             upos=columns[3], xpos=columns[4],
                             feats=_parse_feats(columns[5]), head=head,
-                            deprel=columns[7],
                             space_after="SpaceAfter=No" not in columns[9]))
         token_lines.append(line_no)
     flush()
@@ -381,7 +380,7 @@ class TestSubtreeSpan:
         assert subtree_span(sentences()["s2"], 2) == (1, 2)
 
     def test_cycle_raises(self):
-        tokens = [Token(1, "a", "a", "X", "X", {}, 1, "dep")]
+        tokens = [Token(1, "a", "a", "X", "X", {}, 1)]
         ann = SentenceAnnotation("bad", "a", tokens)
         with pytest.raises(CyclicTree):
             subtree_span(ann, 1)

@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -275,15 +276,35 @@ class TestConfigFile:
 
 
 # Settings errors, as config-file keys. Each is refused before any input
-# file is read, whichever door it comes through.
+# file is read, whichever door it comes through; a value that is not a
+# string or an int is tried only where a flag cannot say it.
 BAD_SETTINGS = {
     "unknown-pairing": {"pair": "by-vibes"},
     "unknown-scorer": {"scorer": "oracle"},
     "remote-without-url": {"scorer": "remote"},
     "ftp-url": {"scorer": "remote", "scorer_url": "ftp://x/score"},
     "zero-workers": {"workers": 0},
-    "bool-workers": {"workers": True},   # no flag can say this one
+    "bool-workers": {"workers": True},
+    "list-pairing": {"pair": ["by-id"]},
+    "dict-scorer": {"scorer": {"remote": "http://x/score"}},
 }
+
+# RunConfig fields that no flag or config key sets: library rows only
+BAD_LIBRARY_SETTINGS = {
+    "zero-timeout": {"scorer_timeout": 0.0},
+    "negative-timeout": {"scorer_timeout": -1.0},
+    "nan-timeout": {"scorer_timeout": math.nan},
+    "inf-timeout": {"scorer_timeout": math.inf},
+    "bool-timeout": {"scorer_timeout": True},
+    "string-timeout": {"scorer_timeout": "5"},
+    "remote-zero-timeout": {"scorer": "remote",
+                            "scorer_url": "http://127.0.0.1:1/score",
+                            "scorer_timeout": 0},
+}
+
+
+def flag_can_say(bad: dict) -> bool:
+    return all(type(value) in (str, int) for value in bad.values())
 
 
 class TestSettingsCheckedFirst:
@@ -297,10 +318,11 @@ class TestSettingsCheckedFirst:
     @pytest.mark.parametrize("name, door", [
         (name, door) for name, bad in BAD_SETTINGS.items()
         for door in ("flags", "config", "library")
-        if door != "flags" or True not in bad.values()])
+        if door != "flags" or flag_can_say(bad)] + [
+        (name, "library") for name in BAD_LIBRARY_SETTINGS])
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, amr,
                                               name, door):
-        bad = BAD_SETTINGS[name]
+        bad = {**BAD_SETTINGS, **BAD_LIBRARY_SETTINGS}[name]
         out = tmp_path / "o.jsonl"
         if door == "library":
             config = RunConfig(amr_path=amr, conllu_path=MINI_CONLLU,

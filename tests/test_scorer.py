@@ -573,3 +573,27 @@ class TestMakeScorer:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_scorer("quantum")
+
+    def test_non_string_kind(self):
+        for kind in (["baseline"], {"remote": "x"}, None, 1):
+            with pytest.raises(ValueError):
+                make_scorer(kind)
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf,
+                                         -math.inf, True, "5", None])
+    def test_timeout_outside_the_positive_finite_numbers(self, timeout,
+                                                         monkeypatch):
+        def no_file(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(BaselineScorer, "bundled", no_file)
+        for kind, url in (("baseline", None),
+                          ("remote", "http://127.0.0.1:1/score")):
+            with pytest.raises(ValueError):
+                make_scorer(kind, url, timeout=timeout)
+
+    def test_any_positive_finite_timeout(self):
+        for timeout in (1, 0.25, 5.0):
+            scorer = make_scorer("remote", "http://127.0.0.1:1/score",
+                                 timeout)
+            assert scorer._timeout == timeout

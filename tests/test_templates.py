@@ -1,7 +1,9 @@
-"""Template resource loading, validation, role resolution and selection."""
+"""Template resource loading, validation, role resolution at load and
+selection."""
 
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,6 @@ from amr2qa.templates import (
     DuplicateId,
     IncompleteMapping,
     MalformedRecord,
-    NoMappingAndNoFallback,
-    RoleMapping,
     TemplateError,
     UnknownPosTag,
     bundled_mapping_path,
@@ -24,7 +24,6 @@ from amr2qa.templates import (
     load_mapping,
     load_store,
     load_templates,
-    resolve_core_role,
     select_templates,
 )
 
@@ -84,9 +83,9 @@ def selection_lines() -> list[str]:
 
 class TestLoadTemplates:
     def test_single_core_record(self, tmp_path):
-        store = load_templates(write(tmp_path, "t.txt", MINIMAL_TEMPLATES))
-        assert len(store.templates) == 1
-        t = store.templates[0]
+        templates = load_templates(write(tmp_path, "t.txt", MINIMAL_TEMPLATES))
+        assert len(templates) == 1
+        t = templates[0]
         assert t.kind == "core"
         assert t.key == "Agent"
         assert t.tense == "past"
@@ -95,42 +94,45 @@ class TestLoadTemplates:
         assert t.blank_count == 1
 
     def test_single_noncore_record(self, tmp_path):
-        store = load_templates(write(
-            tmp_path, "t.txt", "noncore|location|present|Where is {0} ?|VERB\n"))
-        t = store.templates[0]
+        templates = write(tmp_path, "t.txt",
+                          MINIMAL_TEMPLATES
+                          + "noncore|location|present|Where is {0} ?|VERB\n")
+        store = load_store(templates, write(tmp_path, "m.txt", MINIMAL_MAPPING))
+        t = store.templates[1]
         assert t.kind == "noncore"
         assert t.key == "location"
         assert store.noncore["location"] == [t]
 
     def test_two_blank_record(self, tmp_path):
         line = "noncore|frequency|present|How many times someone {0} {1} ?|VERB,NOUN\n"
-        t = load_templates(write(tmp_path, "t.txt", line)).templates[0]
+        t = load_templates(write(tmp_path, "t.txt", line))[0]
         assert t.blank_count == 2
         assert t.blank_pos == (frozenset({"VERB"}), frozenset({"NOUN"}))
 
     def test_pos_alternatives(self, tmp_path):
         t = load_templates(write(
-            tmp_path, "t.txt", "noncore|degree|any|How {0} ?|ADJ/ADV\n")).templates[0]
+            tmp_path, "t.txt", "noncore|degree|any|How {0} ?|ADJ/ADV\n"))[0]
         assert t.blank_pos[0] == frozenset({"ADJ", "ADV"})
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         text = "# header\n\n" + MINIMAL_TEMPLATES + "\n# trailer\n"
-        assert len(load_templates(write(tmp_path, "t.txt", text)).templates) == 1
+        assert len(load_templates(write(tmp_path, "t.txt", text))) == 1
 
     def test_file_order_preserved(self, tmp_path):
         text = ("core|Patient|past|What was {0} ?|VERB\n"
                 "core|Patient|past|What {0} ?|VERB\n")
-        store = load_templates(write(tmp_path, "t.txt", text))
-        assert [t.pattern for t in store.core["Patient"]] == [
+        store = load_store(write(tmp_path, "t.txt", text),
+                           write(tmp_path, "m.txt", "*|*|ARG1|Patient\n"))
+        assert [t.pattern for t in store.core["ARG1"]] == [
             "What was {0} ?", "What {0} ?"]
 
     def test_ids_unique_and_content_derived(self, tmp_path):
-        a = load_templates(write(tmp_path, "a.txt", MINIMAL_TEMPLATES)).templates[0]
+        a = load_templates(write(tmp_path, "a.txt", MINIMAL_TEMPLATES))[0]
         b = load_templates(write(tmp_path, "b.txt",
-                                 "# moved\n\n" + MINIMAL_TEMPLATES)).templates[0]
+                                 "# moved\n\n" + MINIMAL_TEMPLATES))[0]
         assert a.id == b.id
         c = load_templates(write(
-            tmp_path, "c.txt", "core|Agent|present|Who {0} ?|VERB\n")).templates[0]
+            tmp_path, "c.txt", "core|Agent|present|Who {0} ?|VERB\n"))[0]
         assert c.id != a.id
 
 
@@ -198,13 +200,12 @@ class TestLoadMapping:
         text = ("make|01|ARG1|Product\n"
                 "*|*|ARG1|Theme\n")
         mapping = load_mapping(write(tmp_path, "m.txt", text))
-        assert mapping.entries == {("make", "01", "ARG1"): "Product"}
-        assert mapping.fallback == {"ARG1": "Theme"}
-        assert mapping.roles_used() == {"Product", "Theme"}
+        assert mapping == {("make", "01", "ARG1"): "Product", "ARG1": "Theme"}
 
     def test_wrong_field_count(self, tmp_path):
-        with pytest.raises(MalformedRecord):
-            load_mapping(write(tmp_path, "m.txt", "make|01|ARG1\n"))
+        with pytest.raises(MalformedRecord) as e:
+            load_mapping(write(tmp_path, "m.txt", "# header\nmake|01|ARG1\n"))
+        assert e.value.line == 2
 
     def test_noncore_relation_rejected(self, tmp_path):
         with pytest.raises(MalformedRecord):
@@ -218,55 +219,74 @@ class TestLoadMapping:
 
     def test_duplicate_fallback(self, tmp_path):
         text = "*|*|ARG1|Theme\n*|*|ARG1|Patient\n"
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(MalformedRecord) as e:
             load_mapping(write(tmp_path, "m.txt", text))
+        assert e.value.line == 2
 
     def test_incomplete_mapping_rejected_at_store_load(self, tmp_path):
         templates = write(tmp_path, "t.txt", MINIMAL_TEMPLATES)
         mapping = write(tmp_path, "m.txt", "*|*|ARG0|Agent\n*|*|ARG1|Theme\n")
-        with pytest.raises(IncompleteMapping):
+        with pytest.raises(IncompleteMapping) as e:
             load_store(templates, mapping)
+        assert "'Theme'" in str(e.value)
 
-    def test_complete_mapping_accepted(self, tmp_path):
+    def test_incomplete_mapping_names_the_first_role_in_order(self, tmp_path):
         templates = write(tmp_path, "t.txt", MINIMAL_TEMPLATES)
-        mapping = write(tmp_path, "m.txt", MINIMAL_MAPPING)
+        mapping = write(tmp_path, "m.txt", "*|*|ARG1|Theme\n"
+                                           "make|01|ARG2|Material\n")
+        with pytest.raises(IncompleteMapping) as e:
+            load_store(templates, mapping)
+        assert "'Material'" in str(e.value)
+
+    def test_complete_mapping_resolves_each_key_to_its_role(self, tmp_path):
+        templates = write(tmp_path, "t.txt", MINIMAL_TEMPLATES
+                          + "core|Theme|past|What {0} ?|VERB\n")
+        mapping = write(tmp_path, "m.txt", MINIMAL_MAPPING
+                        + "make|01|ARG0|Theme\n*|*|ARG1|Agent\n")
         store = load_store(templates, mapping)
-        assert store.mapping is not None
+        agent, theme = ([t] for t in store.templates)
+        assert store.core == {"ARG0": agent, ("make", "01", "ARG0"): theme,
+                              "ARG1": agent}
 
 
 class TestResolveRole:
+    """A core edge takes the templates of its exact mapping entry, else of
+    its ARGn fallback."""
+
     def setup_method(self):
         self.store = default_store()
-        self.mapping = self.store.mapping
+
+    def keys(self, label, relation):
+        predicate = Concept.from_label(label) if label else None
+        hits = select_templates(self.store, relation, predicate, "any", "VERB")
+        return {t.key for t in hits}
 
     def test_exact_entry_wins(self):
-        assert resolve_core_role(
-            self.mapping, Concept.from_label("make-01"), "ARG1") == "Product"
+        assert self.keys("make-01", "ARG1") == {"Product"}
 
     def test_break_arg1_is_patient(self):
-        assert resolve_core_role(
-            self.mapping, Concept.from_label("break-01"), "ARG1") == "Patient"
+        assert self.keys("break-01", "ARG1") == {"Patient"}
 
     def test_unlisted_predicate_falls_back(self):
-        assert resolve_core_role(
-            self.mapping, Concept.from_label("jettison-01"), "ARG1") == "Theme"
+        assert self.keys("jettison-01", "ARG1") == {"Theme"}
 
     def test_senseless_concept_falls_back(self):
-        assert resolve_core_role(
-            self.mapping, Concept.from_label("dog"), "ARG0") == "Agent"
+        assert self.keys("dog", "ARG0") == {"Agent"}
 
     def test_none_predicate_falls_back(self):
-        assert resolve_core_role(self.mapping, None, "ARG0") == "Agent"
+        assert self.keys(None, "ARG0") == {"Agent"}
 
     def test_sense_must_match(self):
         # make-02 has no entry, so ARG1 drops to the fallback
-        assert resolve_core_role(
-            self.mapping, Concept.from_label("make-02"), "ARG1") == "Theme"
+        assert self.keys("make-02", "ARG1") == {"Theme"}
 
-    def test_no_fallback_raises(self):
-        empty = RoleMapping()
-        with pytest.raises(NoMappingAndNoFallback):
-            resolve_core_role(empty, Concept.from_label("dog"), "ARG0")
+    def test_no_fallback_selects_nothing(self, tmp_path):
+        store = load_store(write(tmp_path, "t.txt", MINIMAL_TEMPLATES),
+                           write(tmp_path, "m.txt", "make|01|ARG0|Agent\n"))
+        assert select_templates(store, "ARG0", Concept.from_label("dog"),
+                                "past", "VERB") == []
+        assert len(select_templates(store, "ARG0", Concept.from_label(
+            "make-01"), "past", "VERB")) == 1
 
 
 class TestSelect:
@@ -315,12 +335,6 @@ class TestSelect:
     def test_unknown_relation_empty(self):
         assert select_templates(self.store, "quibble", None, "past", "VERB") == []
 
-    def test_unmapped_core_relation_empty_without_mapping(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text(MINIMAL_TEMPLATES, encoding="utf-8")
-        bare = load_templates(path)
-        assert select_templates(bare, "ARG0", None, "past", "VERB") == []
-
     def test_agent_past_verb_from_fallback(self):
         hits = select_templates(self.store, "ARG0",
                                 Concept.from_label("jettison-01"), "past", "VERB")
@@ -363,8 +377,9 @@ class TestBundledPack:
         self.store = default_store()
 
     def test_pack_size(self):
-        assert sum(len(v) for v in self.store.core.values()) >= 50
-        assert sum(len(v) for v in self.store.noncore.values()) >= 90
+        kinds = Counter(t.kind for t in self.store.templates)
+        assert kinds["core"] >= 50
+        assert kinds["noncore"] >= 90
 
     def test_all_ids_unique(self):
         ids = [t.id for t in self.store.templates]
@@ -394,12 +409,14 @@ class TestBundledPack:
     def test_every_pattern_has_blank_zero(self):
         assert all("{0}" in t.pattern for t in self.store.templates)
 
-    def test_mapped_roles_all_have_core_templates(self):
-        for role in self.store.mapping.roles_used():
-            assert role in self.store.core, role
+    def test_mapped_keys_all_have_core_templates(self):
+        for key, templates in self.store.core.items():
+            assert templates, key
+            assert {t.kind for t in templates} == {"core"}, key
+            assert len({t.key for t in templates}) == 1, key
 
     def test_fallbacks_cover_all_core_relations(self):
-        assert set(self.store.mapping.fallback) == {
+        assert {key for key in self.store.core if isinstance(key, str)} == {
             "ARG0", "ARG1", "ARG2", "ARG3", "ARG4", "ARG5"}
 
     def test_every_listed_relation_covered_or_ignored(self):
