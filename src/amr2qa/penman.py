@@ -69,7 +69,6 @@ class Concept(NamedTuple):
 
     label: str
     sense: str | None = None
-    is_constant: bool = False
     quoted: bool = False  # constant came from a quoted string
 
     @property
@@ -259,7 +258,7 @@ class _Parser:
             return self.node()
         if kind == "STRING":
             self.advance()
-            return AmrNode(variable=None, concept=Concept(label=text, is_constant=True, quoted=True))
+            return AmrNode(variable=None, concept=Concept(label=text, quoted=True))
         if kind == "ATOM":
             self.advance()
             placeholder = AmrNode(variable=None, concept=None)
@@ -283,7 +282,7 @@ class _Parser:
                 raise DanglingVariableReference(
                     f"reference to undefined variable {text!r}", offset)
             else:
-                node = AmrNode(variable=None, concept=Concept(label=text, is_constant=True))
+                node = AmrNode(variable=None, concept=Concept(label=text))
             parent.children[child_index] = (relation, node)
 
 

@@ -299,9 +299,9 @@ PAIRINGS = {"by-order": _lockstep, "by-id": _by_id}
 def run_generate(config: RunConfig) -> RunReport:
     """Checks the settings, then runs. An unknown or non-string pairing
     or scorer, a worker count that is not an int of at least 1, a scorer
-    timeout that is not a finite number above 0, or a missing or
-    malformed scorer URL raises ValueError before any input file is
-    read."""
+    timeout that is not a number above 0 and at most
+    ``threading.TIMEOUT_MAX``, or a missing or malformed scorer URL raises
+    ValueError before any input file is read."""
     started = time.perf_counter()
     pairing = config.pairing
     pair_up = PAIRINGS.get(pairing) if isinstance(pairing, str) else None

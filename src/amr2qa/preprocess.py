@@ -3,10 +3,11 @@
 :func:`preprocess` reads the parsed graph once into a tree of
 :class:`CondensedNode`, leaving out ignored relations and the subtrees
 reachable only through them, so nothing is condensed into a subtree that
-goes away. Two passes then change that tree in place, in a fixed order:
-condense entity subgraphs (``:quant``/``:unit`` pairs, date fields) into
-single multi-word concepts, then merge constant ``:op`` children into their
-owner. The caller's graph is left as it was. That tree is the unit question
+goes away. Two passes then change that tree in place, in a fixed order,
+each walking the build's pre-order list of nodes children first: condense
+entity subgraphs (``:quant``/``:unit`` pairs, date fields) into single
+multi-word concepts, then merge constant ``:op`` children into their owner.
+The caller's graph is left as it was. That tree is the unit question
 generation traverses.
 """
 
@@ -95,21 +96,23 @@ def _claim(top: AmrNode, owner: dict[str, AmrNode],
                           or relation.name in DEFAULT_IGNORED_RELATIONS))
 
 
-def _build(graph: AmrGraph) -> tuple[CondensedNode, dict[str, CondensedNode],
+def _build(graph: AmrGraph) -> tuple[list[CondensedNode],
+                                     dict[str, CondensedNode],
                                      list[CondensedNode]]:
-    """The condensed tree of ``graph`` without its ignored edges, before the
-    other passes, with its definitions by variable and its references, which
-    have no text yet. A definition found only under an ignored edge is built
-    at the first reference to its variable in pre-order. That placed subtree
-    owns each definition in it that no other subtree owns, and one owned
-    elsewhere is a reference there, so each variable has one definition."""
+    """The nodes of the condensed tree of ``graph`` without its ignored
+    edges, in pre-order (root first), before the other passes, with its
+    definitions by variable and its references, which have no text yet. A
+    definition found only under an ignored edge is built at the first
+    reference to its variable in pre-order. That placed subtree owns each
+    definition in it that no other subtree owns, and one owned elsewhere is
+    a reference there, so each variable has one definition."""
     owner: dict[str, AmrNode] = {}
     dropped: dict[str, AmrNode] = {}
     _claim(graph.root, owner, dropped)
     definitions: dict[str, CondensedNode] = {}
     references: list[CondensedNode] = []
-    out: list[CondensedNode] = []
-    stack = [(graph.root, None, out, graph.root)]
+    nodes: list[CondensedNode] = []   # popped in pre-order
+    stack = [(graph.root, None, [], graph.root)]   # the root has no parent
     while stack:
         node, relation, siblings, top = stack.pop()
         variable = node.variable
@@ -129,7 +132,8 @@ def _build(graph: AmrGraph) -> tuple[CondensedNode, dict[str, CondensedNode],
                 if rel.name not in DEFAULT_IGNORED_RELATIONS:
                     stack.append((child, rel, built.children, top))
         siblings.append(built)
-    return out[0], definitions, references
+        nodes.append(built)
+    return nodes, definitions, references
 
 
 def _is_leaf_value(node: CondensedNode, referenced: frozenset[str]) -> bool:
@@ -164,13 +168,15 @@ def _absorb(node: CondensedNode, text: str, taken: list[tuple]) -> None:
                      if index not in indices]
 
 
-def condense_entities(root: CondensedNode, referenced: frozenset[str]) -> None:
+def condense_entities(nodes: list[CondensedNode],
+                      referenced: frozenset[str]) -> None:
     """Replace, in place, entity nodes (date-entity, temporal-quantity, ...)
-    by a single concept whose text joins their absorbable children in a
-    fixed field order. Children that cannot be absorbed, or whose variable
-    is in ``referenced``, stay attached."""
+    among ``nodes``, a tree's nodes in pre-order, by a single concept whose
+    text joins their absorbable children in a fixed field order. Children
+    that cannot be absorbed, or whose variable is in ``referenced``, stay
+    attached."""
     # children first: a node's text joins its children's condensed texts
-    for node in reversed(preorder(root)):
+    for node in reversed(nodes):
         _condense_entity(node, referenced)
 
 
@@ -198,15 +204,18 @@ def _condense_entity(node: CondensedNode, referenced: frozenset[str]) -> None:
     _absorb(node, " ".join(parts), taken)
 
 
-def merge_ops(root: CondensedNode, referenced: frozenset[str]) -> None:
-    """Join, in place, constant ``:opN`` children (numeric order) into their
-    owner's concept text. Only constants merge; ``:op`` children that are
-    concept nodes, as under conjunctions, stay separate. A merged ``name``
-    node then replaces its parent's ``:name`` edge, so the parent carries
-    the proper noun directly, unless its variable is in ``referenced``."""
+def merge_ops(nodes: list[CondensedNode], referenced: frozenset[str]) -> None:
+    """Join, in place, constant ``:opN`` children (numeric order) of
+    ``nodes``, a tree's nodes in pre-order, into their owner's concept text.
+    Only constants merge; ``:op`` children that are concept nodes, as under
+    conjunctions, stay separate. A merged ``name`` node then replaces its
+    parent's ``:name`` edge, so the parent carries the proper noun directly,
+    unless its variable is in ``referenced``."""
     # a node's merge and hoist see only its own children, each already
-    # merged and hoisted, so one children-first walk does both
-    for node in reversed(preorder(root)):
+    # merged and hoisted, so one children-first walk does both. A node
+    # either pass absorbed is childless, and both passes leave such a node
+    # as it is, so the build's list still serves after condensing.
+    for node in reversed(nodes):
         _merge_op_constants(node)
         _hoist_name(node, referenced)
 
@@ -244,19 +253,20 @@ def _hoist_name(node: CondensedNode, referenced: frozenset[str]) -> None:
 
 def preprocess(graph: AmrGraph) -> CondensedNode:
     """Full pipeline: build the condensed tree without ignored edges, then
-    condense entities and merge ops on it. ``graph`` is not changed.
+    condense entities and merge ops on it, both passes walking the build's
+    pre-order list of its nodes. ``graph`` is not changed.
     Reentrant references resolve to their definition's text but remain
     distinct positions."""
-    root, definitions, references = _build(graph)
+    nodes, definitions, references = _build(graph)
     referenced = frozenset(ref.variable for ref in references)
-    condense_entities(root, referenced)
-    merge_ops(root, referenced)
+    condense_entities(nodes, referenced)
+    merge_ops(nodes, referenced)
     # neither pass absorbs a referenced definition, so each is still in place
     for ref in references:
         definition = definitions[ref.variable]
         ref.concept_text = definition.concept_text
         ref.source_concepts = definition.source_concepts
-    return root
+    return nodes[0]
 
 
 def preorder(tree: CondensedNode) -> list[CondensedNode]:

@@ -1,17 +1,18 @@
 """Fluency scoring for candidate questions.
 
 Two scorers share one contract (``score(text) -> float``): a bundled
-add-one smoothed bigram baseline, and an HTTP client for an external language
-model. A scorer's ``scorer_id`` attribute names the scale of its scores.
-The pipeline scores each sentence as one batch and, when a remote request
-fails, rescores that whole sentence with the baseline
-(``pipeline.BatchScorer``), so a remote failure degrades a run instead of
-aborting it.
+add-one smoothed bigram baseline, ``BaselineScorer``, which builds its
+log-probability tables from its corpus text at construction, and an HTTP
+client for an external language model, ``RemoteScorer``. A scorer's
+``scorer_id`` attribute names the scale of its scores. The pipeline scores
+each sentence as one batch and, when a remote request fails, rescores that
+whole sentence with the baseline (``pipeline.BatchScorer``), so a remote
+failure degrades a run instead of aborting it.
 
 Scores are length-normalized (mean per-token log-probability) so candidates
-of different lengths compare fairly. Training pads each corpus line with
-boundary markers; scoring does not pad, and one-word questions fall back to
-the smoothed unigram log-probability.
+of different lengths compare fairly. The baseline pads each corpus line
+with boundary markers when it counts; scoring does not pad, and one-word
+questions fall back to the smoothed unigram log-probability.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 BOS = "<s>"
@@ -36,11 +38,28 @@ class EmptyCorpus(ValueError):
     pass
 
 
-class NgramModel:
-    """Add-one smoothed bigram log-probabilities, all computed from the
-    counts at construction; read-only after it."""
+def bundled_corpus_path() -> Path:
+    return Path(__file__).parent / "data" / "fluency_corpus.txt"
 
-    def __init__(self, counts: dict[tuple[str, str], int]):
+
+class BaselineScorer:
+    """Add-one smoothed bigram log-probabilities over ``text``, one sentence
+    per line, tokens split on whitespace. Each line is padded with ``BOS``
+    and ``EOS``; every table is computed from the counts at construction and
+    read-only after it."""
+
+    scorer_id = "baseline"
+
+    def __init__(self, text: str):
+        counts: dict[tuple[str, str], int] = {}
+        for line in text.splitlines():
+            tokens = line.split()
+            if tokens:
+                padded = [BOS, *tokens, EOS]
+                for gram in zip(padded, padded[1:]):
+                    counts[gram] = counts.get(gram, 0) + 1
+        if not counts:
+            raise EmptyCorpus("no tokens in corpus")
         context_counts: dict[str, int] = {}
         vocab: set[str] = set()
         for gram, count in counts.items():
@@ -61,62 +80,25 @@ class NgramModel:
                           for token, count in context_counts.items()}
         self._unseen_unigram = math.log(k / (total + smoothing))
 
-    def logprob(self, gram: tuple[str, str]) -> float:
-        """Smoothed log P(gram[1] | gram[0]). Finite for any tokens."""
-        value = self._bigrams.get(gram)
-        if value is None:
-            value = self._unseen_after.get(gram[0], self._unseen_context)
-        return value
-
-    def unigram_logprob(self, token: str) -> float:
-        return self._unigrams.get(token, self._unseen_unigram)
-
-
-def train_ngram(text: str) -> NgramModel:
-    """Count boundary-padded bigrams over ``text``, one sentence per line;
-    tokens split on whitespace."""
-    counts: dict[tuple[str, str], int] = {}
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        padded = [BOS, *tokens, EOS]
-        for gram in zip(padded, padded[1:]):
-            counts[gram] = counts.get(gram, 0) + 1
-    if not counts:
-        raise EmptyCorpus("no tokens in corpus")
-    return NgramModel(counts)
-
-
-def score_text(model: NgramModel, text: str) -> float:
-    """Mean per-token log-probability, without boundary padding. A one-word
-    text scores as its smoothed unigram log-prob."""
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("cannot score an empty question")
-    if len(tokens) == 1:
-        return model.unigram_logprob(tokens[0])
-    values = [model.logprob(gram) for gram in zip(tokens, tokens[1:])]
-    return sum(values) / len(values)
-
-
-def bundled_corpus_path() -> Path:
-    return Path(__file__).parent / "data" / "fluency_corpus.txt"
-
-
-class BaselineScorer:
-    scorer_id = "baseline"
-
-    def __init__(self, model: NgramModel):
-        self.model = model
-
     @classmethod
     def bundled(cls) -> "BaselineScorer":
-        text = bundled_corpus_path().read_text(encoding="utf-8")
-        return cls(train_ngram(text))
+        return cls(bundled_corpus_path().read_text(encoding="utf-8"))
 
     def score(self, question: str) -> float:
-        return score_text(self.model, question)
+        """Mean per-token log-probability, without boundary padding. A
+        one-word question scores as its smoothed unigram log-prob."""
+        tokens = question.split()
+        if not tokens:
+            raise ValueError("cannot score an empty question")
+        if len(tokens) == 1:
+            return self._unigrams.get(tokens[0], self._unseen_unigram)
+        values = []
+        for gram in zip(tokens, tokens[1:]):
+            value = self._bigrams.get(gram)
+            if value is None:
+                value = self._unseen_after.get(gram[0], self._unseen_context)
+            values.append(value)
+        return sum(values) / len(values)
 
 
 class RemoteScorer:
@@ -130,11 +112,13 @@ class RemoteScorer:
 
     scorer_id = "remote"
 
-    def __init__(self, url: str, timeout: float = 5.0):
+    def __init__(self, url: str | None, timeout: float = 5.0):
         import logging
         import os
         from urllib.parse import urlsplit
 
+        if not url:
+            raise ValueError("remote scorer requires a scorer URL")
         parts = urlsplit(url)
         default_port = {"http": 80, "https": 443}.get(parts.scheme)
         if default_port is None or not parts.hostname:
@@ -238,29 +222,25 @@ def _read_reply(reply) -> bytes:
     return body
 
 
-def _remote(url: str | None, timeout: float) -> RemoteScorer:
-    if not url:
-        raise ValueError("remote scorer requires a scorer URL")
-    return RemoteScorer(url, timeout=timeout)
-
-
 # --scorer value -> factory(url, timeout)
 SCORERS = {"baseline": lambda url, timeout: BaselineScorer.bundled(),
-           "remote": _remote}
+           "remote": RemoteScorer}
 
 
 def make_scorer(kind: str, url: str | None = None, timeout: float = 5.0):
     """Scorer factory used by the pipeline. An unknown or non-string kind,
-    a timeout that is not a number of seconds above 0 and below infinity,
-    or a remote scorer without an http(s) URL raises ValueError before any
-    file is read. The pipeline, not the scorer, falls back to the bundled
+    a timeout that is not a number of seconds above 0 and at most
+    ``threading.TIMEOUT_MAX`` (the longest a socket can wait), or a remote
+    scorer without an http(s) URL raises ValueError before any file is
+    read. The pipeline, not the scorer, falls back to the bundled
     baseline when a remote request fails."""
     factory = SCORERS.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ValueError(f"unknown scorer {kind!r}")
     # a comparison, not math.isfinite: that overflows on a huge int
     if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-            or not 0 < timeout < math.inf):
-        raise ValueError(f"scorer timeout must be a number of seconds "
-                         f"above 0 and finite, got {timeout!r}")
+            or not 0 < timeout <= threading.TIMEOUT_MAX):
+        raise ValueError(f"scorer timeout must be a number of seconds above "
+                         f"0 and at most {threading.TIMEOUT_MAX}, "
+                         f"got {timeout!r}")
     return factory(url, timeout)

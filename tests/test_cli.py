@@ -300,6 +300,13 @@ BAD_LIBRARY_SETTINGS = {
     "remote-zero-timeout": {"scorer": "remote",
                             "scorer_url": "http://127.0.0.1:1/score",
                             "scorer_timeout": 0},
+    # finite, but longer than a socket can wait
+    "huge-timeout": {"scorer_timeout": 1e300},
+    "huge-int-timeout": {"scorer_timeout": 10**400},
+    "timeout-past-time-t": {"scorer_timeout": 9223372037.0},
+    "remote-huge-timeout": {"scorer": "remote",
+                            "scorer_url": "http://127.0.0.1:1/score",
+                            "scorer_timeout": 1e300},
 }
 
 

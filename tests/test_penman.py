@@ -137,8 +137,7 @@ class TestGraphStructure:
     def test_constants_have_no_variable(self):
         g = parse_penman("(g / go-02 :mode imperative)")
         _, child = g.root.children[0]
-        assert child.variable is None
-        assert child.concept.is_constant
+        assert child.variable is None and not child.is_reentrant_ref
         assert child.concept.label == "imperative"
 
     def test_unusual_but_defined_variable_names(self):
@@ -230,7 +229,7 @@ class TestErrors:
     def test_multiletter_unknown_atom_is_constant_not_dangling(self):
         g = parse_penman("(b / x :ARG0 somebody)")
         _, child = g.root.children[0]
-        assert child.concept.is_constant
+        assert child.variable is None and not child.is_reentrant_ref
 
     def test_bare_word_input(self):
         with pytest.raises(MalformedGraph) as exc:

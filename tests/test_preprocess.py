@@ -82,27 +82,28 @@ def as_graph(node: CondensedNode) -> AmrNode:
 
 
 def built(graph):
-    """``_build``'s tree for ``graph`` and the variables it references."""
-    root, _, references = _build(graph)
-    return root, frozenset(ref.variable for ref in references)
+    """``_build``'s pre-order nodes for ``graph`` and the variables it
+    references."""
+    nodes, _, references = _build(graph)
+    return nodes, frozenset(ref.variable for ref in references)
 
 
 def run_passes(graph):
     """A new graph: all the passes run on ``graph``'s condensed tree."""
-    root, referenced = built(graph)
-    condense_entities(root, referenced)
-    merge_ops(root, referenced)
-    return AmrGraph(as_graph(root))
+    nodes, referenced = built(graph)
+    condense_entities(nodes, referenced)
+    merge_ops(nodes, referenced)
+    return AmrGraph(as_graph(nodes[0]))
 
 
 def dropped(text):
-    return AmrGraph(as_graph(_build(parse_penman(text))[0]))
+    return AmrGraph(as_graph(_build(parse_penman(text))[0][0]))
 
 
 def condensed_tree(text):
-    root, referenced = built(parse_penman(text))
-    condense_entities(root, referenced)
-    return root
+    nodes, referenced = built(parse_penman(text))
+    condense_entities(nodes, referenced)
+    return nodes[0]
 
 
 def condensed(text):
@@ -110,9 +111,9 @@ def condensed(text):
 
 
 def merged_tree(text):
-    root, referenced = built(parse_penman(text))
-    merge_ops(root, referenced)
-    return root
+    nodes, referenced = built(parse_penman(text))
+    merge_ops(nodes, referenced)
+    return nodes[0]
 
 
 def merged(text):
@@ -446,9 +447,10 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     def test_one_definition_per_variable_after_promotion(self, seed):
         graph = parse_penman(random_promotion_amr_text(random.Random(seed)))
-        root, definitions, references = _build(graph)
+        nodes, definitions, references = _build(graph)
+        assert nodes == preorder(nodes[0])   # the list the passes walk
         positions, seen = [], set()
-        stack = [root]
+        stack = [nodes[0]]
         while stack:
             node = stack.pop()
             assert id(node) not in seen   # no node reached twice, no cycle

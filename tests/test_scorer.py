@@ -34,8 +34,6 @@ from amr2qa.scorer import (
     ScorerUnavailable,
     bundled_corpus_path,
     make_scorer,
-    score_text,
-    train_ngram,
 )
 
 from helpers import TLS_CERT, MockLM, RawReplyServer, server_tls
@@ -45,83 +43,85 @@ OK_REPLY = (b"HTTP/1.0 200 OK\r\nContent-Length: 17\r\n\r\n"
 
 
 class TestTrain:
+    """A two-word text scores as its one bigram's log-prob, and a one-word
+    text as its unigram's."""
+
     def test_hand_counted_bigrams(self):
-        model = train_ngram("a b . a b .")
+        model = BaselineScorer("a b . a b .")
         # padded: <s> a b . a b . </s>; vocabulary of 5; contexts <s> once,
         # a, b and . twice each
-        assert model.logprob(("a", "b")) == math.log(3 / 7)
-        assert model.logprob(("b", ".")) == math.log(3 / 7)
-        assert model.logprob((".", "a")) == math.log(2 / 7)
-        assert model.logprob((BOS, "a")) == math.log(2 / 6)
-        assert model.logprob((".", EOS)) == math.log(2 / 7)
-        assert model.logprob(("a", ".")) == math.log(1 / 7)
+        assert model.score("a b") == math.log(3 / 7)
+        assert model.score("b .") == math.log(3 / 7)
+        assert model.score(". a") == math.log(2 / 7)
+        assert model.score(f"{BOS} a") == math.log(2 / 6)
+        assert model.score(f". {EOS}") == math.log(2 / 7)
+        assert model.score("a .") == math.log(1 / 7)
 
     def test_lines_padded_independently(self):
-        model = train_ngram("a b\na b")
+        model = BaselineScorer("a b\na b")
         # <s> a b </s> twice: vocabulary of 4, each context twice, and no
         # (b, a) across the line break
-        assert model.logprob((BOS, "a")) == math.log(3 / 6)
-        assert model.logprob(("b", EOS)) == math.log(3 / 6)
-        assert model.logprob(("b", "a")) == math.log(1 / 6)
+        assert model.score(f"{BOS} a") == math.log(3 / 6)
+        assert model.score(f"b {EOS}") == math.log(3 / 6)
+        assert model.score("b a") == math.log(1 / 6)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            train_ngram("")
+            BaselineScorer("")
         with pytest.raises(EmptyCorpus):
-            train_ngram("\n   \n")
+            BaselineScorer("\n   \n")
 
     def test_unseen_bigram_has_positive_probability(self):
-        model = train_ngram("a b")
-        value = model.logprob(("never", "seen"))
+        model = BaselineScorer("a b")
+        value = model.score("never seen")
         assert math.isfinite(value)
         assert math.exp(value) > 0
 
     def test_vocabulary_includes_boundaries(self):
-        model = train_ngram("a b")
+        model = BaselineScorer("a b")
         # add-one over a vocabulary of 4: <s>, a, b and </s>; three bigrams
-        assert model.logprob(("zz", "a")) == math.log(1 / 4)
-        assert model.unigram_logprob("zz") == math.log(1 / 7)
+        assert model.score("zz a") == math.log(1 / 4)
+        assert model.score("zz") == math.log(1 / 7)
 
     def test_add_one_smoothing_by_hand(self):
-        model = train_ngram("a b")
+        model = BaselineScorer("a b")
         # bigrams (<s>, a), (a, b), (b, </s>); vocabulary of 4; context a once
-        assert model.logprob(("a", "b")) == pytest.approx(math.log(2 / 5))
-        assert model.logprob(("a", "zz")) == pytest.approx(math.log(1 / 5))
+        assert model.score("a b") == pytest.approx(math.log(2 / 5))
+        assert model.score("a zz") == pytest.approx(math.log(1 / 5))
         # three bigrams in all, one of them starting with a
-        assert model.unigram_logprob("a") == pytest.approx(math.log(2 / 7))
+        assert model.score("a") == pytest.approx(math.log(2 / 7))
 
 
 class TestScoreText:
     def setup_method(self):
-        self.model = train_ngram("a b c . a b d .")
+        # padded: <s> a b c . a b d . </s>; vocabulary of 7; nine bigrams,
+        # two of them (a, b)
+        self.model = BaselineScorer("a b c . a b d .")
 
     def test_mean_of_window_logprobs(self):
-        expected = (self.model.logprob(("a", "b"))
-                    + self.model.logprob(("b", "c"))) / 2
-        assert score_text(self.model, "a b c") == pytest.approx(expected)
+        expected = (self.model.score("a b") + self.model.score("b c")) / 2
+        assert self.model.score("a b c") == pytest.approx(expected)
 
     def test_no_padding_at_score_time(self):
         # only the interior bigram counts, not (<s>, a) or (b, </s>)
-        assert score_text(self.model, "a b") == pytest.approx(
-            self.model.logprob(("a", "b")))
+        assert self.model.score("a b") == pytest.approx(math.log(3 / 9))
 
     def test_single_token_uses_unigram(self):
-        assert score_text(self.model, "a") == pytest.approx(
-            self.model.unigram_logprob("a"))
+        assert self.model.score("a") == pytest.approx(math.log(3 / 16))
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            score_text(self.model, "   ")
+            self.model.score("   ")
 
     def test_deterministic(self):
-        first = score_text(self.model, "a b c d")
-        again = score_text(self.model, "a b c d")
+        first = self.model.score("a b c d")
+        again = self.model.score("a b c d")
         assert first == again
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "zz", "?", "What"]),
                     min_size=1, max_size=8))
     def test_always_finite(self, tokens):
-        assert math.isfinite(score_text(self.model, " ".join(tokens)))
+        assert math.isfinite(self.model.score(" ".join(tokens)))
 
 
 class TestTablesMatchCounts:
@@ -157,7 +157,7 @@ class TestTablesMatchCounts:
 
     def test_bundled_model(self):
         corpus = bundled_corpus_path().read_text(encoding="utf-8")
-        model = train_ngram(corpus)
+        model = BaselineScorer(corpus)
         counts = self.padded_bigrams(corpus)
         lines = [line for line in corpus.splitlines() if line.split()]
         vocabulary = {token for gram in counts for token in gram}
@@ -169,10 +169,9 @@ class TestTablesMatchCounts:
         texts = [text for text in texts if text.split()]
         assert any(len(text.split()) == 1 for text in texts)
         for text in texts:
-            assert score_text(model, text) == self.counted(counts, text)
+            assert model.score(text) == self.counted(counts, text)
         for token in tokens[:-1]:
-            assert (model.unigram_logprob(token)
-                    == self.counted(counts, token))
+            assert model.score(token) == self.counted(counts, token)
 
 
 class TestBundledBaseline:
@@ -569,6 +568,9 @@ class TestMakeScorer:
     def test_remote_requires_url(self):
         with pytest.raises(ValueError):
             make_scorer("remote")
+        for url in (None, ""):
+            with pytest.raises(ValueError, match="requires a scorer URL"):
+                RemoteScorer(url)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -580,7 +582,9 @@ class TestMakeScorer:
                 make_scorer(kind)
 
     @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf,
-                                         -math.inf, True, "5", None])
+                                         -math.inf, True, "5", None, 1e300,
+                                         pytest.param(10**400, id="10**400"),
+                                         9223372037.0])
     def test_timeout_outside_the_positive_finite_numbers(self, timeout,
                                                          monkeypatch):
         def no_file(*args, **kwargs):
@@ -597,3 +601,9 @@ class TestMakeScorer:
             scorer = make_scorer("remote", "http://127.0.0.1:1/score",
                                  timeout)
             assert scorer._timeout == timeout
+
+    def test_longest_timeout_scores(self):
+        # the largest timeout a socket accepts, and so make_scorer too
+        with MockLM() as lm:
+            scorer = make_scorer("remote", lm.url, threading.TIMEOUT_MAX)
+            assert scorer.score("What ?") == -6.0
