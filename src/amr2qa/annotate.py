@@ -65,14 +65,27 @@ class Token(NamedTuple):
 
 
 class SentenceAnnotation:
-    """One sentence's tokens. Two annotations are equal when their id, text
-    and tokens are."""
+    """One sentence's tokens. CyclicTree is raised unless every head
+    chain ends at the root (0). Equal when id, text and tokens are."""
 
     def __init__(self, sentence_id: str, text: str, tokens: list[Token]):
         self.sentence_id = sentence_id
         self.text = text
         self.tokens = tokens
-        self._children: dict[int, list[Token]] | None = None
+        children: dict[int, list[Token]] = {}
+        for token in tokens:
+            children.setdefault(token.head, []).append(token)
+        # a chain ends at the root exactly when a walk down from the root
+        # reaches its token; the bound stops a walk over repeated indices
+        reached, stack = 0, [0]
+        while stack and reached <= len(tokens):
+            for child in children.get(stack.pop(), ()):
+                reached += 1
+                stack.append(child.index)
+        if reached != len(tokens):
+            raise CyclicTree("dependency heads form a cycle",
+                             sentence_id=sentence_id)
+        self._children = children
 
     def __eq__(self, other):
         if other.__class__ is not SentenceAnnotation:
@@ -84,11 +97,6 @@ class SentenceAnnotation:
         return self.tokens[index - 1]
 
     def children_of(self, index: int) -> list[Token]:
-        if self._children is None:
-            table: dict[int, list[Token]] = {}
-            for token in self.tokens:
-                table.setdefault(token.head, []).append(token)
-            self._children = table
         return self._children.get(index, [])
 
 
@@ -112,21 +120,11 @@ def _reconstruct_text(tokens: list[Token]) -> str:
 
 
 def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
-    # word ids run 1..n, so token i is tokens[i - 1]
+    # heads in range; SentenceAnnotation itself refuses a cycle
     for token, line in zip(tokens, lines):
         if not 0 <= token.head <= len(tokens):
             raise HeadOutOfRange(f"head {token.head} points outside the sentence",
                                  line=line, sentence_id=sentence_id)
-    for token in tokens:
-        # follow the head chain; more steps than tokens means a loop
-        current = token
-        for _ in range(len(tokens) + 1):
-            if current.head == 0:
-                break
-            current = tokens[current.head - 1]
-        else:
-            raise CyclicTree("dependency heads form a cycle",
-                             sentence_id=sentence_id)
 
 
 def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
@@ -291,11 +289,7 @@ def subtree_span(ann: SentenceAnnotation, token_index: int) -> tuple[int, int]:
     seen = {token_index}
     queue = [token_index]
     while queue:
-        current = queue.pop()
-        for child in ann.children_of(current):
-            if child.index in seen:
-                raise CyclicTree("dependency heads form a cycle",
-                                 sentence_id=ann.sentence_id)
+        for child in ann.children_of(queue.pop()):
             seen.add(child.index)
             queue.append(child.index)
     return (min(seen), max(seen))

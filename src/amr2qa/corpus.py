@@ -61,12 +61,6 @@ class DatasetFormatError(CorpusError):
         self.line = line
 
 
-class AmrCorpusEntry(NamedTuple):
-    id: str
-    sentence: str
-    graph: AmrGraph
-
-
 class QaPair(NamedTuple):
     sentence_id: str
     question: str
@@ -138,16 +132,15 @@ def split_blocks(text: str) -> list[RawBlock]:
     return list(iter_blocks(io.StringIO(text)))
 
 
-def parse_block(raw: RawBlock) -> AmrCorpusEntry:
-    """Entry for one block. Blocks without a ``::snt`` line (or with an
+def parse_block(raw: RawBlock) -> AmrGraph:
+    """The graph of one block. Blocks without a ``::snt`` line (or with an
     empty one) are rejected; graph errors carry the block ordinal."""
     if not raw.sentence:
         raise MissingSentence("block has no ::snt sentence", block=raw.position)
     try:
-        graph = parse_penman(raw.body)
+        return parse_penman(raw.body)
     except PenmanError as exc:
         raise BlockParseError(str(exc), block=raw.position) from exc
-    return AmrCorpusEntry(id=raw.label, sentence=raw.sentence, graph=graph)
 
 
 def pair_to_json(pair: QaPair) -> dict:
@@ -169,13 +162,23 @@ def pair_to_json(pair: QaPair) -> dict:
     }
 
 
+def _string(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
 def pair_from_json(obj: dict) -> QaPair:
+    """The pair ``pair_to_json`` wrote. A sentence id, question, answer
+    kind or answer text that is not a string raises TypeError."""
     answer = obj["answer"]
     span = answer["span"]
     return QaPair(
-        sentence_id=obj["sentence_id"],
-        question=obj["question"],
-        answer=Answer(kind=answer["kind"], text=answer["text"],
+        sentence_id=_string(obj, "sentence_id"),
+        question=_string(obj, "question"),
+        answer=Answer(kind=_string(answer, "kind"),
+                      text=_string(answer, "text"),
                       span=tuple(span) if span is not None else None,
                       source_node=answer.get("source_node", "")),
         relation=obj["relation"],
@@ -216,7 +219,8 @@ def iter_dataset(path) -> Iterator[QaPair]:
                 continue
             try:
                 pair = pair_from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # ValueError covers bad JSON and integers past the digit limit
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetFormatError(f"bad dataset line: {exc}",
                                          line=line_no) from exc
             yield pair

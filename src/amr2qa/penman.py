@@ -195,7 +195,7 @@ class _Parser:
         self.tokens = _tokens(text)
         self.token = next(self.tokens)
         self.defined: dict[str, AmrNode] = {}
-        self.pending: list[tuple[AmrNode, int, str, int]] = []
+        self.pending: list[tuple[AmrNode, str, int]] = []
 
     def advance(self):
         self.token = next(self.tokens)
@@ -246,13 +246,13 @@ class _Parser:
         while self.token[0] == "REL":
             relation = Relation(self.token[1])
             self.advance()
-            node.children.append((relation, self.value(node)))
+            node.children.append((relation, self.value()))
         if self.token[0] == "EOF":
             raise UnbalancedParens("unclosed '('", self.token[2])
         self.expect("RPAREN", "')'")
         return node
 
-    def value(self, parent: AmrNode) -> AmrNode:
+    def value(self) -> AmrNode:
         kind, text, offset = self.token
         if kind == "LPAREN":
             return self.node()
@@ -261,9 +261,9 @@ class _Parser:
             return AmrNode(variable=None, concept=Concept(label=text, quoted=True))
         if kind == "ATOM":
             self.advance()
-            placeholder = AmrNode(variable=None, concept=None)
-            self.pending.append((parent, len(parent.children), text, offset))
-            return placeholder
+            atom = AmrNode(variable=None, concept=None)   # see resolve()
+            self.pending.append((atom, text, offset))
+            return atom
         raise MalformedGraph(f"expected a value, found {text!r}", offset)
 
     def resolve(self):
@@ -272,18 +272,18 @@ class _Parser:
         An atom is a reference when its text names a defined variable. A
         strictly variable-shaped atom (letter plus digits) that is never
         defined is a dangling reference; everything else (numbers, ``-``,
-        ``+``, words like ``imperative``) is a constant.
+        ``+``, words like ``imperative``) is a constant. Each atom's node
+        is filled in place.
         """
-        for parent, child_index, text, offset in self.pending:
-            relation, _ = parent.children[child_index]
+        for atom, text, offset in self.pending:
             if text in self.defined:
-                node = AmrNode(variable=text, concept=None, is_reentrant_ref=True)
+                atom.variable = text
+                atom.is_reentrant_ref = True
             elif _STRICT_VAR_RE.match(text):
                 raise DanglingVariableReference(
                     f"reference to undefined variable {text!r}", offset)
             else:
-                node = AmrNode(variable=None, concept=Concept(label=text))
-            parent.children[child_index] = (relation, node)
+                atom.concept = Concept(label=text)
 
 
 def parse_penman(text: str) -> AmrGraph:

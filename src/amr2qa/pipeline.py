@@ -31,7 +31,7 @@ from contextlib import closing
 from itertools import chain, zip_longest
 from typing import NamedTuple
 
-from .agen import extract_answer
+from .agen import Answer, extract_answer
 from .annotate import SentenceAnnotation, align_concepts, iter_conllu
 from .corpus import (
     CountMismatch,
@@ -61,6 +61,10 @@ MEMO_CAPACITY = 4096
 
 # Consecutive sentences with a failed scorer request that open the circuit.
 MAX_FAILURES = 3
+
+# The relation and template id of every sense question's pair.
+SENSE_RELATION = "sense"
+SENSE_TEMPLATE_ID = "verb-sense"
 
 
 class RunConfig(NamedTuple):
@@ -201,9 +205,10 @@ class _SentenceResult:
         self.non_root = non_root
 
 
-def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
+def process_sentence(raw: RawBlock, ann: SentenceAnnotation,
+                     store: TemplateStore,
                      scorer: BatchScorer) -> _SentenceResult:
-    """QA pairs for one (graph, annotation) pair.
+    """QA pairs for one block and its annotation, labelled ``raw.label``.
 
     Primary questions come from non-root nodes in traversal order, then
     sense questions from predicate definitions. Every candidate and sense
@@ -211,22 +216,23 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
     sentence no two pairs share (question text, answer text); later
     duplicates are skipped.
     """
-    tree = preprocess(entry.graph)
+    tree = preprocess(parse_block(raw))
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
     result = _SentenceResult(len(nodes) - 1)
     parent = {child: node for node in nodes for child in node.children}
     per_node = [generate_candidates(node, parent[node], store, ann, alignment)
                 for node in nodes[1:]]
-    senses: dict[tuple[str, str], QaPair] = {}
+    senses: dict[tuple[str, str], Answer] = {}
     for node in nodes:
-        pair = sense_question(node, ann, alignment)
-        if pair is not None:
-            senses.setdefault((pair.question, pair.answer.text), pair)
+        sense = sense_question(node, ann, alignment)
+        if sense is not None:
+            question, answer = sense
+            senses.setdefault((question, answer.text), answer)
     scorer_id, scores = scorer.score_all(
         [candidate.filled_text for candidates in per_node
          for candidate in candidates]
-        + [pair.question for pair in senses.values()])
+        + [question for question, _ in senses])
     seen: set[tuple[str, str]] = set()
 
     for node, candidates in zip(nodes[1:], per_node):
@@ -241,7 +247,7 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             continue
         seen.add(key)
         result.pairs.append(QaPair(
-            sentence_id=entry.id,
+            sentence_id=raw.label,
             question=best.filled_text,
             answer=answer,
             relation=best.relation,
@@ -251,15 +257,13 @@ def process_sentence(entry, ann: SentenceAnnotation, store: TemplateStore,
             scorer_id=scorer_id,
         ))
 
-    for key, pair in senses.items():
+    for key, answer in senses.items():
         if key in seen:
             continue
         seen.add(key)
-        # a new pair, not pair._replace: that copies through a temporary
-        # tuple, and CPython keeps up to 2,000 of those on a free list
-        result.pairs.append(QaPair(entry.id, pair.question, pair.answer,
-                                   pair.relation, pair.node, pair.template_id,
-                                   scores[pair.question], scorer_id))
+        result.pairs.append(QaPair(raw.label, key[0], answer, SENSE_RELATION,
+                                   answer.source_node, SENSE_TEMPLATE_ID,
+                                   scores[key[0]], scorer_id))
         result.sense += 1
     return result
 
@@ -326,7 +330,7 @@ def run_generate(config: RunConfig) -> RunReport:
                 logger.warning("skipped: no annotation with id %r", raw.label)
                 continue
             try:
-                result = process_sentence(parse_block(raw), ann, store, scorer)
+                result = process_sentence(raw, ann, store, scorer)
             except Exception as exc:   # per-sentence skip policy
                 report.sentences_failed += 1
                 logger.warning("skipped: sentence %r: %s", raw.label, exc)

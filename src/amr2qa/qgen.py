@@ -30,13 +30,9 @@ from .annotate import (
     infer_tense,
     range_head,
 )
-from .corpus import QaPair
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
 from .templates import Template, TemplateStore, select_templates
-
-SENSE_TEMPLATE_ID = "verb-sense"
-SENSE_RELATION = "sense"
 
 
 class ArityMismatch(ValueError):
@@ -136,24 +132,19 @@ def best_question(candidates: list[QuestionCandidate],
 
 
 def sense_question(node: CondensedNode, ann: SentenceAnnotation,
-                   alignment: Alignment) -> QaPair | None:
-    """Predicate-sense question for a definition node whose concept carries
-    a sense suffix and which is aligned to a verb token. The answer keeps
-    the full label (e.g. ``break-01``): the suffix is the payload here."""
+                   alignment: Alignment) -> tuple[str, Answer] | None:
+    """(question, answer) asking the predicate sense of a definition node
+    whose concept carries a sense suffix and which is aligned to a verb
+    token. The answer keeps the full label (e.g. ``break-01``): the suffix
+    is the payload here."""
     if node.is_reference or not node.source_concepts:
         return None
     own = node.source_concepts[0]
     if not own.sense or node not in alignment:
         return None
-    span = alignment[node]
-    if ann.token(range_head(ann, span)).upos != "VERB":
+    surface, pos, _ = _fill_info(node, ann, alignment)
+    if pos != "VERB":
         return None
-    surface = span_text(ann, span)
-    answer = Answer(kind=SENSE, text=own.label, span=None,
-                    source_node=node.variable or "")
-    return QaPair(sentence_id=ann.sentence_id,
-                  question=f"What is the sense of {surface} ?",
-                  answer=answer,
-                  relation=SENSE_RELATION,
-                  node=node.variable or "",
-                  template_id=SENSE_TEMPLATE_ID)
+    return (f"What is the sense of {surface} ?",
+            Answer(kind=SENSE, text=own.label, span=None,
+                   source_node=node.variable or ""))

@@ -92,13 +92,14 @@ class BaselineScorer:
             raise ValueError("cannot score an empty question")
         if len(tokens) == 1:
             return self._unigrams.get(tokens[0], self._unseen_unigram)
-        values = []
+        # a running total: sum() of floats rounds differently since 3.12
+        total = 0.0
         for gram in zip(tokens, tokens[1:]):
             value = self._bigrams.get(gram)
             if value is None:
                 value = self._unseen_after.get(gram[0], self._unseen_context)
-            values.append(value)
-        return sum(values) / len(values)
+            total += value
+        return total / (len(tokens) - 1)
 
 
 class RemoteScorer:

@@ -379,12 +379,6 @@ class TestSubtreeSpan:
     def test_engine_with_determiner(self):
         assert subtree_span(sentences()["s2"], 2) == (1, 2)
 
-    def test_cycle_raises(self):
-        tokens = [Token(1, "a", "a", "X", "X", {}, 1)]
-        ann = SentenceAnnotation("bad", "a", tokens)
-        with pytest.raises(CyclicTree):
-            subtree_span(ann, 1)
-
     def test_brute_force_small_trees(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -402,6 +396,51 @@ class TestSubtreeSpan:
         ann = annotation_from_heads(heads)
         index = rng.randrange(1, n + 1)
         assert subtree_span(ann, index) == _oracle_span(heads, index)
+
+
+def _chain_loops(heads: list[int]) -> bool:
+    """Oracle: follow each token's head chain; more steps than tokens
+    means a loop."""
+    for start in range(1, len(heads) + 1):
+        current = start
+        for _ in range(len(heads) + 1):
+            if heads[current - 1] == 0:
+                break
+            current = heads[current - 1]
+        else:
+            return True
+    return False
+
+
+class TestAcyclicTree:
+    """An annotation is built only over heads that form a tree."""
+
+    def test_cycle_raises(self):
+        tokens = [Token(1, "a", "a", "X", "X", {}, 1)]
+        with pytest.raises(CyclicTree) as exc:
+            SentenceAnnotation("bad", "a", tokens)
+        assert exc.value.sentence_id == "bad"
+
+    def test_repeated_index_raises(self):
+        # token 1 twice, the second headed by the first: the walk down
+        # from the root would revisit token 1 for ever
+        tokens = [Token(1, "a", "a", "X", "X", {}, 0),
+                  Token(1, "b", "b", "X", "X", {}, 1)]
+        with pytest.raises(CyclicTree):
+            SentenceAnnotation("bad", "a b", tokens)
+
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_on_a_loop(self, heads):
+        if _chain_loops(heads):
+            with pytest.raises(CyclicTree):
+                annotation_from_heads(heads)
+        else:
+            ann = annotation_from_heads(heads)
+            assert sorted(token.index for index in range(len(heads) + 1)
+                          for token in ann.children_of(index)) \
+                == list(range(1, len(heads) + 1))
 
 
 def _oracle_span(heads: list[int], root: int) -> tuple[int, int]:

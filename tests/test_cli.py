@@ -452,10 +452,26 @@ class TestStats:
         bad.write_bytes(b'{"sentence_id": "\xff"}\n')
         assert main(["stats", str(bad)]) == 2
 
-    def test_malformed_line(self, tmp_path, capsys):
+    # a good line, then a bad one
+    GOOD = Path(MINI_DATASET).read_text(encoding="utf-8").splitlines()[0]
+
+    @pytest.mark.parametrize("line", [
+        '{"sentence_id": "s1"',
+        # an integer past the int() digit limit
+        GOOD.replace('"score": -3.52', '"score": 1' + "0" * 5000),
+        GOOD.replace('"question": "What was broken ?"', '"question": 5'),
+        GOOD.replace('"text": "The engine"', '"text": null'),
+        GOOD.replace('"sentence_id": "s1"', '"sentence_id": [1]'),
+    ], ids=["truncated", "huge-int", "question-number", "text-null",
+            "id-list"])
+    def test_malformed_line(self, tmp_path, capsys, line):
+        assert line != self.GOOD
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"sentence_id": "s1"\n')
+        bad.write_text(f"{self.GOOD}\n{line}\n")
         assert main(["stats", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad dataset line: ")
+        assert err.endswith(" (line 2)\n")
 
     def test_peak_memory_does_not_grow_with_the_dataset(self, tmp_path,
                                                          capsys):

@@ -46,9 +46,10 @@ def write(tmp_path, name, text):
     return path
 
 
-def read_entries(path):
+def read_blocks(path):
+    """(block, graph) for every block of the file at ``path``."""
     with open(path, encoding="utf-8") as handle:
-        return [parse_block(raw) for raw in iter_blocks(handle)]
+        return [(raw, parse_block(raw)) for raw in iter_blocks(handle)]
 
 
 class TestReadAmrCorpus:
@@ -58,44 +59,44 @@ class TestReadAmrCorpus:
     def test_single_block(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::id x1\n# ::snt Dogs bark .\n(b / bark-01)\n")
-        entries = read_entries(path)
-        assert len(entries) == 1
-        assert entries[0].id == "x1"
-        assert entries[0].sentence == "Dogs bark ."
-        assert entries[0].graph.root.concept.label == "bark-01"
+        [(raw, graph)] = read_blocks(path)
+        assert raw.label == "x1"
+        assert raw.sentence == "Dogs bark ."
+        assert graph.root.concept.label == "bark-01"
 
     def test_mini_fixture(self):
-        entries = read_entries(MINI_AMR)
-        assert [e.id for e in entries] == ["s1", "s2", "s3"]
-        assert entries[1].sentence == "Mary visits museums twice ."
+        blocks = [raw for raw, _ in read_blocks(MINI_AMR)]
+        assert [raw.label for raw in blocks] == ["s1", "s2", "s3"]
+        assert blocks[1].sentence == "Mary visits museums twice ."
 
     def test_order_preserved(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta)\n")
-        entries = read_entries(path)
-        assert [e.sentence for e in entries] == ["one", "two"]
+        assert [(raw.sentence, graph.root.concept.label)
+                for raw, graph in read_blocks(path)] == [("one", "alpha"),
+                                                         ("two", "beta")]
 
     def test_graph_only_block_rejected(self, tmp_path):
         path = write(tmp_path, "c.amr", "(b / bark-01)\n")
         with pytest.raises(MissingSentence) as e:
-            read_entries(path)
+            read_blocks(path)
         assert e.value.block == 1
 
     def test_empty_snt_rejected(self, tmp_path):
         path = write(tmp_path, "c.amr", "# ::snt\n(b / bark-01)\n")
         with pytest.raises(MissingSentence):
-            read_entries(path)
+            read_blocks(path)
 
     def test_missing_id_numbered_by_position(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta)\n")
-        assert [e.id for e in read_entries(path)] == ["1", "2"]
+        assert [raw.label for raw, _ in read_blocks(path)] == ["1", "2"]
 
     def test_bad_graph_names_block(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta\n")
         with pytest.raises(BlockParseError) as e:
-            read_entries(path)
+            read_blocks(path)
         assert e.value.block == 2
         assert "block 2" in str(e.value)
 
@@ -104,15 +105,15 @@ class TestReadAmrCorpus:
         text = "\n\n".join(f"# ::snt sentence {i}\n{g}"
                            for i, g in enumerate(graphs))
         path = write(tmp_path, "c.amr", text)
-        assert len(read_entries(path)) == len(graphs)
+        assert len(read_blocks(path)) == len(graphs)
 
     def test_unknown_metadata_ignored(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::id z\n# ::save-date 2020\n# ::snt ok\n(a / alpha)\n")
-        assert read_entries(path)[0].sentence == "ok"
+        assert read_blocks(path)[0][0].sentence == "ok"
 
     def test_empty_file(self, tmp_path):
-        assert read_entries(write(tmp_path, "c.amr", "\n\n")) == []
+        assert read_blocks(write(tmp_path, "c.amr", "\n\n")) == []
 
     def test_split_blocks_keeps_metadata(self):
         blocks = split_blocks(MINI_AMR.read_text(encoding="utf-8"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr2qa.agen import SENSE
+from amr2qa.agen import SENSE, Answer
 from amr2qa.annotate import align_concepts, parse_conllu
 from amr2qa.penman import parse_penman
 from amr2qa.preprocess import preorder, preprocess
@@ -295,14 +295,10 @@ class TestBestQuestion:
 class TestSenseQuestion:
     def test_aligned_predicate(self):
         tree, alignment = build("(b / break-01 :ARG1 (e / engine))", BROKEN)
-        pair = sense_question(tree, BROKEN, alignment)
-        assert pair.question == "What is the sense of broken ?"
-        assert pair.answer.kind == SENSE
-        assert pair.answer.text == "break-01"
-        assert pair.relation == "sense"
-        assert pair.node == "b"
-        assert pair.template_id == "verb-sense"
-        assert pair.sentence_id == BROKEN.sentence_id
+        question, answer = sense_question(tree, BROKEN, alignment)
+        assert question == "What is the sense of broken ?"
+        assert answer == Answer(kind=SENSE, text="break-01", span=None,
+                                source_node="b")
 
     def test_senseless_concept(self):
         tree, alignment = build("(b / break-01 :ARG1 (e / engine))", BROKEN)
@@ -317,9 +313,9 @@ class TestSenseQuestion:
         tree, alignment = build("(x / end-01 :ARG1 (d / dance-01))", DANCE)
         nominal = preorder(tree)[1]
         assert sense_question(nominal, DANCE, alignment) is None
-        verbal = sense_question(tree, DANCE, alignment)
-        assert verbal.question == "What is the sense of ended ?"
-        assert verbal.answer.text == "end-01"
+        question, answer = sense_question(tree, DANCE, alignment)
+        assert question == "What is the sense of ended ?"
+        assert answer.text == "end-01"
 
     def test_reference_position_suppressed(self):
         tree, alignment = build(
