@@ -30,9 +30,10 @@ from .corpus import (
     format_stats_table,
     iter_blocks,
     iter_dataset,
+    parse_block,
     stats_display,
 )
-from .penman import PenmanError, parse_penman, serialize_penman
+from .penman import serialize_penman
 from .pipeline import PAIRINGS, RunConfig, run_generate
 from .preprocess import format_tree, preorder, preprocess
 from .scorer import SCORERS
@@ -162,7 +163,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     # reading stops at the block asked for; only an index out of range
     # reads the whole file, to count its blocks for the message
-    with open(args.amr, encoding="utf-8") as handle:
+    with open(args.amr, encoding="utf-8-sig") as handle:
         count = 0
         for raw in iter_blocks(handle):
             if count == args.index:
@@ -171,11 +172,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         else:
             raise UsageError(f"index {args.index} out of range "
                              f"({count} blocks in {args.amr})")
-    graph = parse_penman(raw.body)
+    graph = parse_block(raw)
     tree = preprocess(graph)
     print(f"id: {raw.label}")
-    if raw.sentence:
-        print(f"sentence: {raw.sentence}")
+    print(f"sentence: {raw.sentence}")
     print(f"original: {serialize_penman(graph)}")
     print("condensed:")
     print(format_tree(tree), end="")
@@ -198,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except ZeroSentences as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError, ConlluError, CorpusError,
-            PenmanError) as exc:
+    except (OSError, UnicodeDecodeError, ConlluError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -75,7 +75,6 @@ class RunConfig(NamedTuple):
     mapping_path: str | None = None
     scorer: str = "baseline"
     scorer_url: str | None = None
-    scorer_timeout: float = 5.0
     pairing: str = "by-order"
     workers: int = 1
 
@@ -302,10 +301,9 @@ PAIRINGS = {"by-order": _lockstep, "by-id": _by_id}
 
 def run_generate(config: RunConfig) -> RunReport:
     """Checks the settings, then runs. An unknown or non-string pairing
-    or scorer, a worker count that is not an int of at least 1, a scorer
-    timeout that is not a number above 0 and at most
-    ``threading.TIMEOUT_MAX``, or a missing or malformed scorer URL raises
-    ValueError before any input file is read."""
+    or scorer, a worker count that is not an int of at least 1, or a
+    missing or malformed scorer URL raises ValueError before any input file
+    is read."""
     started = time.perf_counter()
     pairing = config.pairing
     pair_up = PAIRINGS.get(pairing) if isinstance(pairing, str) else None
@@ -316,8 +314,7 @@ def run_generate(config: RunConfig) -> RunReport:
         raise ValueError(f"workers must be an integer >= 1, "
                          f"got {config.workers!r}")
     # only a remote scorer's requests reach BatchScorer's threads
-    scorer = BatchScorer(make_scorer(config.scorer, config.scorer_url,
-                                     timeout=config.scorer_timeout),
+    scorer = BatchScorer(make_scorer(config.scorer, config.scorer_url),
                          config.workers)
     store = load_store(config.template_path or bundled_template_path(),
                        config.mapping_path or bundled_mapping_path())
@@ -343,12 +340,12 @@ def run_generate(config: RunConfig) -> RunReport:
             report.questions_emitted += len(result.pairs)
             yield from result.pairs
 
-    with closing(scorer), open(config.amr_path, encoding="utf-8") as amr:
+    with closing(scorer), open(config.amr_path, encoding="utf-8-sig") as amr:
         blocks = iter_blocks(amr)
         first = next(blocks, None)
         if first is None:
             raise ZeroSentences("no sentences in the AMR corpus")
-        with open(config.conllu_path, encoding="utf-8") as conllu:
+        with open(config.conllu_path, encoding="utf-8-sig") as conllu:
             tasks = pair_up(chain([first], blocks), iter_conllu(conllu))
             write_dataset(sentences(tasks), config.output_path)
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from pathlib import Path
 
 BOS = "<s>"
 EOS = "</s>"
 ADD_K = 1.0            # add-one smoothing of the bigram baseline
 MAX_REPLY = 65536      # bytes of status line, headers and body a reply may use
+REQUEST_TIMEOUT = 5.0  # seconds to connect, and for each read or write
 _STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 
 
@@ -106,14 +106,15 @@ class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
     One call is one HTTP/1.0 request on a new connection, which it asks the
-    server to close, under a timeout; ``ssl`` loads only for ``https``.
+    server to close, under ``REQUEST_TIMEOUT``; ``ssl`` loads only for
+    ``https``.
     Timeouts, connection and protocol errors, non-2xx statuses, malformed
     replies and non-finite logprobs all surface as ScorerUnavailable.
     """
 
     scorer_id = "remote"
 
-    def __init__(self, url: str | None, timeout: float = 5.0):
+    def __init__(self, url: str | None):
         import logging
         import os
         from urllib.parse import urlsplit
@@ -132,7 +133,6 @@ class RemoteScorer:
         # the port goes apart from the host, so an IPv6 host is not split
         self._address = (parts.hostname, default_port if parts.port is None
                          else parts.port)
-        self._timeout = timeout
         self._tls = None
         if parts.scheme == "https":   # one TLS context for every connection
             import ssl
@@ -153,7 +153,7 @@ class RemoteScorer:
     def _connect(self):
         import socket   # not at module import: a baseline run never needs it
 
-        sock = socket.create_connection(self._address, self._timeout)
+        sock = socket.create_connection(self._address, REQUEST_TIMEOUT)
         if self._tls is None:
             return sock
         with sock:   # a failed handshake closes it; a wrapped one is detached
@@ -223,25 +223,17 @@ def _read_reply(reply) -> bytes:
     return body
 
 
-# --scorer value -> factory(url, timeout)
-SCORERS = {"baseline": lambda url, timeout: BaselineScorer.bundled(),
+# --scorer value -> factory(url)
+SCORERS = {"baseline": lambda url: BaselineScorer.bundled(),
            "remote": RemoteScorer}
 
 
-def make_scorer(kind: str, url: str | None = None, timeout: float = 5.0):
+def make_scorer(kind: str, url: str | None = None):
     """Scorer factory used by the pipeline. An unknown or non-string kind,
-    a timeout that is not a number of seconds above 0 and at most
-    ``threading.TIMEOUT_MAX`` (the longest a socket can wait), or a remote
-    scorer without an http(s) URL raises ValueError before any file is
-    read. The pipeline, not the scorer, falls back to the bundled
+    or a remote scorer without an http(s) URL, raises ValueError before any
+    file is read. The pipeline, not the scorer, falls back to the bundled
     baseline when a remote request fails."""
     factory = SCORERS.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ValueError(f"unknown scorer {kind!r}")
-    # a comparison, not math.isfinite: that overflows on a huge int
-    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-            or not 0 < timeout <= threading.TIMEOUT_MAX):
-        raise ValueError(f"scorer timeout must be a number of seconds above "
-                         f"0 and at most {threading.TIMEOUT_MAX}, "
-                         f"got {timeout!r}")
-    return factory(url, timeout)
+    return factory(url)

@@ -99,7 +99,6 @@ class TemplateStore(NamedTuple):
     mapping key to its role's core templates and ``noncore`` each relation
     name to its templates; every list keeps resource-file order."""
 
-    templates: list[Template]
     core: dict[MappingKey, list[Template]]
     noncore: dict[str, list[Template]]
 
@@ -223,7 +222,7 @@ def load_store(template_path, mapping_path) -> TemplateStore:
         raise IncompleteMapping(
             f"role {missing[0]!r} is mapped to but has no core template")
     core = {key: roles[role] for key, role in mapping.items()}
-    return TemplateStore(templates, core, noncore)
+    return TemplateStore(core, noncore)
 
 
 def select_templates(store: TemplateStore, relation: str,

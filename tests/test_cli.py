@@ -3,7 +3,6 @@
 import gc
 import json
 import logging
-import math
 import os
 import shutil
 import subprocess
@@ -16,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import amr2qa
+from amr2qa import cli
 from amr2qa.cli import main
-from amr2qa.corpus import split_blocks
-from amr2qa.penman import parse_penman, serialize_penman
+from amr2qa.corpus import CorpusError, parse_block, split_blocks
+from amr2qa.penman import serialize_penman
 from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
 
@@ -86,6 +86,19 @@ class TestGenerate:
         # pins questions, template ids, answers and scores byte for byte
         out = tmp_path / "out.jsonl"
         assert main(gen_args(out)) == 0
+        assert out.read_bytes() == MINI_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("pairing", ["by-order", "by-id"])
+    def test_byte_order_marks_change_nothing(self, tmp_path, capsys,
+                                             pairing):
+        # a leading U+FEFF on either file is not part of its first line
+        amr, conllu = tmp_path / "bom.amr", tmp_path / "bom.conllu"
+        for copy, source in ((amr, MINI_AMR), (conllu, MINI_CONLLU)):
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--amr", str(amr), "--conllu", str(conllu),
+                     "--out", str(out), "--pair", pairing]) == 0
+        assert "WARNING" not in capsys.readouterr().err
         assert out.read_bytes() == MINI_GOLDEN.read_bytes()
 
     def test_missing_required_flag(self, tmp_path, capsys):
@@ -289,29 +302,12 @@ BAD_SETTINGS = {
     "dict-scorer": {"scorer": {"remote": "http://x/score"}},
 }
 
-# RunConfig fields that no flag or config key sets: library rows only
-BAD_LIBRARY_SETTINGS = {
-    "zero-timeout": {"scorer_timeout": 0.0},
-    "negative-timeout": {"scorer_timeout": -1.0},
-    "nan-timeout": {"scorer_timeout": math.nan},
-    "inf-timeout": {"scorer_timeout": math.inf},
-    "bool-timeout": {"scorer_timeout": True},
-    "string-timeout": {"scorer_timeout": "5"},
-    "remote-zero-timeout": {"scorer": "remote",
-                            "scorer_url": "http://127.0.0.1:1/score",
-                            "scorer_timeout": 0},
-    # finite, but longer than a socket can wait
-    "huge-timeout": {"scorer_timeout": 1e300},
-    "huge-int-timeout": {"scorer_timeout": 10**400},
-    "timeout-past-time-t": {"scorer_timeout": 9223372037.0},
-    "remote-huge-timeout": {"scorer": "remote",
-                            "scorer_url": "http://127.0.0.1:1/score",
-                            "scorer_timeout": 1e300},
-}
-
-
 def flag_can_say(bad: dict) -> bool:
     return all(type(value) in (str, int) for value in bad.values())
+
+
+def test_every_setting_has_a_flag_and_a_config_key():
+    assert set(cli._FIELDS.values()) == set(RunConfig._fields)
 
 
 class TestSettingsCheckedFirst:
@@ -325,11 +321,10 @@ class TestSettingsCheckedFirst:
     @pytest.mark.parametrize("name, door", [
         (name, door) for name, bad in BAD_SETTINGS.items()
         for door in ("flags", "config", "library")
-        if door != "flags" or flag_can_say(bad)] + [
-        (name, "library") for name in BAD_LIBRARY_SETTINGS])
+        if door != "flags" or flag_can_say(bad)])
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, amr,
                                               name, door):
-        bad = {**BAD_SETTINGS, **BAD_LIBRARY_SETTINGS}[name]
+        bad = BAD_SETTINGS[name]
         out = tmp_path / "o.jsonl"
         if door == "library":
             config = RunConfig(amr_path=amr, conllu_path=MINI_CONLLU,
@@ -525,6 +520,25 @@ class TestInspect:
         amr.write_text("# ::snt Broken .\n(x / oops-\n")
         assert main(["inspect", "--amr", str(amr), "--index", "0"]) == 2
 
+    @pytest.mark.parametrize("block, message", [
+        ("# ::snt Beta .\n(b / beta",
+         "unclosed '(' (at offset 25) (block 2)"),
+        ("(b / beta)", "block has no ::snt sentence (block 2)"),
+    ], ids=["malformed", "no-sentence"])
+    def test_block_errors_name_the_block(self, tmp_path, capsys, block,
+                                         message):
+        # the errors generate gives for the same block
+        amr = tmp_path / "two.amr"
+        amr.write_text("# ::snt Alpha .\n(a / alpha)\n\n" + block + "\n")
+        assert main(["inspect", "--amr", str(amr), "--index", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_byte_order_mark_is_not_metadata(self, tmp_path, capsys):
+        amr = tmp_path / "bom.amr"
+        amr.write_bytes(b"\xef\xbb\xbf" + Path(MINI_AMR).read_bytes())
+        assert main(["inspect", "--amr", str(amr), "--index", "0"]) == 0
+        assert capsys.readouterr().out.startswith("id: s1\n")
+
     @pytest.mark.parametrize("name, index", [
         *(("corpus/mini.amr", index) for index in (-4, -1, 0, 1, 2, 3, 7)),
         *((f"preprocess/{path.name}", index) for path in sorted(
@@ -532,8 +546,14 @@ class TestInspect:
           for index in (0, 1)),
     ])
     def test_same_output_as_reading_the_whole_file(self, name, index,
-                                                   capsys):
-        path = str(FIXTURES.parent / name)
+                                                   tmp_path, capsys):
+        path = FIXTURES.parent / name
+        if path.parent.name == "preprocess":   # bare graphs: add a ::snt
+            copy = tmp_path / path.name
+            copy.write_text("# ::snt -\n" + path.read_text(encoding="utf-8"),
+                            encoding="utf-8")
+            path = copy
+        path = str(path)
         code = main(["inspect", "--amr", path, "--index", str(index)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
@@ -558,15 +578,17 @@ def whole_file_inspect(path, index):
         return 1, "", (f"error: index {index} out of range "
                        f"({len(blocks)} blocks in {path})\n")
     raw = blocks[index]
-    graph = parse_penman(raw.body)
+    try:
+        graph = parse_block(raw)
+    except CorpusError as exc:
+        return 2, "", f"error: {exc}\n"
     tree = preprocess(graph)
-    lines = [f"id: {raw.id if raw.id is not None else raw.position}"]
-    if raw.sentence:
-        lines.append(f"sentence: {raw.sentence}")
-    lines += [f"original: {serialize_penman(graph)}", "condensed:",
-              format_tree(tree).rstrip("\n"),
-              "traversal: " + " -> ".join(n.concept_text
-                                          for n in preorder(tree))]
+    lines = [f"id: {raw.id if raw.id is not None else raw.position}",
+             f"sentence: {raw.sentence}",
+             f"original: {serialize_penman(graph)}", "condensed:",
+             format_tree(tree).rstrip("\n"),
+             "traversal: " + " -> ".join(n.concept_text
+                                         for n in preorder(tree))]
     return 0, "\n".join(lines) + "\n", ""
 
 

@@ -312,8 +312,7 @@ class TestRunGenerate:
     def test_unreachable_remote_scorer_degrades_to_baseline(self, tmp_path):
         out = tmp_path / "out.jsonl"
         report = run_generate(mini_config(
-            out, scorer="remote", scorer_url="http://127.0.0.1:1/score",
-            scorer_timeout=0.2))
+            out, scorer="remote", scorer_url="http://127.0.0.1:1/score"))
         assert report.sentences_processed == 3
         assert report.scorer_fallbacks > 0
         pairs = list(iter_dataset(str(out)))

@@ -302,8 +302,9 @@ class TestRemoteScorer:
             with pytest.raises(ScorerUnavailable):
                 RemoteScorer(mock_server).score("What ?")
 
-    def test_unreachable_endpoint(self, no_leaked_sockets):
-        scorer = RemoteScorer("http://127.0.0.1:1/score", timeout=0.5)
+    def test_unreachable_endpoint(self, no_leaked_sockets, monkeypatch):
+        monkeypatch.setattr("amr2qa.scorer.REQUEST_TIMEOUT", 0.5)
+        scorer = RemoteScorer("http://127.0.0.1:1/score")
         with pytest.raises(ScorerUnavailable):
             scorer.score("What was broken ?")
 
@@ -311,12 +312,13 @@ class TestRemoteScorer:
         _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -4}'))
         assert RemoteScorer(mock_server).score("What ?") == -4.0
 
-    def test_slow_reply_times_out(self, mock_server):
+    def test_slow_reply_times_out(self, mock_server, monkeypatch):
         def slow(body):
             time.sleep(0.3)
             return 200, b'{"logprob": -1.0}'
         _Handler.behavior = staticmethod(slow)
-        scorer = RemoteScorer(mock_server, timeout=0.05)
+        monkeypatch.setattr("amr2qa.scorer.REQUEST_TIMEOUT", 0.05)
+        scorer = RemoteScorer(mock_server)
         with pytest.raises(ScorerUnavailable):
             scorer.score("What ?")
 
@@ -363,8 +365,10 @@ class TestHttp10:
     connection."""
 
     def score(self, reply, timeout=5.0, **server):
-        with RawReplyServer(reply, **server) as raw:
-            return RemoteScorer(raw.url, timeout=timeout).score("What ?")
+        with pytest.MonkeyPatch.context() as patch, \
+                RawReplyServer(reply, **server) as raw:
+            patch.setattr("amr2qa.scorer.REQUEST_TIMEOUT", timeout)
+            return RemoteScorer(raw.url).score("What ?")
 
     @pytest.mark.parametrize("reply", [
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
@@ -587,30 +591,3 @@ class TestMakeScorer:
         for kind in (["baseline"], {"remote": "x"}, None, 1):
             with pytest.raises(ValueError):
                 make_scorer(kind)
-
-    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf,
-                                         -math.inf, True, "5", None, 1e300,
-                                         pytest.param(10**400, id="10**400"),
-                                         9223372037.0])
-    def test_timeout_outside_the_positive_finite_numbers(self, timeout,
-                                                         monkeypatch):
-        def no_file(*args, **kwargs):
-            raise AssertionError("a file was read")
-
-        monkeypatch.setattr(BaselineScorer, "bundled", no_file)
-        for kind, url in (("baseline", None),
-                          ("remote", "http://127.0.0.1:1/score")):
-            with pytest.raises(ValueError):
-                make_scorer(kind, url, timeout=timeout)
-
-    def test_any_positive_finite_timeout(self):
-        for timeout in (1, 0.25, 5.0):
-            scorer = make_scorer("remote", "http://127.0.0.1:1/score",
-                                 timeout)
-            assert scorer._timeout == timeout
-
-    def test_longest_timeout_scores(self):
-        # the largest timeout a socket accepts, and so make_scorer too
-        with MockLM() as lm:
-            scorer = make_scorer("remote", lm.url, threading.TIMEOUT_MAX)
-            assert scorer.score("What ?") == -6.0

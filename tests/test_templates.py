@@ -98,7 +98,7 @@ class TestLoadTemplates:
                           MINIMAL_TEMPLATES
                           + "noncore|location|present|Where is {0} ?|VERB\n")
         store = load_store(templates, write(tmp_path, "m.txt", MINIMAL_MAPPING))
-        t = store.templates[1]
+        t = load_templates(templates)[1]
         assert t.kind == "noncore"
         assert t.key == "location"
         assert store.noncore["location"] == [t]
@@ -244,7 +244,7 @@ class TestLoadMapping:
         mapping = write(tmp_path, "m.txt", MINIMAL_MAPPING
                         + "make|01|ARG0|Theme\n*|*|ARG1|Agent\n")
         store = load_store(templates, mapping)
-        agent, theme = ([t] for t in store.templates)
+        agent, theme = ([t] for t in load_templates(templates))
         assert store.core == {"ARG0": agent, ("make", "01", "ARG0"): theme,
                               "ARG1": agent}
 
@@ -365,24 +365,25 @@ BUNDLED_IDS = """
 import sys
 {block}
 from amr2qa.templates import (
-    bundled_mapping_path, bundled_template_path, load_store)
-store = load_store(bundled_template_path(), bundled_mapping_path())
-print("\\n".join(t.id for t in store.templates))
+    bundled_mapping_path, bundled_template_path, load_store, load_templates)
+load_store(bundled_template_path(), bundled_mapping_path())
+print("\\n".join(t.id for t in load_templates(bundled_template_path())))
 print("hashlib loaded:", "hashlib" in sys.modules)
 """
 
 
 class TestBundledPack:
     def setup_method(self):
+        self.templates = load_templates(bundled_template_path())
         self.store = default_store()
 
     def test_pack_size(self):
-        kinds = Counter(t.kind for t in self.store.templates)
+        kinds = Counter(t.kind for t in self.templates)
         assert kinds["core"] >= 50
         assert kinds["noncore"] >= 90
 
     def test_all_ids_unique(self):
-        ids = [t.id for t in self.store.templates]
+        ids = [t.id for t in self.templates]
         assert len(ids) == len(set(ids))
 
     def test_ids_are_the_sha1_of_the_joined_fields(self):
@@ -390,7 +391,7 @@ class TestBundledPack:
         for fields in resource_rows(bundled_template_path()):
             digest = hashlib.sha1("|".join(fields).encode()).hexdigest()[:8]
             expected.append(f"{fields[0]}:{fields[1]}:" + digest)
-        assert [t.id for t in self.store.templates] == expected
+        assert [t.id for t in self.templates] == expected
 
     def test_ids_are_the_same_without_the_built_in_sha1(self):
         # a build without the _sha1 module hashes through hashlib
@@ -399,15 +400,15 @@ class TestBundledPack:
         assert fallback.pop() == "hashlib loaded: True"
         built_in = run_bare(BUNDLED_IDS.format(block="")).splitlines()
         assert built_in.pop() == "hashlib loaded: False"
-        assert fallback == built_in == [t.id for t in self.store.templates]
+        assert fallback == built_in == [t.id for t in self.templates]
 
     def test_every_pattern_opens_with_wh_word(self):
-        openers = {t.pattern.split(" ", 1)[0] for t in self.store.templates}
+        openers = {t.pattern.split(" ", 1)[0] for t in self.templates}
         assert openers <= {"Who", "What", "When", "Where", "Which",
                            "Whose", "Whom", "Why", "How"}
 
     def test_every_pattern_has_blank_zero(self):
-        assert all("{0}" in t.pattern for t in self.store.templates)
+        assert all("{0}" in t.pattern for t in self.templates)
 
     def test_mapped_keys_all_have_core_templates(self):
         for key, templates in self.store.core.items():
