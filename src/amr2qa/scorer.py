@@ -121,6 +121,8 @@ class RemoteScorer:
 
         if not url:
             raise ValueError("remote scorer requires a scorer URL")
+        if not isinstance(url, str):
+            raise ValueError(f"scorer URL must be a string, got {url!r}")
         parts = urlsplit(url)
         default_port = {"http": 80, "https": 443}.get(parts.scheme)
         if default_port is None or not parts.hostname:

@@ -89,16 +89,20 @@ class TestGenerate:
         assert out.read_bytes() == MINI_GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("pairing", ["by-order", "by-id"])
-    def test_byte_order_marks_change_nothing(self, tmp_path, capsys,
-                                             pairing):
+    @pytest.mark.parametrize("marked", [("amr",), ("conllu",),
+                                        ("amr", "conllu")],
+                             ids=["amr", "conllu", "both"])
+    def test_byte_order_marks_change_nothing(self, tmp_path, caplog,
+                                             pairing, marked):
         # a leading U+FEFF on either file is not part of its first line
         amr, conllu = tmp_path / "bom.amr", tmp_path / "bom.conllu"
         for copy, source in ((amr, MINI_AMR), (conllu, MINI_CONLLU)):
-            copy.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+            bom = b"\xef\xbb\xbf" if copy.suffix[1:] in marked else b""
+            copy.write_bytes(bom + Path(source).read_bytes())
         out = tmp_path / "out.jsonl"
         assert main(["generate", "--amr", str(amr), "--conllu", str(conllu),
                      "--out", str(out), "--pair", pairing]) == 0
-        assert "WARNING" not in capsys.readouterr().err
+        assert caplog.messages == []
         assert out.read_bytes() == MINI_GOLDEN.read_bytes()
 
     def test_missing_required_flag(self, tmp_path, capsys):
@@ -300,6 +304,7 @@ BAD_SETTINGS = {
     "bool-workers": {"workers": True},
     "list-pairing": {"pair": ["by-id"]},
     "dict-scorer": {"scorer": {"remote": "http://x/score"}},
+    "int-url": {"scorer": "remote", "scorer_url": 5},
 }
 
 def flag_can_say(bad: dict) -> bool:
@@ -308,6 +313,31 @@ def flag_can_say(bad: dict) -> bool:
 
 def test_every_setting_has_a_flag_and_a_config_key():
     assert set(cli._FIELDS.values()) == set(RunConfig._fields)
+
+
+# for each config key, a value that is not RunConfig's default
+SETTING_VALUES = {"amr": "a.amr", "conllu": "a.conllu", "out": "a.jsonl",
+                  "templates": "t.txt", "mapping": "m.txt",
+                  "scorer": "remote", "scorer_url": "http://127.0.0.1:1/s",
+                  "pair": "by-id", "workers": 3}
+
+
+@pytest.mark.parametrize("door", ["flags", "config"])
+@pytest.mark.parametrize("key", sorted(cli._FIELDS))
+def test_each_setting_reaches_its_field(tmp_path, key, door):
+    settings = {"amr": "x.amr", "conllu": "x.conllu", "out": "x.jsonl",
+                key: SETTING_VALUES[key]}
+    if door == "flags":
+        argv = ["generate"] + [
+            arg for name, value in settings.items()
+            for arg in ("--" + name.replace("_", "-"), str(value))]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))
+        argv = ["generate", "--config", str(cfg)]
+    config = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert config == RunConfig(**{cli._FIELDS[name]: value
+                                  for name, value in settings.items()})
 
 
 class TestSettingsCheckedFirst:
@@ -479,6 +509,34 @@ class TestStats:
         assert peak(16) < 1.5 * peak(2)
 
 
+def after_first_block(tmp_path, block: str) -> str:
+    """mini.amr's first block, then ``block``, in one file."""
+    first = Path(MINI_AMR).read_text().split("\n\n")[0]
+    path = tmp_path / "two.amr"
+    path.write_text(first + "\n\n" + block + "\n")
+    return str(path)
+
+
+# a second block that inspect and generate both refuse, and the error
+BAD_BLOCKS = {
+    "malformed": ("# ::snt Beta .\n(b / beta",
+                  "unclosed '(' (at offset 25) (block 2)"),
+    "no-sentence": ("(b / beta)", "block has no ::snt sentence (block 2)"),
+    "empty-sentence": ("# ::snt\n(b / beta)",
+                       "block has no ::snt sentence (block 2)"),
+    "unmatched-close": ("# ::snt Beta .\n(b / beta))",
+                        "unmatched ')' (at offset 25) (block 2)"),
+    "duplicate-variable": ("# ::snt Beta .\n(b / beta :ARG0 (b / gamma))",
+                           "variable 'b' defined twice (at offset 32) "
+                           "(block 2)"),
+    "no-concept": ("# ::snt Beta .\n(b / )",
+                   "expected a concept for variable 'b' (at offset 20) "
+                   "(block 2)"),
+    "no-graph": ("# ::snt Beta .\nbeta",
+                 "graph must start with '(' (at offset 15) (block 2)"),
+}
+
+
 class TestInspect:
     def test_shows_original_condensed_traversal(self, capsys):
         assert main(["inspect", "--amr", MINI_AMR, "--index", "2"]) == 0
@@ -520,18 +578,26 @@ class TestInspect:
         amr.write_text("# ::snt Broken .\n(x / oops-\n")
         assert main(["inspect", "--amr", str(amr), "--index", "0"]) == 2
 
-    @pytest.mark.parametrize("block, message", [
-        ("# ::snt Beta .\n(b / beta",
-         "unclosed '(' (at offset 25) (block 2)"),
-        ("(b / beta)", "block has no ::snt sentence (block 2)"),
-    ], ids=["malformed", "no-sentence"])
+    @pytest.mark.parametrize("block, message", BAD_BLOCKS.values(),
+                             ids=BAD_BLOCKS)
     def test_block_errors_name_the_block(self, tmp_path, capsys, block,
                                          message):
-        # the errors generate gives for the same block
-        amr = tmp_path / "two.amr"
-        amr.write_text("# ::snt Alpha .\n(a / alpha)\n\n" + block + "\n")
-        assert main(["inspect", "--amr", str(amr), "--index", "1"]) == 2
+        amr = after_first_block(tmp_path, block)
+        assert main(["inspect", "--amr", amr, "--index", "1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("block, message", BAD_BLOCKS.values(),
+                             ids=BAD_BLOCKS)
+    def test_generate_skips_the_block_with_the_same_error(
+            self, tmp_path, capsys, caplog, block, message):
+        conllu = tmp_path / "two.conllu"
+        conllu.write_text("\n\n".join(
+            Path(MINI_CONLLU).read_text().split("\n\n")[:2]) + "\n\n")
+        argv = ["generate", "--amr", after_first_block(tmp_path, block),
+                "--conllu", str(conllu), "--out", str(tmp_path / "o.jsonl")]
+        assert main(argv) == 0
+        assert caplog.messages == [f"skipped: sentence '2': {message}"]
+        assert "sentences failed      1" in capsys.readouterr().err
 
     def test_byte_order_mark_is_not_metadata(self, tmp_path, capsys):
         amr = tmp_path / "bom.amr"

@@ -11,6 +11,7 @@ needs OpenSSL 3.4 or later) by::
 """
 
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -28,6 +29,7 @@ from amr2qa.pipeline import MAX_FAILURES, BatchScorer
 from amr2qa.scorer import (
     BOS,
     EOS,
+    REQUEST_TIMEOUT,
     BaselineScorer,
     EmptyCorpus,
     RemoteScorer,
@@ -312,6 +314,19 @@ class TestRemoteScorer:
         _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -4}'))
         assert RemoteScorer(mock_server).score("What ?") == -4.0
 
+    def test_waits_five_seconds(self):
+        assert REQUEST_TIMEOUT == 5.0
+
+    @pytest.mark.parametrize("tls", [False, True], ids=["http", "https"])
+    def test_each_connection_waits_request_timeout(self, monkeypatch, tls):
+        # read at each connection, so it reaches a scorer built before
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        with MockLM(tls=server_tls() if tls else None) as lm:
+            remote = RemoteScorer(lm.url)
+            monkeypatch.setattr("amr2qa.scorer.REQUEST_TIMEOUT", 2.5)
+            with remote._connect() as sock:
+                assert sock.gettimeout() == 2.5
+
     def test_slow_reply_times_out(self, mock_server, monkeypatch):
         def slow(body):
             time.sleep(0.3)
@@ -591,3 +606,17 @@ class TestMakeScorer:
         for kind in (["baseline"], {"remote": "x"}, None, 1):
             with pytest.raises(ValueError):
                 make_scorer(kind)
+
+    @pytest.mark.parametrize("url", [
+        5, 1.5, b"http://127.0.0.1:1/score", ["http://127.0.0.1:1/score"]],
+        ids=["int", "float", "bytes", "list"])
+    def test_non_string_url(self, url):
+        with pytest.raises(ValueError, match="must be a string"):
+            make_scorer("remote", url)
+
+    def test_takes_a_kind_and_a_url_only(self):
+        # how long a request waits is REQUEST_TIMEOUT, not a setting
+        assert list(inspect.signature(make_scorer).parameters) == [
+            "kind", "url"]
+        with pytest.raises(TypeError):
+            make_scorer("remote", "http://127.0.0.1:1/score", 0.5)
