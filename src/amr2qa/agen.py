@@ -31,7 +31,7 @@ class Answer(NamedTuple):
 def span_text(ann: SentenceAnnotation, span: tuple[int, int]) -> str:
     """Surfaces in the range joined by single spaces (span answers and
     question fills share this whitespace convention)."""
-    return " ".join(ann.token(i).surface for i in range(span[0], span[1] + 1))
+    return " ".join([t.surface for t in ann.tokens[span[0] - 1:span[1]]])
 
 
 def extract_answer(node: CondensedNode, ann: SentenceAnnotation,

@@ -111,12 +111,8 @@ def _parse_feats(column: str) -> dict:
 
 
 def _reconstruct_text(tokens: list[Token]) -> str:
-    parts = []
-    for token in tokens:
-        parts.append(token.surface)
-        if token.space_after:
-            parts.append(" ")
-    return "".join(parts).strip()
+    return "".join(token.surface + (" " if token.space_after else "")
+                   for token in tokens).strip()
 
 
 def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
@@ -191,12 +187,9 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         except ValueError:
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
                                  line=line_no) from None
-        misc = columns[9]
-        space_after = "SpaceAfter=No" not in misc
-        tokens.append(Token(index=index, surface=columns[1], lemma=columns[2],
-                            upos=columns[3], xpos=columns[4],
-                            feats=_parse_feats(columns[5]), head=head,
-                            space_after=space_after))
+        # surface, lemma, UPOS and XPOS are columns 1-4
+        tokens.append(Token(index, *columns[1:5], _parse_feats(columns[5]),
+                            head, "SpaceAfter=No" not in columns[9]))
         token_lines.append(line_no)
     yield from flush()
 
@@ -222,9 +215,11 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
     references inherit the span of their definition.
     """
     spans: Alignment = {}
-    used: set[int] = set()
     definitions: dict[str, CondensedNode] = {}
     nodes = preorder(tree)
+    tokens = ann.tokens
+    # each token's lemma, lowercased; None once a node has the token
+    lemmas: list[str | None] = [token.lemma.lower() for token in tokens]
 
     for node in nodes:
         if node.is_reference:
@@ -235,22 +230,23 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
         if not words:
             continue
         if len(words) == 1:
-            for token in ann.tokens:
-                if token.index in used:
-                    continue
-                if token.lemma.lower() == words[0]:
-                    spans[node] = (token.index, token.index)
-                    used.add(token.index)
-                    break
+            try:
+                at = lemmas.index(words[0])
+            except ValueError:
+                continue
+            spans[node] = (tokens[at].index, tokens[at].index)
+            lemmas[at] = None
         else:
-            for start in range(len(ann.tokens) - len(words) + 1):
-                window = ann.tokens[start:start + len(words)]
-                if any(token.index in used for token in window):
-                    continue
-                if all(token.surface.lower() == word or token.lemma.lower() == word
-                       for token, word in zip(window, words)):
-                    spans[node] = (window[0].index, window[-1].index)
-                    used.update(token.index for token in window)
+            width = len(words)
+            for start in range(len(tokens) - width + 1):
+                end = start + width
+                window = lemmas[start:end]
+                if None not in window and all(
+                        token.surface.lower() == word or lemma == word
+                        for token, lemma, word
+                        in zip(tokens[start:end], window, words)):
+                    spans[node] = (tokens[start].index, tokens[end - 1].index)
+                    lemmas[start:end] = [None] * width
                     break
 
     for node in nodes:

@@ -17,6 +17,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from json.encoder import encode_basestring as _quote
 from typing import TYPE_CHECKING, NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
@@ -143,23 +144,26 @@ def parse_block(raw: RawBlock) -> AmrGraph:
         raise BlockParseError(str(exc), block=raw.position) from exc
 
 
-def pair_to_json(pair: QaPair) -> dict:
+# one dataset line; every field but span and score is a JSON string
+_LINE = ('{"sentence_id": %s, "question": %s, "answer": {"kind": %s, '
+         '"text": %s, "span": %s, "source_node": %s}, "relation": %s, '
+         '"node": %s, "template_id": %s, "score": %s, "scorer_id": %s}\n')
+# the float reprs JSON spells otherwise, as json.dumps spells them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def pair_to_line(pair: QaPair) -> str:
+    """The pair's dataset line, newline included, from one format string:
+    the text ``json.dumps(..., ensure_ascii=False)`` gives for the object
+    :func:`pair_from_json` reads. A span is two ints, a score a float."""
     answer = pair.answer
-    return {
-        "sentence_id": pair.sentence_id,
-        "question": pair.question,
-        "answer": {
-            "kind": answer.kind,
-            "text": answer.text,
-            "span": list(answer.span) if answer.span is not None else None,
-            "source_node": answer.source_node,
-        },
-        "relation": pair.relation,
-        "node": pair.node,
-        "template_id": pair.template_id,
-        "score": pair.score,
-        "scorer_id": pair.scorer_id,
-    }
+    span = "null" if answer.span is None else "[%d, %d]" % answer.span
+    score = "null" if pair.score is None else repr(pair.score)
+    return _LINE % (_quote(pair.sentence_id), _quote(pair.question),
+                    _quote(answer.kind), _quote(answer.text), span,
+                    _quote(answer.source_node), _quote(pair.relation),
+                    _quote(pair.node), _quote(pair.template_id),
+                    _NON_FINITE.get(score, score), _quote(pair.scorer_id))
 
 
 def _string(obj: dict, key: str) -> str:
@@ -170,8 +174,8 @@ def _string(obj: dict, key: str) -> str:
 
 
 def pair_from_json(obj: dict) -> QaPair:
-    """The pair ``pair_to_json`` wrote. A sentence id, question, answer
-    kind or answer text that is not a string raises TypeError."""
+    """The pair of a parsed ``pair_to_line`` line. A sentence id, question,
+    answer kind or answer text that is not a string raises TypeError."""
     answer = obj["answer"]
     span = answer["span"]
     return QaPair(
@@ -195,13 +199,9 @@ def write_dataset(pairs: Iterable[QaPair], path) -> None:
     they run out. On any exception the tmp file is removed instead and
     ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.tmp"
-    # one encoder: json.dumps builds a new one for each non-default call
-    encode = json.JSONEncoder(ensure_ascii=False).encode
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            for pair in pairs:
-                handle.write(encode(pair_to_json(pair)))
-                handle.write("\n")
+            handle.writelines(map(pair_to_line, pairs))
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

@@ -12,6 +12,7 @@ to the single defining occurrence of their variable.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NamedTuple
 
 CORE_RELATIONS = frozenset({"ARG0", "ARG1", "ARG2", "ARG3", "ARG4", "ARG5"})
@@ -24,15 +25,16 @@ _NON_INVERSE_OF = frozenset({"consist-of", "prep-out-of", "prep-on-behalf-of"})
 _SENSE_RE = re.compile(r"^(.*[^\d-])-(\d{2})$")
 _STRICT_VAR_RE = re.compile(r"^[a-z][0-9]*$")
 # skip whitespace, ``#`` comment lines and ``~`` alignment markers, then
-# match one token; an atom or relation name stops at whitespace or ()/:"~#.
-# It matches at every position, and the token is always the match's end.
-# QUOTE is a '"' that opens no complete string.
+# capture one token: ( ) /, a string, a '"' that opens none, a relation, an
+# atom (names stop at whitespace or ()/:"~#), or the empty EOF at the end.
+# It matches at every position, so findall cuts a text into its tokens.
 _TOKEN_RE = re.compile(r"""
     \s* (?: (?: \#[^\n]*\n? | ~[^\s()~:]* ) \s* )*
-    (?: (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<SLASH>/)
-      | (?P<STRING>"(?:[^"\\]|\\.)*") | (?P<QUOTE>")
-      | (?P<REL>:[^\s()/:"~\#]*) | (?P<ATOM>[^\s()/:"~\#]+) | (?P<EOF>\Z) )
+    ( [()/] | "(?:[^"\\]|\\.)*" | " | :[^\s()/:"~\#]* | [^\s()/:"~\#]+ | \Z )
 """, re.VERBOSE | re.DOTALL)
+# a token's kind from its first character; any other starts an ATOM
+_KINDS = {"(": "LPAREN", ")": "RPAREN", "/": "SLASH", '"': "STRING",
+          ":": "REL", "": "EOF"}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -80,8 +82,8 @@ class Concept(NamedTuple):
     def from_label(label: str) -> "Concept":
         m = _SENSE_RE.match(label)
         if m:
-            return Concept(label=label, sense=m.group(2))
-        return Concept(label=label)
+            return Concept(label, m.group(2))
+        return Concept(label)
 
 
 def strip_sense(label: str) -> str:
@@ -166,105 +168,115 @@ def to_triples(graph: AmrGraph) -> list[tuple[str, str, str]]:
     return instances + edges
 
 
-def _tokens(text: str):
-    """Yield ``(kind, value, offset)`` tokens, ending with an EOF token.
-
-    Tokens are produced one at a time as the parser asks for them, so a
-    lexical error is raised only once the parser reaches it and an earlier
-    structural error still wins.
-    """
-    pos, kind = 0, None
-    while kind != "EOF":
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        offset, pos = m.span(kind)
-        value = text[offset:pos]
-        if kind == "STRING":
-            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-        elif kind == "REL":
-            value = value[1:]
-            if not value:
-                raise MalformedGraph("relation name missing after ':'", offset)
-        elif kind == "QUOTE":
-            raise MalformedGraph("unterminated string literal", offset)
-        yield kind, value, offset
-
-
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokens(text)
-        self.token = next(self.tokens)
+    """Recursive descent over the token texts of one graph. A token's
+    source offset is worked out only when an error names it."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _TOKEN_RE.findall(source)
+        self.index = -1
         self.defined: dict[str, AmrNode] = {}
+        # each bare atom with its text and token index, see resolve()
         self.pending: list[tuple[AmrNode, str, int]] = []
+        self.advance()
 
     def advance(self):
-        self.token = next(self.tokens)
+        """Move to the next token: its ``kind``, and its ``text`` without
+        quotes or colon. A lone '"' or ':' raises only once the parser
+        reaches it, so an earlier structural error still wins."""
+        self.index += 1
+        token = self.tokens[self.index]
+        self.kind = kind = _KINDS.get(token[:1], "ATOM")
+        if kind == "REL":
+            token = token[1:]
+            if not token:
+                raise MalformedGraph("relation name missing after ':'",
+                                     self.offset())
+        elif kind == "STRING":
+            if len(token) == 1:
+                raise MalformedGraph("unterminated string literal",
+                                     self.offset())
+            token = token[1:-1]
+            if "\\" in token:
+                token = _ESCAPE_RE.sub(r"\1", token)
+        self.text = token
 
-    def expect(self, kind: str, what: str):
-        if self.token[0] != kind:
-            raise MalformedGraph(f"expected {what}, found {self.token[1]!r}", self.token[2])
-        value = self.token
-        self.advance()
-        return value
+    def offset(self, index: int | None = None) -> int:
+        """Source offset of token ``index``, by default the current one."""
+        matches = _TOKEN_RE.finditer(self.source)
+        index = self.index if index is None else index
+        return next(islice(matches, index, None)).start(1)
 
     def parse(self) -> AmrGraph:
-        if self.token[0] == "EOF":
-            raise EmptyInput("empty input", self.token[2])
-        if self.token[0] == "RPAREN":
-            raise UnbalancedParens("unmatched ')'", self.token[2])
-        if self.token[0] != "LPAREN":
-            raise MalformedGraph("graph must start with '('", self.token[2])
+        if self.kind == "EOF":
+            raise EmptyInput("empty input", self.offset())
+        if self.kind == "RPAREN":
+            raise UnbalancedParens("unmatched ')'", self.offset())
+        if self.kind != "LPAREN":
+            raise MalformedGraph("graph must start with '('", self.offset())
         root = self.node()
-        if self.token[0] != "EOF":
-            if self.token[0] == "RPAREN":
-                raise UnbalancedParens("unmatched ')'", self.token[2])
-            raise MalformedGraph("trailing content after graph", self.token[2])
+        if self.kind != "EOF":
+            if self.kind == "RPAREN":
+                raise UnbalancedParens("unmatched ')'", self.offset())
+            raise MalformedGraph("trailing content after graph", self.offset())
         self.resolve()
         return AmrGraph(root)
 
     def node(self) -> AmrNode:
-        self.expect("LPAREN", "'('")
-        kind, var, offset = self.token
-        if kind != "ATOM":
-            raise MalformedGraph("expected a variable name after '('", offset)
+        """The node whose '(' is the current token."""
+        self.advance()
+        var, at = self.text, self.index
+        if self.kind != "ATOM":
+            raise MalformedGraph("expected a variable name after '('",
+                                 self.offset())
         self.advance()
         if var in self.defined:
-            raise DuplicateVariableDefinition(f"variable {var!r} defined twice", offset)
-        if self.token[0] != "SLASH":
-            raise MalformedGraph(f"expected '/' and a concept for variable {var!r}", self.token[2])
+            raise DuplicateVariableDefinition(f"variable {var!r} defined twice",
+                                              self.offset(at))
+        if self.kind != "SLASH":
+            raise MalformedGraph(
+                f"expected '/' and a concept for variable {var!r}",
+                self.offset())
         self.advance()
-        kind, label, offset = self.token
-        if kind == "ATOM":
-            concept = Concept.from_label(label)
-        elif kind == "STRING":
-            concept = Concept(label=label, quoted=True)
+        if self.kind == "ATOM":
+            concept = Concept.from_label(self.text)
+        elif self.kind == "STRING":
+            concept = Concept(self.text, None, True)
         else:
-            raise MalformedGraph(f"expected a concept for variable {var!r}", offset)
+            raise MalformedGraph(f"expected a concept for variable {var!r}",
+                                 self.offset())
         self.advance()
-        node = AmrNode(variable=var, concept=concept)
+        node = AmrNode(var, concept)
         self.defined[var] = node
-        while self.token[0] == "REL":
-            relation = Relation(self.token[1])
+        children = node.children
+        while self.kind == "REL":
+            relation = Relation(self.text)
             self.advance()
-            node.children.append((relation, self.value()))
-        if self.token[0] == "EOF":
-            raise UnbalancedParens("unclosed '('", self.token[2])
-        self.expect("RPAREN", "')'")
+            children.append((relation, self.value()))
+        if self.kind != "RPAREN":
+            if self.kind == "EOF":
+                raise UnbalancedParens("unclosed '('", self.offset())
+            raise MalformedGraph(f"expected ')', found {self.text!r}",
+                                 self.offset())
+        self.advance()
         return node
 
     def value(self) -> AmrNode:
-        kind, text, offset = self.token
+        kind = self.kind
         if kind == "LPAREN":
             return self.node()
         if kind == "STRING":
+            constant = AmrNode(None, Concept(self.text, None, True))
             self.advance()
-            return AmrNode(variable=None, concept=Concept(label=text, quoted=True))
+            return constant
         if kind == "ATOM":
+            atom = AmrNode(None, None)   # see resolve()
+            self.pending.append((atom, self.text, self.index))
             self.advance()
-            atom = AmrNode(variable=None, concept=None)   # see resolve()
-            self.pending.append((atom, text, offset))
             return atom
-        raise MalformedGraph(f"expected a value, found {text!r}", offset)
+        raise MalformedGraph(f"expected a value, found {self.text!r}",
+                             self.offset())
 
     def resolve(self):
         """Classify bare atoms: reentrant reference vs constant.
@@ -275,15 +287,16 @@ class _Parser:
         ``+``, words like ``imperative``) is a constant. Each atom's node
         is filled in place.
         """
-        for atom, text, offset in self.pending:
+        for atom, text, index in self.pending:
             if text in self.defined:
                 atom.variable = text
                 atom.is_reentrant_ref = True
             elif _STRICT_VAR_RE.match(text):
                 raise DanglingVariableReference(
-                    f"reference to undefined variable {text!r}", offset)
+                    f"reference to undefined variable {text!r}",
+                    self.offset(index))
             else:
-                atom.concept = Concept(label=text)
+                atom.concept = Concept(text)
 
 
 def parse_penman(text: str) -> AmrGraph:

@@ -20,6 +20,7 @@ with ties going to the earlier template in resource order.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import isfinite
 from typing import NamedTuple
 
 from .agen import SENSE, Answer, span_text
@@ -32,7 +33,7 @@ from .annotate import (
 )
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
-from .templates import Template, TemplateStore, select_templates
+from .templates import Template, TemplateStore, lookup_templates
 
 
 class ArityMismatch(ValueError):
@@ -66,9 +67,9 @@ def _guess_pos(node: CondensedNode) -> str:
     numbers as numerals, everything else as nouns."""
     if node.source_concepts and node.source_concepts[0].sense:
         return "VERB"
-    try:
-        float(node.concept_text)
-        return "NUM"
+    text = node.concept_text
+    try:   # float() also reads "inf", "nan" and "1_000": no numerals
+        return "NUM" if "_" not in text and isfinite(float(text)) else "NOUN"
     except ValueError:
         return "NOUN"
 
@@ -88,7 +89,7 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
                         alignment: Alignment) -> list[QuestionCandidate]:
     """All templates for the node's relation, filled. Empty when the
     relation has no templates, the role cannot be resolved, or every
-    template fails a POS constraint; callers count such skips."""
+    template fails a tense or POS constraint; callers count such skips."""
     relation = node.relation_to_parent
     if relation is None:
         return []
@@ -96,14 +97,18 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
         supplier, entity = node, parent
     else:
         supplier, entity = parent, node
-    base = relation.base
     predicate = supplier.source_concepts[0] if supplier.source_concepts else None
+    templates = lookup_templates(store, relation.base, predicate)
+    if not templates:
+        return []
     fill0, pos0, head = _fill_info(supplier, ann, alignment)
     tense = infer_tense(ann, head) if head is not None else PRESENT
 
     candidates: list[QuestionCandidate] = []
     entity_info: tuple[str, str, int | None] | None = None
-    for template in select_templates(store, base, predicate, tense, pos0):
+    for template in templates:
+        if not template.accepts(tense, pos0):
+            continue
         fills = [fill0]
         if template.blank_count > 1:
             if entity_info is None:
@@ -114,11 +119,8 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
                 continue
             fills.extend([entity_text] * (template.blank_count - 1))
         candidates.append(QuestionCandidate(
-            template_id=template.id,
-            filled_text=fill_template(template, fills),
-            entity_ref=entity,
-            relation=relation.name,
-        ))
+            template.id, fill_template(template, fills), entity,
+            relation.name))
     return candidates
 
 

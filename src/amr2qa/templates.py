@@ -17,7 +17,7 @@ File formats (UTF-8, LF, ``#`` comments):
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,8 +86,10 @@ class Template(NamedTuple):
     def blank_count(self) -> int:
         return len(self.blank_pos)
 
-    def matches_tense(self, tense: str) -> bool:
-        return self.tense == "any" or tense == "any" or self.tense == tense
+    def accepts(self, tense: str, pos: str) -> bool:
+        """Whether it suits ``tense`` and a blank-0 fill of POS ``pos``."""
+        return (self.tense == "any" or tense == "any" or self.tense == tense) \
+            and pos in self.blank_pos[0]
 
 
 # a mapping entry's (lemma, sense, ARGn), or ARGn for its fallback
@@ -225,25 +227,25 @@ def load_store(template_path, mapping_path) -> TemplateStore:
     return TemplateStore(core, noncore)
 
 
-def select_templates(store: TemplateStore, relation: str,
-                     predicate: Concept | None, tense: str,
-                     pos: str) -> list[Template]:
-    """Templates for one edge, in resource-file order.
-
-    ``relation`` is the base relation name (callers strip ``-of``). A core
-    relation takes the templates of the predicate's exact mapping entry,
-    else of the relation's fallback; a non-core one keys on the relation
-    directly. Results are filtered by tense compatibility and by the
-    blank-0 POS constraint. An empty list is a normal outcome.
-    """
+def lookup_templates(store: TemplateStore, relation: str,
+                     predicate: Concept | None) -> Sequence[Template]:
+    """Every template for one edge, in resource-file order. ``relation``
+    is the base relation name (callers strip ``-of``). A core relation
+    takes the templates of the predicate's exact mapping entry, else of
+    the relation's fallback; a non-core one keys on the relation itself."""
     if relation in CORE_RELATIONS:
         exact = None if predicate is None else store.core.get(
             (predicate.lemma, predicate.sense or "", relation))
-        candidates = exact or store.core.get(relation, ())
-    else:
-        candidates = store.noncore.get(relation, ())
-    return [t for t in candidates
-            if t.matches_tense(tense) and pos in t.blank_pos[0]]
+        return exact or store.core.get(relation, ())
+    return store.noncore.get(relation, ())
+
+
+def select_templates(store: TemplateStore, relation: str,
+                     predicate: Concept | None, tense: str,
+                     pos: str) -> list[Template]:
+    """The edge's templates that accept ``tense`` and blank-0 ``pos``."""
+    return [t for t in lookup_templates(store, relation, predicate)
+            if t.accepts(tense, pos)]
 
 
 # the bundled files are read by path: they ship next to this module

@@ -3,6 +3,7 @@ and stats."""
 
 import io
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,7 @@ from amr2qa.corpus import (
     format_stats_table,
     iter_blocks,
     iter_dataset,
+    pair_to_line,
     parse_block,
     split_blocks,
     stats_display,
@@ -248,6 +250,64 @@ def sample_pair(**overrides):
     )
     fields.update(overrides)
     return QaPair(**fields)
+
+
+def old_pair_dict(pair):
+    """The object each dataset line held when lines were encoded with
+    ``json.dumps(..., ensure_ascii=False)``: the reference for
+    ``pair_to_line``."""
+    answer = pair.answer
+    return {
+        "sentence_id": pair.sentence_id,
+        "question": pair.question,
+        "answer": {
+            "kind": answer.kind,
+            "text": answer.text,
+            "span": list(answer.span) if answer.span is not None else None,
+            "source_node": answer.source_node,
+        },
+        "relation": pair.relation,
+        "node": pair.node,
+        "template_id": pair.template_id,
+        "score": pair.score,
+        "scorer_id": pair.scorer_id,
+    }
+
+
+# any code point, lone surrogates included, with the characters JSON
+# escapes drawn often
+LINE_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\ud800\udfffé中'))
+SCORES = st.none() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
+                                      -0.0]) | st.floats()
+SPANS = st.none() | st.tuples(st.integers(), st.integers())
+QA_PAIRS = st.builds(
+    QaPair, LINE_TEXT, LINE_TEXT,
+    st.builds(Answer, LINE_TEXT, LINE_TEXT, SPANS, LINE_TEXT),
+    LINE_TEXT, LINE_TEXT, LINE_TEXT, SCORES, LINE_TEXT)
+
+
+class TestLineFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(QA_PAIRS, max_size=3))
+    def test_lines_equal_the_json_encoder(self, tmp_path_factory, pairs):
+        lines = [json.dumps(old_pair_dict(pair), ensure_ascii=False) + "\n"
+                 for pair in pairs]
+        assert [pair_to_line(pair) for pair in pairs] == lines
+        directory = tmp_path_factory.getbasetemp() / "lines"
+        directory.mkdir(exist_ok=True)
+        path = directory / "d.jsonl"
+        try:
+            expected = "".join(lines).encode("utf-8")
+        except UnicodeEncodeError:   # a lone surrogate has no UTF-8 form
+            with pytest.raises(UnicodeEncodeError):
+                write_dataset(pairs, path)
+            assert list(directory.iterdir()) == []
+        else:
+            write_dataset(pairs, path)
+            assert path.read_bytes() == expected
+            path.unlink()
 
 
 class TestDatasetRoundTrip:

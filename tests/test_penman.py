@@ -1,5 +1,6 @@
 """Tests for PENMAN parsing, serialization and the triple view."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,12 @@ class TestRelation:
         assert Relation("consist-of").base == "consist-of"
 
 
+def nested_graph(depth: int) -> str:
+    """A chain of ``depth`` nodes, each the :ARG0 of the one before."""
+    return ("".join(f"(v{i} / thing :ARG0 " for i in range(depth))
+            + "(leaf / thing)" + ")" * depth)
+
+
 class TestErrors:
 
     def test_empty_input(self):
@@ -249,6 +256,16 @@ class TestErrors:
     def test_missing_concept(self):
         with pytest.raises(MalformedGraph):
             parse_penman("(b :ARG0 (c / cat))")
+
+    def test_nesting_past_the_recursion_limit(self):
+        # the parser recurses once per level, so this text is deeper than
+        # any stack it may use
+        text = nested_graph(sys.getrecursionlimit())
+        with pytest.raises(PenmanError) as exc:
+            parse_penman(text)
+        assert type(exc.value) is MalformedGraph
+        assert str(exc.value) == "graph nesting too deep (at offset 0)"
+        assert exc.value.offset == 0
 
     def test_errors_are_value_errors(self):
         for bad in ["", ")", "(b", "(b / x))", "(a / a :ARG0 z9)"]:

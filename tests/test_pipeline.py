@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -41,6 +43,7 @@ from amr2qa.scorer import (
 )
 
 from helpers import MockLM, RawReplyServer, default_store, no_cyclic_garbage
+from test_penman import nested_graph
 from test_qgen import BROKEN
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -252,6 +255,26 @@ class TestRunGenerate:
         assert report.sentences_failed == 1
         ids = {p.sentence_id for p in iter_dataset(str(out))}
         assert ids == {"s1", "s3"}
+
+    def test_block_nested_too_deep_is_skipped(self, tmp_path, caplog):
+        amr = tmp_path / "deep.amr"
+        amr.write_text(
+            "# ::id s1\n# ::snt The engine was broken .\n"
+            "(b / break-01 :ARG1 (e / engine))\n\n"
+            "# ::id s2\n# ::snt Mary visits museums twice .\n"
+            + nested_graph(sys.getrecursionlimit()) + "\n\n"
+            "# ::id s3\n# ::snt He stood in the middle of the desert .\n"
+            "(s / stand-01 :ARG0 (h / he))\n")
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level("WARNING", logger="amr2qa"):
+            report = run_generate(mini_config(out, amr_path=str(amr)))
+        assert report.sentences_processed == 2
+        assert report.sentences_failed == 1
+        [record] = caplog.records
+        assert record.getMessage() == (
+            "skipped: sentence 's2': graph nesting too deep (at offset 0) "
+            "(block 2)")
+        assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s3"}
 
     def test_by_id_missing_annotation_fails_that_sentence(self, tmp_path):
         blocks = Path(MINI_CONLLU).read_text().strip().split("\n\n")
@@ -499,6 +522,16 @@ class TestRandomRemoteFailures:
 
 
 PIPELINE_GOLDEN = FIXTURES.parent / "pipeline_runs.golden"
+WORKLOADS_PATH = (Path(__file__).resolve().parent.parent / "benchmarks"
+                  / "workloads.py")
+
+
+def load_workloads():
+    """Import ``benchmarks/workloads.py`` by path, read-only."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def shuffled(conllu_text: str, seed: int) -> str:
@@ -510,9 +543,10 @@ def shuffled(conllu_text: str, seed: int) -> str:
 def whole_run_lines(tmp_path_factory) -> list[str]:
     """One line per pinned run: its corpus and settings, the dataset's
     sha256 and every RunReport counter. The runs are the synth corpus at
-    three seeds, by-id pairing over a shuffled CoNLL-U file, and a remote
+    three seeds, by-id pairing over a shuffled CoNLL-U file, a remote
     scorer on MockLM with four workers, healthy and with three of the
-    texts it was asked for failing."""
+    texts it was asked for failing, and the benchmark's long-fresh corpus
+    (multi-clause sentences under an ``and`` root) at two seeds."""
     lines = []
 
     def run(label, amr_text, conllu_text, **settings):
@@ -536,6 +570,10 @@ def whole_run_lines(tmp_path_factory) -> list[str]:
     with MockLM(fail_on=sorted(lm.requests)[::60]) as lm:
         run("synth n=300 seed=5 by-order remote-failing workers=4", amr,
             conllu, scorer="remote", scorer_url=lm.url, workers=4)
+    long_corpus = load_workloads().long_corpus
+    for seed in (1, 2):
+        run(f"long-fresh n=150 seed={seed} by-order baseline workers=1",
+            *long_corpus(150, seed))
     return lines
 
 
@@ -904,7 +942,7 @@ class TestAtomicPublish:
                                             workers):
         out = seeded_out(tmp_path)
         serialized = []
-        real = corpus.pair_to_json
+        real = corpus.pair_to_line
 
         def failing(pair):
             serialized.append(pair)
@@ -912,7 +950,7 @@ class TestAtomicPublish:
                 raise OSError(28, "No space left on device")
             return real(pair)
 
-        monkeypatch.setattr(corpus, "pair_to_json", failing)
+        monkeypatch.setattr(corpus, "pair_to_line", failing)
         amr, conllu = repeated_corpus(tmp_path, copies=3)
         threads_before = threading.active_count()
         with pytest.raises(OSError, match="No space left"):
@@ -1019,7 +1057,7 @@ class TestStreaming:
         written: set[str] = set()
         in_flight: list[int] = []   # sampled at each read and each start
         real_blocks, real_process = pipeline.iter_blocks, process_sentence
-        real_to_json = corpus.pair_to_json
+        real_to_line = corpus.pair_to_line
 
         def blocks(lines):
             for raw in real_blocks(lines):
@@ -1031,13 +1069,13 @@ class TestStreaming:
             in_flight.append(len(read) - len(written))
             return real_process(raw, *args, **kwargs)
 
-        def to_json(pair):
+        def to_line(pair):
             written.add(pair.sentence_id)
-            return real_to_json(pair)
+            return real_to_line(pair)
 
         monkeypatch.setattr(pipeline, "iter_blocks", blocks)
         monkeypatch.setattr(pipeline, "process_sentence", process)
-        monkeypatch.setattr(corpus, "pair_to_json", to_json)
+        monkeypatch.setattr(corpus, "pair_to_line", to_line)
         report = run_generate(mini_config(tmp_path / "out.jsonl",
                                           amr_path=amr, conllu_path=conllu,
                                           workers=workers))

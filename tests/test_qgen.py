@@ -179,6 +179,27 @@ class TestGenerateCandidates:
         assert generate_candidates(two, tree, self.store, VISITS,
                                    alignment) == []
 
+    @pytest.mark.parametrize("constant", [
+        "inf", "-Infinity", "NaN", "nan", "1_000"])
+    def test_non_numeral_constant_fills_noun_blank(self, constant):
+        # float() reads these, but they are words, not numerals
+        tree, alignment = build(f"(v / visit-01 :frequency {constant})",
+                                VISITS)
+        node = preorder(tree)[1]
+        candidates = generate_candidates(node, tree, self.store, VISITS,
+                                         alignment)
+        assert [c.filled_text for c in candidates] == [
+            f"How many times someone visits {constant} ?",
+            f"How many times something visits {constant} ?"]
+
+    @pytest.mark.parametrize("constant", ["-3", "2.5", "1e3"])
+    def test_other_finite_numerals_fail_noun_blank(self, constant):
+        tree, alignment = build(f"(v / visit-01 :frequency {constant})",
+                                VISITS)
+        node = preorder(tree)[1]
+        assert generate_candidates(node, tree, self.store, VISITS,
+                                   alignment) == []
+
     def test_unknown_relation_skipped(self):
         tree, alignment = build("(b / break-01 :quibble (e / engine))", BROKEN)
         engine = preorder(tree)[1]
