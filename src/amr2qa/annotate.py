@@ -51,52 +51,42 @@ class CyclicTree(ConlluError):
 
 
 class Token(NamedTuple):
-    """One CoNLL-U word line. ``head`` is the 1-based index of the governor,
-    0 for the sentence root."""
+    """One CoNLL-U word line; its index is its 1-based position in the
+    sentence. ``head`` is the index of the governor, 0 for the root."""
 
-    index: int
     surface: str
     lemma: str
     upos: str
     xpos: str
     feats: dict
     head: int
-    space_after: bool = True
 
 
 class SentenceAnnotation:
     """One sentence's tokens. CyclicTree is raised unless every head
-    chain ends at the root (0). Equal when id, text and tokens are."""
+    chain ends at the root (0)."""
 
-    def __init__(self, sentence_id: str, text: str, tokens: list[Token]):
+    def __init__(self, sentence_id: str, tokens: list[Token]):
         self.sentence_id = sentence_id
-        self.text = text
         self.tokens = tokens
-        children: dict[int, list[Token]] = {}
-        for token in tokens:
-            children.setdefault(token.head, []).append(token)
+        children: dict[int, list[int]] = {}
+        for index, token in enumerate(tokens, start=1):
+            children.setdefault(token.head, []).append(index)
         # a chain ends at the root exactly when a walk down from the root
-        # reaches its token; the bound stops a walk over repeated indices
-        reached, stack = 0, [0]
-        while stack and reached <= len(tokens):
-            for child in children.get(stack.pop(), ()):
-                reached += 1
-                stack.append(child.index)
-        if reached != len(tokens):
+        # reaches its token; each index has one head, so none is reached twice
+        reached = [0]
+        for index in reached:
+            reached.extend(children.get(index, ()))
+        if len(reached) != len(tokens) + 1:
             raise CyclicTree("dependency heads form a cycle",
                              sentence_id=sentence_id)
         self._children = children
 
-    def __eq__(self, other):
-        if other.__class__ is not SentenceAnnotation:
-            return NotImplemented
-        return (self.sentence_id, self.text, self.tokens) \
-            == (other.sentence_id, other.text, other.tokens)
-
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
 
-    def children_of(self, index: int) -> list[Token]:
+    def children_of(self, index: int) -> list[int]:
+        """The indices of the dependents of token ``index`` (0: the root)."""
         return self._children.get(index, [])
 
 
@@ -108,11 +98,6 @@ def _parse_feats(column: str) -> dict:
         key, _, value = item.partition("=")
         out[key] = value
     return out
-
-
-def _reconstruct_text(tokens: list[Token]) -> str:
-    return "".join(token.surface + (" " if token.space_after else "")
-                   for token in tokens).strip()
 
 
 def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
@@ -128,27 +113,26 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
     sentence at a time, from ``lines``: the lines of a text-mode file.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
-    The word ids of a sentence must run 1, 2, ... n in order.
-    ``# sent_id`` and ``# text`` comments are captured; a block without
-    ``# text`` gets its text rebuilt from surfaces and SpaceAfter. Blocks
-    without ``# sent_id`` are numbered by position, starting at 1.
+    The word ids of a sentence must run 1, 2, ... n in order. A block is
+    a sentence when it has a word line, a ``# sent_id`` or a ``# text``
+    comment; the text itself and MISC are not read. Blocks without
+    ``# sent_id`` are numbered by position, starting at 1.
     """
     count = 0
     tokens: list[Token] = []
     token_lines: list[int] = []
     sent_id: str | None = None
-    sent_text: str | None = None
+    has_text = False
 
     def flush() -> Iterator[SentenceAnnotation]:
-        nonlocal count, tokens, token_lines, sent_id, sent_text
-        if not tokens and sent_id is None and sent_text is None:
+        nonlocal count, tokens, token_lines, sent_id, has_text
+        if not tokens and sent_id is None and not has_text:
             return
         count += 1
         identifier = sent_id if sent_id is not None else str(count)
         _check_tree(tokens, token_lines, identifier)
-        text_value = sent_text if sent_text is not None else _reconstruct_text(tokens)
-        sentence = SentenceAnnotation(identifier, text_value, tokens)
-        tokens, token_lines, sent_id, sent_text = [], [], None, None
+        sentence = SentenceAnnotation(identifier, tokens)
+        tokens, token_lines, sent_id, has_text = [], [], None, False
         yield sentence
 
     # the file's lines split in turn give its text's splitlines()
@@ -165,7 +149,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
                 if key == "sent_id":
                     sent_id = value.strip()
                 elif key == "text":
-                    sent_text = value.strip()
+                    has_text = True
             continue
         columns = line.split("\t")
         if len(columns) != 10:
@@ -188,8 +172,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
                                  line=line_no) from None
         # surface, lemma, UPOS and XPOS are columns 1-4
-        tokens.append(Token(index, *columns[1:5], _parse_feats(columns[5]),
-                            head, "SpaceAfter=No" not in columns[9]))
+        tokens.append(Token(*columns[1:5], _parse_feats(columns[5]), head))
         token_lines.append(line_no)
     yield from flush()
 
@@ -234,7 +217,7 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
                 at = lemmas.index(words[0])
             except ValueError:
                 continue
-            spans[node] = (tokens[at].index, tokens[at].index)
+            spans[node] = (at + 1, at + 1)
             lemmas[at] = None
         else:
             width = len(words)
@@ -245,7 +228,7 @@ def align_concepts(tree: CondensedNode, ann: SentenceAnnotation) -> Alignment:
                         token.surface.lower() == word or lemma == word
                         for token, lemma, word
                         in zip(tokens[start:end], window, words)):
-                    spans[node] = (tokens[start].index, tokens[end - 1].index)
+                    spans[node] = (start + 1, end)
                     lemmas[start:end] = [None] * width
                     break
 
@@ -270,7 +253,7 @@ def infer_tense(ann: SentenceAnnotation, token_index: int) -> str:
     token = ann.token(token_index)
     if token.feats.get("Tense") == "Past" or token.xpos in ("VBD", "VBN"):
         return PAST
-    for child in ann.children_of(token_index):
+    for child in map(ann.token, ann.children_of(token_index)):
         if child.surface.lower() in ("will", "shall") \
                 or child.lemma.lower() in ("will", "shall"):
             return FUTURE
@@ -282,12 +265,9 @@ def subtree_span(ann: SentenceAnnotation, token_index: int) -> tuple[int, int]:
     (itself included). The dominated set may be discontiguous for
     non-projective trees; the enclosing range is returned because answers
     must be contiguous sentence spans."""
-    seen = {token_index}
-    queue = [token_index]
-    while queue:
-        for child in ann.children_of(queue.pop()):
-            seen.add(child.index)
-            queue.append(child.index)
+    seen = [token_index]
+    for index in seen:
+        seen.extend(ann.children_of(index))
     return (min(seen), max(seen))
 
 

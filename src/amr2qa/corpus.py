@@ -89,7 +89,18 @@ class RawBlock(NamedTuple):
         return self.id if self.id is not None else str(self.position)
 
 
-_METADATA_RE = re.compile(r"^#\s*::(\S+)\s*(.*)$")
+_METADATA_RE = re.compile(r"#\s*::(\S.*)")
+_NEXT_KEY_RE = re.compile(r"\s+::(?=\S)")
+_FIELD_RE = re.compile(r"(\S+)\s*(.*)")
+
+
+def metadata_fields(line: str) -> list[tuple[str, str]]:
+    """The ``(key, value)`` fields of one ``# ::key value ::key value``
+    line, none for any other line. A value ends where whitespace, then
+    ``::``, then a non-space begin the next key."""
+    match = _METADATA_RE.match(line.strip())
+    fields = _NEXT_KEY_RE.split(match.group(1)) if match else ()
+    return [_FIELD_RE.match(field).groups() for field in fields]
 
 
 def _chunks(lines: Iterable[str]) -> Iterator[str]:
@@ -117,9 +128,7 @@ def iter_blocks(lines: Iterable[str]) -> Iterator[RawBlock]:
         block_id = None
         sentence = None
         for line in chunk.splitlines():
-            match = _METADATA_RE.match(line.strip())
-            if match:
-                key, value = match.group(1), match.group(2).strip()
+            for key, value in metadata_fields(line):
                 if key == "id" and block_id is None:
                     block_id = value
                 elif key == "snt" and sentence is None:

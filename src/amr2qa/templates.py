@@ -240,14 +240,6 @@ def lookup_templates(store: TemplateStore, relation: str,
     return store.noncore.get(relation, ())
 
 
-def select_templates(store: TemplateStore, relation: str,
-                     predicate: Concept | None, tense: str,
-                     pos: str) -> list[Template]:
-    """The edge's templates that accept ``tense`` and blank-0 ``pos``."""
-    return [t for t in lookup_templates(store, relation, predicate)
-            if t.accepts(tense, pos)]
-
-
 # the bundled files are read by path: they ship next to this module
 # (package-data in pyproject.toml)
 _DATA_DIR = Path(__file__).parent / "data"

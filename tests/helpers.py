@@ -81,10 +81,10 @@ def random_tree_heads(rng: random.Random, n: int) -> list[int]:
 
 
 def annotation_from_heads(heads: list[int], sentence_id: str = "x") -> SentenceAnnotation:
-    tokens = [Token(index=i, surface=f"w{i}", lemma=f"w{i}", upos="NOUN",
-                    xpos="NN", feats={}, head=head)
+    tokens = [Token(surface=f"w{i}", lemma=f"w{i}", upos="NOUN", xpos="NN",
+                    feats={}, head=head)
               for i, head in enumerate(heads, start=1)]
-    return SentenceAnnotation(sentence_id, " ".join(t.surface for t in tokens), tokens)
+    return SentenceAnnotation(sentence_id, tokens)
 
 # characters weighted toward PENMAN structure so random strings hit the
 # parser's interesting paths instead of failing at the first byte

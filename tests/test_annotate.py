@@ -18,7 +18,6 @@ from amr2qa.annotate import (
     align_concepts,
     _check_tree,
     _parse_feats,
-    _reconstruct_text,
     infer_tense,
     iter_conllu,
     parse_conllu,
@@ -63,20 +62,13 @@ class TestParseConllu:
         ids = [ann.sentence_id for ann in parse_conllu(SAMPLE)]
         assert ids == ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"]
 
-    def test_text_comment_captured(self):
-        assert sentences()["s2"].text == "The engine was broken ."
-
-    def test_text_reconstructed_when_missing(self):
-        ann = sentences()["s5"]
-        assert ann.text == "It's good."
-
     def test_multiword_range_skipped(self):
         ann = sentences()["s5"]
         assert [t.surface for t in ann.tokens] == ["It", "'s", "good", "."]
 
     def test_empty_node_skipped(self):
         ann = sentences()["s6"]
-        assert [t.index for t in ann.tokens] == [1, 2, 3]
+        assert [t.surface for t in ann.tokens] == ["Mary", "makes", "cakes"]
 
     def test_feats_parsed(self):
         token = sentences()["s2"].token(4)
@@ -141,26 +133,25 @@ class TestParseConllu:
                 "1\tdo\tdo\tAUX\tVBP\t_\t0\troot\t_\t_\n"
                 "1.1\tx\tx\tX\tX\t_\t_\t_\t_\t_\n"
                 "2\tn't\tnot\tPART\tRB\t_\t1\tadvmod\t_\t_\n")
-        assert [t.index for t in parse_conllu(text)[0].tokens] == [1, 2]
+        assert [t.surface for t in parse_conllu(text)[0].tokens] == ["do", "n't"]
 
 
 def whole_text_parse_conllu(text):
     """The whole-text CoNLL-U reader as it was before the streaming one:
-    the oracle for ``iter_conllu``."""
+    the oracle for ``iter_conllu``, as ``(sentence_id, tokens)`` pairs."""
     sentences = []
     tokens, token_lines = [], []
-    sent_id = sent_text = None
+    sent_id, has_text = None, False
 
     def flush():
-        nonlocal tokens, token_lines, sent_id, sent_text
-        if not tokens and sent_id is None and sent_text is None:
+        nonlocal tokens, token_lines, sent_id, has_text
+        if not tokens and sent_id is None and not has_text:
             return
         identifier = sent_id if sent_id is not None else str(len(sentences) + 1)
         _check_tree(tokens, token_lines, identifier)
-        text_value = (sent_text if sent_text is not None
-                      else _reconstruct_text(tokens))
-        sentences.append(SentenceAnnotation(identifier, text_value, tokens))
-        tokens, token_lines, sent_id, sent_text = [], [], None, None
+        SentenceAnnotation(identifier, tokens)  # refuses a cycle
+        sentences.append((identifier, tokens))
+        tokens, token_lines, sent_id, has_text = [], [], None, False
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -173,7 +164,7 @@ def whole_text_parse_conllu(text):
                 if key == "sent_id":
                     sent_id = value.strip()
                 elif key == "text":
-                    sent_text = value.strip()
+                    has_text = True
             continue
         columns = line.split("\t")
         if len(columns) != 10:
@@ -195,10 +186,9 @@ def whole_text_parse_conllu(text):
         except ValueError:
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
                                  line=line_no) from None
-        tokens.append(Token(index=index, surface=columns[1], lemma=columns[2],
+        tokens.append(Token(surface=columns[1], lemma=columns[2],
                             upos=columns[3], xpos=columns[4],
-                            feats=_parse_feats(columns[5]), head=head,
-                            space_after="SpaceAfter=No" not in columns[9]))
+                            feats=_parse_feats(columns[5]), head=head))
         token_lines.append(line_no)
     flush()
     return sentences
@@ -211,6 +201,10 @@ def outcome(read):
         return read()
     except ConlluError as exc:
         return type(exc), exc.line, str(exc)
+
+
+def id_tokens(sentences):
+    return [(ann.sentence_id, ann.tokens) for ann in sentences]
 
 
 # token lines (good, bad head, bad column count, bad id, cycle, multiword),
@@ -237,8 +231,9 @@ class TestIterConlluMatchesWholeText:
     @given(conllu_texts)
     def test_same_sentences_or_error_as_the_whole_text_parse(self, text):
         expected = outcome(lambda: whole_text_parse_conllu(text))
-        assert outcome(lambda: list(iter_conllu(io.StringIO(text)))) == expected
-        assert outcome(lambda: parse_conllu(text)) == expected
+        assert outcome(lambda: id_tokens(iter_conllu(io.StringIO(text)))) \
+            == expected
+        assert outcome(lambda: id_tokens(parse_conllu(text))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(conllu_texts)
@@ -246,7 +241,7 @@ class TestIterConlluMatchesWholeText:
         def handle():
             return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
                                     encoding="utf-8")
-        assert (outcome(lambda: list(iter_conllu(handle())))
+        assert (outcome(lambda: id_tokens(iter_conllu(handle())))
                 == outcome(lambda: whole_text_parse_conllu(handle().read())))
 
     def test_sentences_before_a_bad_line_are_yielded(self):
@@ -359,8 +354,8 @@ class TestInferTense:
 
     def test_total_over_all_tokens(self):
         for ann in sentences().values():
-            for token in ann.tokens:
-                assert infer_tense(ann, token.index) in ("past", "present", "future")
+            for index in range(1, len(ann.tokens) + 1):
+                assert infer_tense(ann, index) in ("past", "present", "future")
 
 
 class TestSubtreeSpan:
@@ -416,18 +411,10 @@ class TestAcyclicTree:
     """An annotation is built only over heads that form a tree."""
 
     def test_cycle_raises(self):
-        tokens = [Token(1, "a", "a", "X", "X", {}, 1)]
+        tokens = [Token("a", "a", "X", "X", {}, 1)]
         with pytest.raises(CyclicTree) as exc:
-            SentenceAnnotation("bad", "a", tokens)
+            SentenceAnnotation("bad", tokens)
         assert exc.value.sentence_id == "bad"
-
-    def test_repeated_index_raises(self):
-        # token 1 twice, the second headed by the first: the walk down
-        # from the root would revisit token 1 for ever
-        tokens = [Token(1, "a", "a", "X", "X", {}, 0),
-                  Token(1, "b", "b", "X", "X", {}, 1)]
-        with pytest.raises(CyclicTree):
-            SentenceAnnotation("bad", "a b", tokens)
 
     @given(st.integers(0, 12).flatmap(
         lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
@@ -438,9 +425,11 @@ class TestAcyclicTree:
                 annotation_from_heads(heads)
         else:
             ann = annotation_from_heads(heads)
-            assert sorted(token.index for index in range(len(heads) + 1)
-                          for token in ann.children_of(index)) \
+            edges = [(index, child) for index in range(len(heads) + 1)
+                     for child in ann.children_of(index)]
+            assert sorted(child for _, child in edges) \
                 == list(range(1, len(heads) + 1))
+            assert all(heads[child - 1] == index for index, child in edges)
 
 
 def _oracle_span(heads: list[int], root: int) -> tuple[int, int]:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from amr2qa.agen import Answer
 from amr2qa.annotate import iter_conllu
 from amr2qa.corpus import (
-    _METADATA_RE,
     BlockParseError,
     CountMismatch,
     DatasetFormatError,
@@ -27,6 +26,7 @@ from amr2qa.corpus import (
     format_stats_table,
     iter_blocks,
     iter_dataset,
+    metadata_fields,
     pair_to_line,
     parse_block,
     split_blocks,
@@ -111,17 +111,38 @@ class TestReadAmrCorpus:
 
     def test_unknown_metadata_ignored(self, tmp_path):
         path = write(tmp_path, "c.amr",
-                     "# ::id z\n# ::save-date 2020\n# ::snt ok\n(a / alpha)\n")
-        assert read_blocks(path)[0][0].sentence == "ok"
+                     "# ::id z\n# ::save-date Fri Dec 28, 2012 ::file x.txt\n"
+                     "# ::snt ok\n(a / alpha)\n")
+        [(raw, _)] = read_blocks(path)
+        assert (raw.id, raw.sentence) == ("z", "ok")
 
     def test_empty_file(self, tmp_path):
         assert read_blocks(write(tmp_path, "c.amr", "\n\n")) == []
+
+    def test_release_id_line_holds_several_fields(self, tmp_path):
+        # the AMR 2.0 release writes every field of a block on one line
+        path = write(tmp_path, "c.amr", AMR2_ID_LINE
+                     + "\n# ::snt Dogs bark .\n(b / bark-01)\n")
+        [(raw, _)] = read_blocks(path)
+        assert raw.id == "bolt12_07_4800.1"
+        assert raw.sentence == "Dogs bark ."
+
+    def test_metadata_fields(self):
+        assert metadata_fields("  # ::id a b ::x ::snt  Hi :: there ") == [
+            ("id", "a b"), ("x", ""), ("snt", "Hi :: there")]
+        assert metadata_fields("# ::id a::b") == [("id", "a::b")]
+        assert metadata_fields("# note ::id a") == []
+        assert metadata_fields("# :: id") == []
 
     def test_split_blocks_keeps_metadata(self):
         blocks = split_blocks(MINI_AMR.read_text(encoding="utf-8"))
         assert [b.position for b in blocks] == [1, 2, 3]
         assert blocks[2].id == "s3"
         assert "stand-01" in blocks[2].body
+
+
+AMR2_ID_LINE = ("# ::id bolt12_07_4800.1 ::date 2012-12-19T12:53:14 "
+                "::annotator SDL-AMR-09 ::preferred")
 
 
 def mini_pairs():
@@ -167,6 +188,22 @@ class TestPairAnnotations:
         assert report.sentences_failed == 1
         assert "no annotation with id 's3'" in caplog.text
 
+    def test_by_id_pairs_a_release_id_line(self, tmp_path):
+        amr = write(tmp_path, "c.amr", AMR2_ID_LINE
+                    + "\n# ::snt Dogs bark\n(b / bark-01 :ARG0 (d / dog))\n")
+        conllu = write(tmp_path, "c.conllu",
+                       "# sent_id = bolt12_07_4800.1\n"
+                       "1\tDogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+                       "2\tbark\tbark\tVERB\tVBP\t_\t0\troot\t_\t_\n")
+        out = tmp_path / "out.jsonl"
+        report = run_generate(RunConfig(
+            amr_path=str(amr), conllu_path=str(conllu),
+            output_path=str(out), pairing="by-id"))
+        assert (report.sentences_processed, report.sentences_failed) == (1, 0)
+        rows = list(iter_dataset(out))
+        assert rows and {row.sentence_id for row in rows} == {
+            "bolt12_07_4800.1"}
+
     def test_by_id_duplicate_annotation_ids(self):
         blocks, annotations = mini_pairs()
         with pytest.raises(UnresolvedId):
@@ -189,9 +226,7 @@ def whole_text_split_blocks(text):
         block_id = None
         sentence = None
         for line in chunk.splitlines():
-            match = _METADATA_RE.match(line.strip())
-            if match:
-                key, value = match.group(1), match.group(2).strip()
+            for key, value in metadata_fields(line):
                 if key == "id" and block_id is None:
                     block_id = value
                 elif key == "snt" and sentence is None:
@@ -206,6 +241,7 @@ def whole_text_split_blocks(text):
 AMR_PIECES = ["\n", "\n", "\n", " ", "\t", "\x0c", "\x0b", "\x85", "\x1c",
               "\u2028", "\xa0", "\u3000", "\r", "\r\n", "# ::id a",
               "# ::id b", "# ::snt one", "# ::snt", "#::snt two ",
+              "# ::id c ::date 2012",
               "(b / bark-01)", "(x", "x"]
 amr_texts = st.lists(st.sampled_from(AMR_PIECES), max_size=30).map("".join)
 

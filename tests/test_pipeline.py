@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 import synth_corpus
 from amr2qa import corpus, pipeline
-from amr2qa.annotate import BadColumnCount, parse_conllu
+from amr2qa.agen import SPAN, span_text
+from amr2qa.annotate import (
+    BadColumnCount,
+    SentenceAnnotation,
+    Token,
+    align_concepts,
+    parse_conllu,
+)
 from amr2qa.corpus import (
     CountMismatch,
     UnresolvedId,
@@ -27,22 +34,34 @@ from amr2qa.corpus import (
     split_blocks,
     write_dataset,
 )
+from amr2qa.penman import parse_penman, strip_sense
 from amr2qa.pipeline import (
     BatchScorer,
     PAIRINGS,
+    SENSE_RELATION,
     RunConfig,
     RunReport,
     process_sentence,
     run_generate,
 )
+from amr2qa.preprocess import preorder, preprocess
 from amr2qa.qgen import generate_candidates
+from amr2qa.templates import UPOS_TAGS
 from amr2qa.scorer import (
     BaselineScorer,
     RemoteScorer,
     ScorerUnavailable,
 )
 
-from helpers import MockLM, RawReplyServer, default_store, no_cyclic_garbage
+from helpers import (
+    MockLM,
+    RawReplyServer,
+    default_store,
+    no_cyclic_garbage,
+    random_amr_text,
+    random_promotion_amr_text,
+    random_tree_heads,
+)
 from test_penman import nested_graph
 from test_qgen import BROKEN
 
@@ -155,6 +174,78 @@ class TestProcessSentence:
         primary = sum(1 for p in result.pairs if p.relation != "sense")
         assert (primary + result.no_template + result.duplicate
                 == result.non_root == 4)
+
+
+_XPOS = ["NN", "NNS", "NNP", "VB", "VBD", "VBN", "VBG", "VBP", "VBZ", "JJ",
+         "RB", "MD", "CD", "DT", "IN", "PRP"]
+_TENSE_FEATS = [{}, {"Tense": "Past"}, {"Tense": "Pres"}]
+_FILLER = ["the", "will", "shall", "of", "in", "quickly", "Mary", "3"]
+
+
+def random_sentence(rng: random.Random) -> tuple[str, SentenceAnnotation]:
+    """A random graph and an annotation of 1-12 tokens over a random tree.
+    About half the lemmas spell the graph's concepts, whole concepts in
+    order where there is room, so that single- and multi-word alignment and
+    span answers both run; the rest are filler, "will" among them."""
+    make = rng.choice([random_amr_text, random_promotion_amr_text])
+    amr_text = make(rng)
+    concepts = [strip_sense(node.concept_text).split()
+                for node in preorder(preprocess(parse_penman(amr_text)))]
+    concepts = [words for words in concepts if words]
+    n = rng.randrange(1, 13)
+    lemmas: list[str] = []
+    while len(lemmas) < n:
+        if concepts and rng.randrange(2):
+            lemmas.extend(rng.choice(concepts))
+        else:
+            lemmas.append(rng.choice(_FILLER))
+    tokens = [Token(surface=rng.choice([lemma, lemma.upper(), lemma + "s"]),
+                    lemma=lemma, upos=rng.choice(sorted(UPOS_TAGS)),
+                    xpos=rng.choice(_XPOS), feats=rng.choice(_TENSE_FEATS),
+                    head=head)
+              for lemma, head in zip(lemmas, random_tree_heads(rng, n))]
+    return amr_text, SentenceAnnotation("r", tokens)
+
+
+class TestProcessSentenceProperty:
+    """Invariants of one sentence's result on random (graph, annotation)
+    pairs. ``run_generate`` turns any exception into one failed sentence,
+    so a fault in a stage shows here and not as a bad input."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_invariants(self, store, baseline, seed):
+        amr_text, ann = random_sentence(random.Random(seed))
+        result = process_sentence(block_for(amr_text), ann, store,
+                                  BatchScorer(baseline, workers=1))
+        primary = [p for p in result.pairs if p.relation != SENSE_RELATION]
+        assert (len(primary) + result.no_template + result.duplicate
+                == result.non_root)
+        assert len(result.pairs) - len(primary) == result.sense
+        n = len(ann.tokens)
+        for pair in result.pairs:
+            if pair.answer.kind == SPAN:
+                start, end = pair.answer.span
+                assert 1 <= start <= end <= n
+                assert pair.answer.text == span_text(ann, pair.answer.span)
+        assert len({p.scorer_id for p in result.pairs}) <= 1
+        keys = [(p.question, p.answer.text) for p in result.pairs]
+        assert len(set(keys)) == len(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_aligned_span_spells_its_concept(self, seed):
+        amr_text, ann = random_sentence(random.Random(seed))
+        tree = preprocess(parse_penman(amr_text))
+        for node, (start, end) in align_concepts(tree, ann).items():
+            if node.is_reference:
+                continue
+            words = strip_sense(node.concept_text).lower().split()
+            window = ann.tokens[start - 1:end]
+            assert 1 <= start <= end <= len(ann.tokens)
+            assert len(window) == len(words)
+            assert all(word in (token.lemma.lower(), token.surface.lower())
+                       for token, word in zip(window, words))
 
 
 class TestPairBlocks:

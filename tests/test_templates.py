@@ -24,7 +24,7 @@ from amr2qa.templates import (
     load_mapping,
     load_store,
     load_templates,
-    select_templates,
+    lookup_templates,
 )
 
 from helpers import default_store, run_bare
@@ -50,6 +50,13 @@ def resource_rows(path) -> list[list[str]]:
         if line and not line.startswith("#"):
             rows.append([c.strip() for c in line.split("|")])
     return rows
+
+
+def select_templates(store, relation, predicate, tense, pos):
+    """The edge's templates that accept ``tense`` and blank-0 ``pos``, as
+    ``generate_candidates`` picks them."""
+    return [t for t in lookup_templates(store, relation, predicate)
+            if t.accepts(tense, pos)]
 
 
 def selection_lines() -> list[str]:
