@@ -17,6 +17,7 @@ questions fall back to the smoothed unigram log-probability.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -106,8 +107,9 @@ class RemoteScorer:
     """POSTs ``{"text": <question>}`` and reads ``{"logprob": <number>}``.
 
     One call is one HTTP/1.0 request on a new connection, which it asks the
-    server to close, under ``REQUEST_TIMEOUT``; ``ssl`` loads only for
-    ``https``.
+    server to close, under ``REQUEST_TIMEOUT``. It connects with ``_socket``
+    and a ``bytes`` host: ``socket`` loads only with ``ssl``, for ``https``,
+    and the IDNA codec only for a non-ASCII host.
     Timeouts, connection and protocol errors, non-2xx statuses, malformed
     replies and non-finite logprobs all surface as ScorerUnavailable.
     """
@@ -132,9 +134,11 @@ class RemoteScorer:
         # urlsplit drops tabs and line breaks, so check the URL as given
         if any(c <= " " or c == "\x7f" for c in url):
             raise ValueError(f"space or control character in URL: {url!r}")
-        # the port goes apart from the host, so an IPv6 host is not split
-        self._address = (parts.hostname, default_port if parts.port is None
-                         else parts.port)
+        # the port goes apart from the host, so an IPv6 host is not split;
+        # the host is resolved as bytes, so an ASCII one loads no IDNA codec
+        self._hostname = name = parts.hostname
+        self._address = (name.encode("ascii" if name.isascii() else "idna"),
+                         default_port if parts.port is None else parts.port)
         self._tls = None
         if parts.scheme == "https":   # one TLS context for every connection
             import ssl
@@ -153,20 +157,43 @@ class RemoteScorer:
                 "it connects to %s directly", proxy, parts.hostname)
 
     def _connect(self):
-        import socket   # not at module import: a baseline run never needs it
+        # addresses in order, as socket.create_connection tries them, through
+        # _socket: socket's enum tables cost about 0.5 MiB of peak RSS
+        import _socket
 
-        sock = socket.create_connection(self._address, REQUEST_TIMEOUT)
+        found = _socket.getaddrinfo(*self._address, 0, _socket.SOCK_STREAM)
+        if not found:
+            raise OSError("getaddrinfo returns an empty list")
+        for tried, (family, kind, proto, _, address) in enumerate(found, 1):
+            sock = None
+            try:
+                sock = _socket.socket(family, kind, proto)
+                sock.settimeout(REQUEST_TIMEOUT)
+                sock.connect(address)
+                break
+            except OSError:
+                if sock is not None:
+                    sock.close()
+                if tried == len(found):
+                    raise
         if self._tls is None:
             return sock
+        import socket   # ssl has loaded it
+
+        sock = socket.socket(family, kind, proto, fileno=sock.detach())
+        sock.settimeout(REQUEST_TIMEOUT)   # a new socket object blocks
         with sock:   # a failed handshake closes it; a wrapped one is detached
-            return self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            return self._tls.wrap_socket(sock, server_hostname=self._hostname)
 
     def score(self, question: str) -> float:
         payload = json.dumps({"text": question}).encode("utf-8")
         try:
-            with self._connect() as sock, sock.makefile("rb") as reply:
+            sock = self._connect()
+            try:
                 sock.sendall(self._head + b"%d\r\n\r\n" % len(payload) + payload)
-                body = _read_reply(reply)
+                body = _read_reply(io.BufferedReader(_Received(sock)))
+            finally:
+                sock.close()
         except (OSError, ValueError) as exc:
             raise ScorerUnavailable(str(exc)) from exc
         # ValueError covers bad UTF-8, bad JSON and an integer longer than
@@ -185,6 +212,17 @@ class RemoteScorer:
         if not math.isfinite(logprob):
             raise ScorerUnavailable(f"non-finite logprob: {logprob}")
         return logprob
+
+
+class _Received(io.RawIOBase):
+    """What ``sock`` receives, as a raw binary file: a ``_socket`` socket
+    has no ``makefile``."""
+
+    def __init__(self, sock):
+        self.readinto = sock.recv_into
+
+    def readable(self) -> bool:
+        return True
 
 
 def _read_reply(reply) -> bytes:

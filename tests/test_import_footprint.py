@@ -24,9 +24,14 @@ NOT_ON_BASELINE_PATH = (
 ) + NO_CLASS_GENERATION
 
 # the remote scorer speaks HTTP/1.0 over a socket: none of the standard
-# HTTP clients, and OpenSSL only for https
+# HTTP clients, and OpenSSL only for https. It connects with _socket, so
+# socket (and selectors, which socket imports) loads only with ssl, and it
+# resolves an ASCII host as bytes, which loads no IDNA codec and none of
+# the nameprep tables that codec pulls in
 NOT_ON_HTTP_PATH = ("http.client", "email", "ssl", "_ssl", "urllib.request",
-                    "hashlib", "_hashlib") + NO_CLASS_GENERATION
+                    "hashlib", "_hashlib", "socket", "selectors",
+                    "encodings.idna", "stringprep",
+                    "unicodedata") + NO_CLASS_GENERATION
 
 SETUP = """
 from amr2qa.scorer import make_scorer

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import socket
 import threading
 import time
 import warnings
@@ -38,7 +39,13 @@ from amr2qa.scorer import (
     make_scorer,
 )
 
-from helpers import TLS_CERT, MockLM, RawReplyServer, server_tls
+from helpers import (
+    TLS_CERT,
+    MockLM,
+    RawReplyServer,
+    no_cyclic_garbage,
+    server_tls,
+)
 
 OK_REPLY = (b"HTTP/1.0 200 OK\r\nContent-Length: 17\r\n\r\n"
             b'{"logprob": -1.5}')
@@ -266,6 +273,30 @@ def no_leaked_sockets():
     assert leaks == []
 
 
+@pytest.fixture
+def refused():
+    """A 127.0.0.1 address that refuses connections: its port is bound,
+    but nothing listens on it."""
+    with socket.socket() as bound:
+        bound.bind(("127.0.0.1", 0))
+        yield bound.getsockname()
+
+
+def resolving_to(monkeypatch, *addresses):
+    """Makes the remote scorer's resolver answer ``addresses``, as IPv4
+    stream addresses in that order; returns the ``(host, port)`` pairs it
+    is asked for."""
+    asked = []
+
+    def getaddrinfo(host, port, *args):
+        asked.append((host, port))
+        return [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "",
+                 address) for address in addresses]
+
+    monkeypatch.setattr("_socket.getaddrinfo", getaddrinfo)
+    return asked
+
+
 class TestRemoteScorer:
     def test_pass_through(self, mock_server):
         scorer = RemoteScorer(mock_server)
@@ -310,6 +341,47 @@ class TestRemoteScorer:
         with pytest.raises(ScorerUnavailable):
             scorer.score("What was broken ?")
 
+    def test_a_refused_address_is_passed_over(self, monkeypatch, refused,
+                                              no_leaked_sockets):
+        # the addresses are tried in order, as socket.create_connection
+        # tries them, and a failed one leaves no socket and no cycle open
+        with MockLM() as lm:
+            resolving_to(monkeypatch, refused, lm.server_address)
+            scorer = RemoteScorer(lm.url)
+            with no_cyclic_garbage():
+                assert scorer.score("What ?") == -6.0
+        assert lm.requests == {"What ?": 1}
+
+    def test_only_refused_addresses(self, monkeypatch, refused,
+                                    no_leaked_sockets):
+        resolving_to(monkeypatch, refused, refused)
+        with pytest.raises(ScorerUnavailable, match="refused"):
+            RemoteScorer("http://scorer.example/s").score("What ?")
+
+    def test_no_address(self, monkeypatch):
+        resolving_to(monkeypatch)
+        with pytest.raises(ScorerUnavailable, match="empty list"):
+            RemoteScorer("http://scorer.example/s").score("What ?")
+
+    def test_ascii_host_is_resolved_as_ascii_bytes(self, monkeypatch):
+        # the host the URL parser gives, lower-cased; the Host header keeps
+        # the URL's spelling
+        with RawReplyServer(OK_REPLY) as raw:
+            asked = resolving_to(monkeypatch, raw.server_address)
+            url = f"http://Scorer.Example:{raw.server_address[1]}/s"
+            assert RemoteScorer(url).score("What ?") == -1.5
+        assert asked == [(b"scorer.example", raw.server_address[1])]
+        assert f"Host: Scorer.Example:{raw.server_address[1]}\r\n".encode() \
+            in raw.heads[0]
+
+    def test_non_ascii_host_is_sent_and_resolved_in_idna(self, monkeypatch):
+        with RawReplyServer(OK_REPLY) as raw:
+            asked = resolving_to(monkeypatch, raw.server_address)
+            scorer = RemoteScorer("http://bücher.example:8080/s")
+            assert scorer.score("What ?") == -1.5
+        assert asked == [(b"xn--bcher-kva.example", 8080)]
+        assert b"Host: xn--bcher-kva.example:8080\r\n" in raw.heads[0]
+
     def test_integer_logprob_accepted(self, mock_server):
         _Handler.behavior = staticmethod(lambda body: (200, b'{"logprob": -4}'))
         assert RemoteScorer(mock_server).score("What ?") == -4.0
@@ -324,8 +396,11 @@ class TestRemoteScorer:
         with MockLM(tls=server_tls() if tls else None) as lm:
             remote = RemoteScorer(lm.url)
             monkeypatch.setattr("amr2qa.scorer.REQUEST_TIMEOUT", 2.5)
-            with remote._connect() as sock:
+            sock = remote._connect()
+            try:
                 assert sock.gettimeout() == 2.5
+            finally:
+                sock.close()
 
     def test_slow_reply_times_out(self, mock_server, monkeypatch):
         def slow(body):
