@@ -52,13 +52,14 @@ class CyclicTree(ConlluError):
 
 class Token(NamedTuple):
     """One CoNLL-U word line; its index is its 1-based position in the
-    sentence. ``head`` is the index of the governor, 0 for the root."""
+    sentence. ``feats`` is the FEATS column as written; ``head`` is the
+    index of the governor, 0 for the root."""
 
     surface: str
     lemma: str
     upos: str
     xpos: str
-    feats: dict
+    feats: str
     head: int
 
 
@@ -88,16 +89,6 @@ class SentenceAnnotation:
     def children_of(self, index: int) -> list[int]:
         """The indices of the dependents of token ``index`` (0: the root)."""
         return self._children.get(index, [])
-
-
-def _parse_feats(column: str) -> dict:
-    if column in ("_", ""):
-        return {}
-    out = {}
-    for item in column.split("|"):
-        key, _, value = item.partition("=")
-        out[key] = value
-    return out
 
 
 def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
@@ -171,8 +162,8 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         except ValueError:
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
                                  line=line_no) from None
-        # surface, lemma, UPOS and XPOS are columns 1-4
-        tokens.append(Token(*columns[1:5], _parse_feats(columns[5]), head))
+        # surface, lemma, UPOS, XPOS and FEATS are columns 1-5
+        tokens.append(Token(*columns[1:6], head))
         token_lines.append(line_no)
     yield from flush()
 
@@ -251,7 +242,9 @@ def infer_tense(ann: SentenceAnnotation, token_index: int) -> str:
     XPOS VBD/VBN), future from an auxiliary child "will"/"shall", otherwise
     present. Total: any token yields one of the three tags."""
     token = ann.token(token_index)
-    if token.feats.get("Tense") == "Past" or token.xpos in ("VBD", "VBN"):
+    # a feature named twice keeps its last value
+    feats = dict(item.partition("=")[::2] for item in token.feats.split("|"))
+    if feats.get("Tense") == "Past" or token.xpos in ("VBD", "VBN"):
         return PAST
     for child in map(ann.token, ann.children_of(token_index)):
         if child.surface.lower() in ("will", "shall") \

@@ -31,7 +31,6 @@ from .corpus import (
     iter_blocks,
     iter_dataset,
     parse_block,
-    stats_display,
 )
 from .penman import serialize_penman
 from .pipeline import PAIRINGS, RunConfig, run_generate
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -154,7 +153,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                           for pair in iter_dataset(args.dataset)})
     stats = compute_stats(iter_dataset(args.dataset), sentence_count)
     if args.json:
-        print(json.dumps(stats_display(stats), indent=2))
+        print(json.dumps(stats, indent=2))
     else:
         print(format_stats_table(stats), end="")
     return 0

@@ -5,8 +5,8 @@ metadata followed by one PENMAN graph) block by block, writes the generated
 question-answer dataset as JSON Lines, and computes summary statistics.
 
 Spans are 1-based inclusive token ranges, matching CoNLL-U indices, so one
-indexing convention holds end-to-end. Statistics are kept exact internally
-(fractions) and rounded half-up to two decimals only for display.
+indexing convention holds end-to-end. Statistics are counted in integers;
+each average is rounded half up to two places from its exact total.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import re
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from json.encoder import encode_basestring as _quote
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
 from .penman import AmrGraph, PenmanError, parse_penman
-
-if TYPE_CHECKING:  # stats imports it when it runs; generate never needs it
-    from fractions import Fraction
 
 
 class CorpusError(ValueError):
@@ -219,9 +216,9 @@ def write_dataset(pairs: Iterable[QaPair], path) -> None:
 
 
 def iter_dataset(path) -> Iterator[QaPair]:
-    """The pairs of a JSONL dataset, one at a time; blank lines are
-    skipped."""
-    with open(path, encoding="utf-8") as handle:
+    """The pairs of a JSONL dataset, one at a time; a byte-order mark and
+    blank lines are skipped."""
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -235,31 +232,20 @@ def iter_dataset(path) -> Iterator[QaPair]:
             yield pair
 
 
-class CorpusStats(NamedTuple):
-    total_questions: int
-    avg_questions_per_sentence: Fraction
-    unique_word_count: int
-    avg_question_length: Fraction
-    avg_answer_length: Fraction
-    skipped_node_count: int
-    fallback_answer_count: int
-
-
-def _round2(value: Fraction) -> str:
-    from decimal import ROUND_HALF_UP, Decimal
-
-    quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+def _mean(total: int, count: int) -> str:
+    """``total / count`` to two places, rounded half up in integer
+    arithmetic. A count of 0 comes with a total of 0: ``0.00``."""
+    count = count or 1
+    return "%d.%02d" % divmod((200 * total + count) // (2 * count), 100)
 
 
 def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
-                  skipped_node_count: int = 0) -> CorpusStats:
-    """Dataset summary, in one pass over ``pairs``. Lengths are whitespace
-    token counts; unique words are lowercased question tokens. Averages
-    stay exact (fractions); an empty dataset (no pairs, a
-    ``sentence_count`` of 0) has averages of 0."""
-    from fractions import Fraction
-
+                  skipped_node_count: int = 0) -> dict:
+    """Dataset summary, in one pass over ``pairs``, in the order the table
+    and ``stats --json`` print it. Lengths are whitespace token counts;
+    unique words are lowercased question tokens. Counts are ints, averages
+    strings to two places, rounded half up; an empty dataset (no pairs, a
+    ``sentence_count`` of 0) has averages of 0.00."""
     total = question_tokens = answer_tokens = fallbacks = 0
     unique_words: set[str] = set()
     for pair in pairs:
@@ -269,29 +255,14 @@ def compute_stats(pairs: Iterable[QaPair], sentence_count: int,
         answer_tokens += len(pair.answer.text.split())
         unique_words.update(word.lower() for word in words)
         fallbacks += pair.answer.kind == CONCEPT_FALLBACK
-    return CorpusStats(
-        total_questions=total,
-        # with nothing to average over, every sum is 0, and 0 / 1 is 0
-        avg_questions_per_sentence=Fraction(total, sentence_count or 1),
-        unique_word_count=len(unique_words),
-        avg_question_length=Fraction(question_tokens, total or 1),
-        avg_answer_length=Fraction(answer_tokens, total or 1),
-        skipped_node_count=skipped_node_count,
-        fallback_answer_count=fallbacks,
-    )
-
-
-def stats_display(stats: CorpusStats) -> dict:
-    """JSON-friendly view: counts stay integers, averages become two-decimal
-    strings rounded half-up."""
     return {
-        "total_questions": stats.total_questions,
-        "avg_questions_per_sentence": _round2(stats.avg_questions_per_sentence),
-        "unique_word_count": stats.unique_word_count,
-        "avg_question_length": _round2(stats.avg_question_length),
-        "avg_answer_length": _round2(stats.avg_answer_length),
-        "skipped_node_count": stats.skipped_node_count,
-        "fallback_answer_count": stats.fallback_answer_count,
+        "total_questions": total,
+        "avg_questions_per_sentence": _mean(total, sentence_count),
+        "unique_word_count": len(unique_words),
+        "avg_question_length": _mean(question_tokens, total),
+        "avg_answer_length": _mean(answer_tokens, total),
+        "skipped_node_count": skipped_node_count,
+        "fallback_answer_count": fallbacks,
     }
 
 
@@ -306,8 +277,7 @@ _STATS_LABELS = (
 )
 
 
-def format_stats_table(stats: CorpusStats) -> str:
-    display = stats_display(stats)
+def format_stats_table(stats: dict) -> str:
     width = max(len(label) for _, label in _STATS_LABELS)
-    lines = [f"{label:<{width}}  {display[key]}" for key, label in _STATS_LABELS]
+    lines = [f"{label:<{width}}  {stats[key]}" for key, label in _STATS_LABELS]
     return "\n".join(lines) + "\n"

@@ -229,7 +229,8 @@ def _read_reply(reply) -> bytes:
     """The body of the 2xx reply read from the binary file ``reply``. A
     reply to HTTP/1.0 has no ``Transfer-Encoding`` (RFC 9112 §6.1), so it
     ends at its ``Content-Length`` or else when the server closes (§6.3);
-    differing ``Content-Length`` values are refused.
+    a ``Content-Length`` that is not ASCII digits, or differing values,
+    are refused.
     Head and body together may use ``MAX_REPLY`` bytes."""
     budget = MAX_REPLY
     lines = []
@@ -245,8 +246,11 @@ def _read_reply(reply) -> bytes:
               (line.partition(b":") for line in lines[1:])]
     if any(name == b"transfer-encoding" for name, _ in fields):
         raise ScorerUnavailable("Transfer-Encoding in a reply to HTTP/1.0")
-    lengths = {int(value) for name, value in fields
-               if name == b"content-length"}
+    values = [value.strip() for name, value in fields
+              if name == b"content-length"]
+    if not all(map(bytes.isdigit, values)):   # 1*DIGIT (RFC 9110 §8.6)
+        raise ScorerUnavailable(f"Content-Length {values} is not digits")
+    lengths = set(map(int, values))
     if not lengths:   # read to the end, within budget
         body = reply.read(budget + 1)
         if len(body) > budget:
@@ -255,7 +259,7 @@ def _read_reply(reply) -> bytes:
     if len(lengths) > 1:   # invalid framing (§6.3)
         raise ScorerUnavailable(f"differing Content-Length {sorted(lengths)}")
     length, = lengths
-    if not 0 <= length <= budget:   # read() would allocate it up front
+    if length > budget:   # read() would allocate it up front
         raise ScorerUnavailable(f"Content-Length {length} out of range")
     body = reply.read(length)
     if len(body) < length:

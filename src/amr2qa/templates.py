@@ -109,7 +109,7 @@ def _records(path, fields: int) -> Iterator[tuple[int, list[str]]]:
     """The line number and stripped ``|``-separated fields of each record
     of a resource file. Blank and ``#`` lines are skipped; a record with
     another field count raises MalformedRecord."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

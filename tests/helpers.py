@@ -82,7 +82,7 @@ def random_tree_heads(rng: random.Random, n: int) -> list[int]:
 
 def annotation_from_heads(heads: list[int], sentence_id: str = "x") -> SentenceAnnotation:
     tokens = [Token(surface=f"w{i}", lemma=f"w{i}", upos="NOUN", xpos="NN",
-                    feats={}, head=head)
+                    feats="_", head=head)
               for i, head in enumerate(heads, start=1)]
     return SentenceAnnotation(sentence_id, tokens)
 

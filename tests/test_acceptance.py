@@ -20,7 +20,7 @@ import synth_corpus
 from amr2qa.agen import extract_answer
 from amr2qa.annotate import align_concepts, subtree_span
 from amr2qa.cli import main as cli_main
-from amr2qa.corpus import compute_stats, iter_dataset, split_blocks, stats_display
+from amr2qa.corpus import compute_stats, iter_dataset, split_blocks
 from amr2qa.penman import PenmanError, parse_penman, serialize_penman, to_triples
 from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
@@ -244,7 +244,7 @@ def test_criterion_6_worker_determinism_remote(big_corpus, tmp_path):
 def test_criterion_7_stats_oracle():
     dataset = FIXTURES / "corpus" / "mini_dataset.jsonl"
     pairs = list(iter_dataset(str(dataset)))
-    display = stats_display(compute_stats(pairs, sentence_count=3))
+    display = compute_stats(pairs, sentence_count=3)
     # hand tally over the fixture: 6 questions / 3 sentences; question
     # lengths 4+7+3+5+5+5 = 29 tokens; answer lengths 2+1+1+1+6+1 = 12;
     # 18 distinct lowercased question words; one fallback answer

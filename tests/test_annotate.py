@@ -17,7 +17,6 @@ from amr2qa.annotate import (
     Token,
     align_concepts,
     _check_tree,
-    _parse_feats,
     infer_tense,
     iter_conllu,
     parse_conllu,
@@ -72,8 +71,7 @@ class TestParseConllu:
 
     def test_feats_parsed(self):
         token = sentences()["s2"].token(4)
-        assert token.feats["Tense"] == "Past"
-        assert token.feats["VerbForm"] == "Part"
+        assert token.feats == "Tense=Past|VerbForm=Part|Voice=Pass"
 
     def test_missing_sent_id_numbered_by_position(self):
         text = "1\tHi\thi\tINTJ\tUH\t_\t0\troot\t_\t_\n"
@@ -188,7 +186,7 @@ def whole_text_parse_conllu(text):
                                  line=line_no) from None
         tokens.append(Token(surface=columns[1], lemma=columns[2],
                             upos=columns[3], xpos=columns[4],
-                            feats=_parse_feats(columns[5]), head=head))
+                            feats=columns[5], head=head))
         token_lines.append(line_no)
     flush()
     return sentences
@@ -351,6 +349,15 @@ class TestInferTense:
                 "3\tgone\tgo\tVERB\tVBN\tTense=Past\t0\troot\t_\t_\n")
         ann = parse_conllu(text)[0]
         assert infer_tense(ann, 3) == "past"
+
+    @pytest.mark.parametrize("feats,tense", [
+        ("Tense=Past|Tense=Pres", "present"),
+        ("Tense=Pres|Tense=Past", "past"),
+        ("Mood=Ind|Tense=Past|Tense", "present"),
+    ])
+    def test_last_tense_feature_counts(self, feats, tense):
+        text = f"1\tgo\tgo\tVERB\tVBP\t{feats}\t0\troot\t_\t_\n"
+        assert infer_tense(parse_conllu(text)[0], 1) == tense
 
     def test_total_over_all_tokens(self):
         for ann in sentences().values():

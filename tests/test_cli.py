@@ -105,6 +105,30 @@ class TestGenerate:
         assert caplog.messages == []
         assert out.read_bytes() == MINI_GOLDEN.read_bytes()
 
+    @pytest.mark.parametrize("name", ["dataset", "config", "templates",
+                                      "mapping"])
+    def test_byte_order_mark_on_any_input_changes_nothing(self, tmp_path,
+                                                          capsys, name):
+        data = Path(amr2qa.__file__).parent / "data"
+        out = tmp_path / "out.jsonl"
+        config = json.dumps({"amr": MINI_AMR, "conllu": MINI_CONLLU,
+                             "out": str(out)}).encode()
+        plain = {"dataset": Path(MINI_DATASET).read_bytes(), "config": config,
+                 "templates": (data / "templates.txt").read_bytes(),
+                 "mapping": (data / "role_mapping.txt").read_bytes()}[name]
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        if name == "dataset":
+            assert main(["stats", MINI_DATASET]) == 0
+            expected = capsys.readouterr()
+            assert main(["stats", str(marked)]) == 0
+            assert capsys.readouterr() == expected
+            return
+        argv = (["generate", "--config", str(marked)] if name == "config"
+                else gen_args(out, f"--{name}", str(marked)))
+        assert main(argv) == 0
+        assert out.read_bytes() == MINI_GOLDEN.read_bytes()
+
     def test_missing_required_flag(self, tmp_path, capsys):
         rc = main(["generate", "--amr", MINI_AMR, "--conllu", MINI_CONLLU])
         assert rc == 1

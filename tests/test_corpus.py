@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from amr2qa.corpus import (
     QaPair,
     RawBlock,
     UnresolvedId,
+    _mean,
     compute_stats,
     format_stats_table,
     iter_blocks,
@@ -30,7 +32,6 @@ from amr2qa.corpus import (
     pair_to_line,
     parse_block,
     split_blocks,
-    stats_display,
     write_dataset,
 )
 from amr2qa.pipeline import PAIRINGS, RunConfig, run_generate
@@ -436,34 +437,31 @@ class TestComputeStats:
         pairs = [sample_pair(question="What was broken ?"),
                  sample_pair(question="Why ?")]
         stats = compute_stats(pairs, 1)
-        assert stats.avg_question_length == Fraction(3)
-        assert stats_display(stats)["avg_question_length"] == "3.00"
+        assert stats["avg_question_length"] == "3.00"
 
     def test_empty_pairs_zero_table(self):
         stats = compute_stats([], 1)
-        display = stats_display(stats)
-        assert stats.total_questions == 0
-        assert display["avg_question_length"] == "0.00"
-        assert display["avg_questions_per_sentence"] == "0.00"
-        assert stats.unique_word_count == 0
+        assert stats["total_questions"] == 0
+        assert stats["avg_question_length"] == "0.00"
+        assert stats["avg_questions_per_sentence"] == "0.00"
+        assert stats["unique_word_count"] == 0
 
     def test_zero_sentences_zero_averages(self):
-        display = stats_display(compute_stats([], 0))
-        assert display["avg_questions_per_sentence"] == "0.00"
-        assert display["avg_question_length"] == "0.00"
+        stats = compute_stats([], 0)
+        assert stats["avg_questions_per_sentence"] == "0.00"
+        assert stats["avg_question_length"] == "0.00"
 
     def test_rounding_is_half_up(self):
         pairs = [sample_pair() for _ in range(401)]
         stats = compute_stats(pairs, 200)
-        assert stats.avg_questions_per_sentence == Fraction(401, 200)
-        assert stats_display(stats)["avg_questions_per_sentence"] == "2.01"
+        assert stats["avg_questions_per_sentence"] == "2.01"
         eighth = compute_stats([sample_pair()], 8)
-        assert stats_display(eighth)["avg_questions_per_sentence"] == "0.13"
+        assert eighth["avg_questions_per_sentence"] == "0.13"
 
     def test_unique_words_lowercased(self):
         pairs = [sample_pair(question="What was Broken ?"),
                  sample_pair(question="what WAS broken ?")]
-        assert compute_stats(pairs, 1).unique_word_count == 4
+        assert compute_stats(pairs, 1)["unique_word_count"] == 4
 
     def test_fallback_count(self):
         pairs = [
@@ -473,19 +471,19 @@ class TestComputeStats:
             sample_pair(answer=Answer(kind="sense", text="break-01",
                                       span=None)),
         ]
-        assert compute_stats(pairs, 1).fallback_answer_count == 1
+        assert compute_stats(pairs, 1)["fallback_answer_count"] == 1
 
     def test_skipped_count_passthrough(self):
-        assert compute_stats([], 1, skipped_node_count=7).skipped_node_count == 7
+        stats = compute_stats([], 1, skipped_node_count=7)
+        assert stats["skipped_node_count"] == 7
 
     def test_hand_tallied_fixture(self):
         pairs = list(iter_dataset(MINI_DATASET))
         stats = compute_stats(pairs, 3, skipped_node_count=2)
-        display = stats_display(stats)
         # hand tally: 6 questions over 3 sentences; question tokens
         # 4+7+3+5+5+5 = 29; answer tokens 2+1+1+1+6+1 = 12; 18 distinct
         # lowercased question words; one fallback answer
-        assert display == {
+        expected = {
             "total_questions": 6,
             "avg_questions_per_sentence": "2.00",
             "unique_word_count": 18,
@@ -494,6 +492,9 @@ class TestComputeStats:
             "skipped_node_count": 2,
             "fallback_answer_count": 1,
         }
+        assert stats == expected
+        # the keys in the order the table and stats --json print them
+        assert list(stats) == list(expected)
 
     def test_table_rendering(self):
         stats = compute_stats(iter_dataset(MINI_DATASET), 3)
@@ -503,6 +504,12 @@ class TestComputeStats:
         assert lines[0].rstrip().endswith("6")
         assert any("4.83" in line for line in lines)
         assert table.endswith("\n")
+
+
+def _round_half_up(value: Fraction) -> str:
+    """The two-decimal, half-up rounding of ``value``, through Decimal."""
+    quotient = Decimal(value.numerator) / Decimal(value.denominator)
+    return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def _recount(pairs, sentence_count):
@@ -516,18 +523,33 @@ def _recount(pairs, sentence_count):
     n = len(pairs)
     return {
         "total_questions": n,
-        "avg_questions_per_sentence": Fraction(n, sentence_count),
+        "avg_questions_per_sentence": _round_half_up(
+            Fraction(n, sentence_count)),
         "unique_word_count": len(words),
-        "avg_question_length": Fraction(sum(map(len, questions)), n)
-        if n else Fraction(0),
-        "avg_answer_length": Fraction(sum(map(len, answers)), n)
-        if n else Fraction(0),
+        "avg_question_length": _round_half_up(
+            Fraction(sum(map(len, questions)), n) if n else Fraction(0)),
+        "avg_answer_length": _round_half_up(
+            Fraction(sum(map(len, answers)), n) if n else Fraction(0)),
+        "skipped_node_count": 0,
         "fallback_answer_count": sum(
             1 for p in pairs if p.answer.kind == "concept_fallback"),
     }
 
 
 class TestStatsAgainstRecount:
+    @pytest.mark.parametrize("total,count,expected", [
+        (1, 8, "0.13"), (401, 200, "2.01"), (1, 200, "0.01"), (0, 0, "0.00"),
+    ])
+    def test_mean_half_way_cases(self, total, count, expected):
+        assert _mean(total, count) == expected
+        assert _round_half_up(Fraction(total, count or 1)) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**12),
+           st.integers(min_value=1, max_value=10**9))
+    def test_mean_matches_decimal(self, total, count):
+        assert _mean(total, count) == _round_half_up(Fraction(total, count))
+
     def test_random_pair_lists(self):
         rng = random.Random(5)
         vocabulary = ["What", "Who", "was", "the", "engine", "?", "broken",
@@ -548,12 +570,4 @@ class TestStatsAgainstRecount:
                                   span=None)))
             # an iterator: the pairs can be read only once
             stats = compute_stats(iter(pairs), sentence_count)
-            expected = _recount(pairs, sentence_count)
-            assert stats.total_questions == expected["total_questions"]
-            assert (stats.avg_questions_per_sentence
-                    == expected["avg_questions_per_sentence"])
-            assert stats.unique_word_count == expected["unique_word_count"]
-            assert stats.avg_question_length == expected["avg_question_length"]
-            assert stats.avg_answer_length == expected["avg_answer_length"]
-            assert (stats.fallback_answer_count
-                    == expected["fallback_answer_count"])
+            assert stats == _recount(pairs, sentence_count)

@@ -13,10 +13,10 @@ from helpers import FIXTURES, TLS_CERT, MockLM, run_bare, server_tls
 NO_CLASS_GENERATION = ("dataclasses", "inspect", "ast", "dis")
 
 # the HTTP clients the remote scorer no longer uses and what they pull in,
-# the stats-only numeric types, the remote scorer's request
-# pool, the resource reader the bundled data no longer goes through, and
-# hashlib with its OpenSSL module (template ids are hashed with the
-# built-in SHA-1)
+# the exact numeric types stats no longer uses (its averages are rounded
+# in integers), the remote scorer's request pool, the resource reader the
+# bundled data no longer goes through, and hashlib with its OpenSSL module
+# (template ids are hashed with the built-in SHA-1)
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources", "hashlib",
@@ -39,6 +39,8 @@ from amr2qa.templates import bundled_mapping_path, bundled_template_path, load_s
 load_store(bundled_template_path(), bundled_mapping_path())
 scorer = make_scorer({scorer_args})
 """
+
+MINI_DATASET = FIXTURES / "corpus" / "mini_dataset.jsonl"
 
 GENERATE = """
 from amr2qa.cli import main
@@ -80,6 +82,14 @@ def test_four_worker_baseline_generate_loads_none_of_them(tmp_path):
     loaded = generate_loads(tmp_path, "4")
     assert loaded.isdisjoint(NOT_ON_BASELINE_PATH), \
         sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
+
+
+def test_stats_loads_no_exact_numeric_types():
+    loaded = loaded_after(
+        "from amr2qa.cli import main\n"
+        f"assert main(['stats', {str(MINI_DATASET)!r}]) == 0\n")
+    exact = {"fractions", "decimal", "_decimal", "numbers"}
+    assert loaded.isdisjoint(exact), sorted(loaded.intersection(exact))
 
 
 def remote_scorer_loads(url: str) -> set[str]:

@@ -178,7 +178,7 @@ class TestProcessSentence:
 
 _XPOS = ["NN", "NNS", "NNP", "VB", "VBD", "VBN", "VBG", "VBP", "VBZ", "JJ",
          "RB", "MD", "CD", "DT", "IN", "PRP"]
-_TENSE_FEATS = [{}, {"Tense": "Past"}, {"Tense": "Pres"}]
+_TENSE_FEATS = ["_", "Tense=Past", "Tense=Pres"]
 _FILLER = ["the", "will", "shall", "of", "in", "quickly", "Mary", "3"]
 
 

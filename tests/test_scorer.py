@@ -506,6 +506,19 @@ class TestHttp10:
         with pytest.raises(ScorerUnavailable, match="Content-Length"):
             self.score(reply)
 
+    @pytest.mark.parametrize("value", [b"+17", b"0_17", b"-0", b"", b"1 7",
+                                       b"17.0", b"\xd9\xa1\xd9\xa7"])
+    def test_content_length_not_digits(self, value):
+        # RFC 9110 §8.6: 1*DIGIT; int() would take a sign or an underscore
+        reply = OK_REPLY.replace(b"17", value, 1)
+        with pytest.raises(ScorerUnavailable, match="Content-Length"):
+            self.score(reply)
+
+    def test_content_length_compared_as_a_number(self):
+        reply = OK_REPLY.replace(b"Content-Length: 17",
+                                 b"Content-Length:  17 \r\nContent-Length: 017")
+        assert self.score(reply) == -1.5
+
     def test_differing_content_lengths_are_refused(self):
         # RFC 9112 §6.3: differing values are invalid framing
         reply = OK_REPLY.replace(b"Content-Length: 17",
