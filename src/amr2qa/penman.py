@@ -3,10 +3,12 @@
 An AMR is a rooted, labeled graph. The PENMAN string form nests each node as
 ``(variable / concept :relation value ...)`` where a value is another node, a
 constant (number, quoted string, ``-``, ``+``, bare symbol) or a bare variable
-reference (reentrancy). This module keeps the spanning tree induced by the
-nesting: child order is source order, inverse relations (``:ARG0-of``) are not
-normalized, and reentrant references stay distinct tree positions that resolve
-to the single defining occurrence of their variable.
+reference (reentrancy). This module holds PENMAN syntax only: parsing,
+serializing, the triple view and concept labels. It keeps the spanning tree
+induced by the nesting: child order is source order, a relation is its name
+without the colon, inverse relations (``:ARG0-of``) are kept as written, and
+reentrant references stay distinct tree positions that resolve to the single
+defining occurrence of their variable.
 """
 
 from __future__ import annotations
@@ -14,11 +16,6 @@ from __future__ import annotations
 import re
 from itertools import islice
 from typing import NamedTuple
-
-CORE_RELATIONS = frozenset({"ARG0", "ARG1", "ARG2", "ARG3", "ARG4", "ARG5"})
-
-# relations that end in "-of" without being inverses
-_NON_INVERSE_OF = frozenset({"consist-of", "prep-out-of", "prep-on-behalf-of"})
 
 # exactly two digits after the last hyphen, preceded by a real lemma char,
 # so "break-01" and "have-degree-91" have senses but "run-100" does not
@@ -92,21 +89,6 @@ def strip_sense(label: str) -> str:
     return m.group(1) if m else label
 
 
-class Relation(NamedTuple):
-    """Edge label without the leading colon, e.g. ``ARG1``, ``location``."""
-
-    name: str
-
-    @property
-    def is_inverse(self) -> bool:
-        return self.name.endswith("-of") and self.name not in _NON_INVERSE_OF
-
-    @property
-    def base(self) -> str:
-        """Relation name with a trailing ``-of`` stripped."""
-        return self.name[:-3] if self.is_inverse else self.name
-
-
 class AmrNode:
     """One occurrence of a variable (or constant) in the PENMAN tree.
 
@@ -119,7 +101,7 @@ class AmrNode:
     __slots__ = ("variable", "concept", "children", "is_reentrant_ref")
 
     def __init__(self, variable: str | None, concept: Concept | None,
-                 children: list[tuple[Relation, AmrNode]] | None = None,
+                 children: list[tuple[str, AmrNode]] | None = None,
                  is_reentrant_ref: bool = False):
         self.variable = variable
         self.concept = concept
@@ -164,7 +146,7 @@ def to_triples(graph: AmrGraph) -> list[tuple[str, str, str]]:
             instances.append((node.variable, "instance", node.concept.label))
         for rel, child in reversed(node.children):
             target = child.variable if child.variable is not None else _constant_text(child.concept)
-            stack.append((child, (node.variable, rel.name, target)))
+            stack.append((child, (node.variable, rel, target)))
     return instances + edges
 
 
@@ -251,7 +233,7 @@ class _Parser:
         self.defined[var] = node
         children = node.children
         while self.kind == "REL":
-            relation = Relation(self.text)
+            relation = self.text
             self.advance()
             children.append((relation, self.value()))
         if self.kind != "RPAREN":
@@ -324,7 +306,7 @@ def _render(node: AmrNode, out: list[str]):
     out.append(" / ")
     out.append(_constant_text(node.concept))
     for rel, child in node.children:
-        out.append(" :" + rel.name + " ")
+        out.append(" :" + rel + " ")
         _render(child, out)
     out.append(")")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .penman import AmrGraph, AmrNode, Concept, Relation
+from .penman import AmrGraph, AmrNode, Concept
 
 DEFAULT_ENTITY_CONCEPTS = frozenset({
     "date-entity",
@@ -63,7 +63,7 @@ class CondensedNode:
 
     def __init__(self, variable: str | None, concept_text: str,
                  source_concepts: tuple[Concept, ...],
-                 relation_to_parent: Relation | None,
+                 relation_to_parent: str | None,
                  is_reference: bool = False):
         self.variable = variable
         self.concept_text = concept_text
@@ -93,7 +93,7 @@ def _claim(top: AmrNode, owner: dict[str, AmrNode],
             owner[variable] = top
         for relation, child in node.children:
             stack.append((child, ignored
-                          or relation.name in DEFAULT_IGNORED_RELATIONS))
+                          or relation in DEFAULT_IGNORED_RELATIONS))
 
 
 def _build(graph: AmrGraph) -> tuple[list[CondensedNode],
@@ -129,7 +129,7 @@ def _build(graph: AmrGraph) -> tuple[list[CondensedNode],
             if variable is not None:
                 definitions[variable] = built
             for rel, child in reversed(node.children):
-                if rel.name not in DEFAULT_IGNORED_RELATIONS:
+                if rel not in DEFAULT_IGNORED_RELATIONS:
                     stack.append((child, rel, built.children, top))
         siblings.append(built)
         nodes.append(built)
@@ -187,7 +187,7 @@ def _condense_entity(node: CondensedNode, referenced: frozenset[str]) -> None:
     order = _DATE_FIELD_ORDER if is_date else _QUANTITY_FIELD_ORDER
     by_field: dict[str, list[tuple[int, CondensedNode]]] = {}
     for index, child in enumerate(node.children):
-        name = child.relation_to_parent.name
+        name = child.relation_to_parent
         if name in order and _is_leaf_value(child, referenced):
             by_field.setdefault(name, []).append((index, child))
     if not by_field:
@@ -223,7 +223,7 @@ def merge_ops(nodes: list[CondensedNode], referenced: frozenset[str]) -> None:
 def _merge_op_constants(node: CondensedNode) -> None:
     ops = []
     for index, child in enumerate(node.children):
-        m = _OP_RE.match(child.relation_to_parent.name)
+        m = _OP_RE.match(child.relation_to_parent)
         if m and child.variable is None:   # only constants lack one
             ops.append((int(m.group(1)), index, child))
     if not ops:
@@ -235,7 +235,7 @@ def _merge_op_constants(node: CondensedNode) -> None:
 
 def _hoist_name(node: CondensedNode, referenced: frozenset[str]) -> None:
     for index, child in enumerate(node.children):
-        if child.relation_to_parent.name != "name" or child.is_reference:
+        if child.relation_to_parent != "name" or child.is_reference:
             continue
         # a merged name node: its own concept and what it absorbed
         if len(child.source_concepts) < 2 \
@@ -288,7 +288,7 @@ def format_tree(tree: CondensedNode) -> str:
     stack = [(tree, 0)]
     while stack:
         node, depth = stack.pop()
-        head = f":{node.relation_to_parent.name} " if node.relation_to_parent else ""
+        head = f":{node.relation_to_parent} " if node.relation_to_parent else ""
         var = f" [{node.variable}]" if node.variable is not None else ""
         ref = " (ref)" if node.is_reference else ""
         lines.append(f"{'  ' * depth}{head}{node.concept_text}{var}{ref}")

@@ -9,8 +9,10 @@ take the node's aligned surface form, or its concept text when unaligned.
 
 Inverse relations (``:ARG0-of`` etc.) swap the two ends: the child carries
 the predicate and supplies blank 0, the parent is the entity asked about,
-and the base relation keys the lookup. The predicate-argument fact is the
-same either way round; only the graph orientation differs.
+and the name without ``-of`` keys the lookup. Every name ending in ``-of``
+is inverse except ``consist-of``, ``prep-out-of`` and ``prep-on-behalf-of``.
+The predicate-argument fact is the same either way round; only the graph
+orientation differs.
 
 Tense comes from the predicate-side aligned token (unaligned predicates
 default to present). Candidates are scored for fluency and the argmax wins,
@@ -34,6 +36,9 @@ from .annotate import (
 from .penman import Concept, strip_sense
 from .preprocess import CondensedNode
 from .templates import Template, TemplateStore, lookup_templates
+
+# relations that end in "-of" without being inverses
+_NON_INVERSE_OF = frozenset({"consist-of", "prep-out-of", "prep-on-behalf-of"})
 
 
 class ArityMismatch(ValueError):
@@ -93,12 +98,12 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
     relation = node.relation_to_parent
     if relation is None:
         return []
-    if relation.is_inverse:
-        supplier, entity = node, parent
+    if relation.endswith("-of") and relation not in _NON_INVERSE_OF:
+        supplier, entity, base = node, parent, relation[:-3]
     else:
-        supplier, entity = parent, node
+        supplier, entity, base = parent, node, relation
     predicate = supplier.source_concepts[0] if supplier.source_concepts else None
-    templates = lookup_templates(store, relation.base, predicate)
+    templates = lookup_templates(store, base, predicate)
     if not templates:
         return []
     fill0, pos0, head = _fill_info(supplier, ann, alignment)
@@ -119,8 +124,7 @@ def generate_candidates(node: CondensedNode, parent: CondensedNode,
                 continue
             fills.extend([entity_text] * (template.blank_count - 1))
         candidates.append(QuestionCandidate(
-            template.id, fill_template(template, fills), entity,
-            relation.name))
+            template.id, fill_template(template, fills), entity, relation))
     return candidates
 
 

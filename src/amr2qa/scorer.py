@@ -117,7 +117,6 @@ class RemoteScorer:
     scorer_id = "remote"
 
     def __init__(self, url: str | None):
-        import logging
         import os
         from urllib.parse import urlsplit
 
@@ -152,6 +151,8 @@ class RemoteScorer:
                       "Connection: close\r\nContent-Length: ").encode("ascii")
         proxy = f"{parts.scheme}_proxy"
         if os.environ.get(proxy) or os.environ.get(proxy.upper()):
+            import logging   # loaded only to warn
+
             logging.getLogger("amr2qa").warning(
                 "%s is set, but the remote scorer does not use a proxy: "
                 "it connects to %s directly", proxy, parts.hostname)

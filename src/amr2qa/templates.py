@@ -26,7 +26,9 @@ try:  # the built-in SHA-1 spares a run hashlib's OpenSSL
 except ImportError:
     from hashlib import sha1
 
-from .penman import CORE_RELATIONS, Concept
+from .penman import Concept
+
+CORE_RELATIONS = frozenset({"ARG0", "ARG1", "ARG2", "ARG3", "ARG4", "ARG5"})
 
 UPOS_TAGS = frozenset({
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",

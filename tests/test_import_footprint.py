@@ -27,11 +27,13 @@ NOT_ON_BASELINE_PATH = (
 # HTTP clients, and OpenSSL only for https. It connects with _socket, so
 # socket (and selectors, which socket imports) loads only with ssl, and it
 # resolves an ASCII host as bytes, which loads no IDNA codec and none of
-# the nameprep tables that codec pulls in
+# the nameprep tables that codec pulls in. It loads logging (and what
+# logging pulls in) only to warn that a proxy variable is set
 NOT_ON_HTTP_PATH = ("http.client", "email", "ssl", "_ssl", "urllib.request",
                     "hashlib", "_hashlib", "socket", "selectors",
-                    "encodings.idna", "stringprep",
-                    "unicodedata") + NO_CLASS_GENERATION
+                    "encodings.idna", "stringprep", "unicodedata",
+                    "logging", "traceback", "linecache",
+                    "tokenize") + NO_CLASS_GENERATION
 
 SETUP = """
 from amr2qa.scorer import make_scorer
@@ -99,7 +101,10 @@ def remote_scorer_loads(url: str) -> set[str]:
                         + 'assert scorer.score("What ?") == -6.0')
 
 
-def test_http_scorer_loads_no_http_client_and_no_ssl():
+def test_http_scorer_loads_no_http_client_and_no_ssl(monkeypatch):
+    for name in ("http_proxy", "https_proxy"):   # no proxy warning to log
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
     with MockLM() as lm:
         loaded = remote_scorer_loads(lm.url)
     assert loaded.isdisjoint(NOT_ON_HTTP_PATH), \

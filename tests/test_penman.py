@@ -15,7 +15,6 @@ from amr2qa.penman import (
     EmptyInput,
     MalformedGraph,
     PenmanError,
-    Relation,
     UnbalancedParens,
     parse_penman,
     serialize_penman,
@@ -133,7 +132,7 @@ class TestGraphStructure:
 
     def test_child_order_is_source_order(self):
         g = parse_penman("(g / give-01 :ARG2 (r / recipient) :ARG1 (b / book))")
-        assert [rel.name for rel, _ in g.root.children] == ["ARG2", "ARG1"]
+        assert [rel for rel, _ in g.root.children] == ["ARG2", "ARG1"]
 
     def test_constants_have_no_variable(self):
         g = parse_penman("(g / go-02 :mode imperative)")
@@ -144,6 +143,15 @@ class TestGraphStructure:
     def test_unusual_but_defined_variable_names(self):
         g = parse_penman("(ii / i :mod (s2 / sad))")
         assert {n.variable for n in g.walk() if not n.is_reentrant_ref} == {"ii", "s2"}
+
+    def test_relations_are_their_names(self):
+        # inverse names are kept as written, without the colon
+        g = parse_penman("(b / boy :ARG0-of (r / run-02) :consist-of (c / cell))")
+        assert [rel for rel, _ in g.root.children] == ["ARG0-of", "consist-of"]
+        for text in load_penman_corpus():
+            for node in parse_penman(text).walk():
+                for rel, _ in node.children:
+                    assert type(rel) is str and rel[:1] != ":", text
 
 
 class TestConcept:
@@ -166,23 +174,6 @@ class TestConcept:
 
     def test_lemma_requires_real_character_before_suffix(self):
         assert Concept.from_label("-01").sense is None
-
-
-class TestRelation:
-
-    def test_inverse_detection(self):
-        assert Relation("ARG0-of").is_inverse
-        assert Relation("location-of").is_inverse
-        assert not Relation("ARG0").is_inverse
-        assert not Relation("consist-of").is_inverse
-        assert not Relation("prep-out-of").is_inverse
-        assert not Relation("prep-on-behalf-of").is_inverse
-
-    def test_base(self):
-        assert Relation("ARG0-of").base == "ARG0"
-        assert Relation("location-of").base == "location"
-        assert Relation("mod").base == "mod"
-        assert Relation("consist-of").base == "consist-of"
 
 
 def nested_graph(depth: int) -> str:

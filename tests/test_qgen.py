@@ -21,7 +21,7 @@ from amr2qa.qgen import (
     sense_question,
 )
 from amr2qa.scorer import BaselineScorer
-from amr2qa.templates import Template, split_pattern
+from amr2qa.templates import Template, TemplateStore, split_pattern
 
 from helpers import default_store
 
@@ -235,6 +235,49 @@ class TestGenerateCandidates:
         assert "Who invented ?" in [c.filled_text for c in candidates]
         assert len(candidates) == 6  # Agent past templates
         assert all(c.entity_ref is tree for c in candidates)
+
+
+def keyed_template(key, kind="noncore"):
+    """A template whose text names its lookup key, with blank 0 for the
+    predicate side and blank 1 for the entity, either a verb or a noun."""
+    pattern = key + " {0} {1} ?"
+    either = frozenset({"VERB", "NOUN"})
+    return Template(id=f"test:{key}", kind=kind, key=key, tense="any",
+                    pattern=pattern, blank_pos=(either, either),
+                    pieces=split_pattern(pattern))
+
+
+KEYED_STORE = TemplateStore(
+    core={"ARG0": [keyed_template("ARG0", "core")]},
+    noncore={key: [keyed_template(key)] for key in (
+        "location", "mod", "consist-of", "prep-out-of", "prep-on-behalf-of")})
+
+
+class TestInverseRule:
+    """A name ending in ``-of`` is inverse, except three names that only
+    end like one: an inverse relation swaps the two ends and looks up its
+    name without ``-of``; any other relation looks up itself."""
+
+    @pytest.mark.parametrize("relation, key, inverse", [
+        ("ARG0-of", "ARG0", True),
+        ("location-of", "location", True),
+        ("ARG0", "ARG0", False),
+        ("mod", "mod", False),
+        ("consist-of", "consist-of", False),
+        ("prep-out-of", "prep-out-of", False),
+        ("prep-on-behalf-of", "prep-on-behalf-of", False),
+    ])
+    def test_lookup_key_and_ends(self, relation, key, inverse):
+        tree = preprocess(parse_penman(f"(h / hold-01 :{relation} (c / cup))"))
+        child = preorder(tree)[1]
+        candidates = generate_candidates(child, tree, KEYED_STORE, BROKEN, {})
+        # unaligned fills: the sense-stripped concepts
+        if inverse:   # the child supplies blank 0; the answer is the parent
+            expected = (f"{key} cup hold ?", tree)
+        else:
+            expected = (f"{key} hold cup ?", child)
+        assert [(c.filled_text, c.entity_ref, c.relation)
+                for c in candidates] == [(*expected, relation)]
 
 
 class _ConstantScorer:

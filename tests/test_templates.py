@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from amr2qa.penman import CORE_RELATIONS, Concept
+from amr2qa.penman import Concept
 from amr2qa.preprocess import DEFAULT_IGNORED_RELATIONS
 from amr2qa.templates import (
+    CORE_RELATIONS,
     TENSES,
     UPOS_TAGS,
     BlankIndexGap,
