@@ -114,23 +114,17 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
     token_lines: list[int] = []
     sent_id: str | None = None
     has_text = False
-
-    def flush() -> Iterator[SentenceAnnotation]:
-        nonlocal count, tokens, token_lines, sent_id, has_text
-        if not tokens and sent_id is None and not has_text:
-            return
-        count += 1
-        identifier = sent_id if sent_id is not None else str(count)
-        _check_tree(tokens, token_lines, identifier)
-        sentence = SentenceAnnotation(identifier, tokens)
-        tokens, token_lines, sent_id, has_text = [], [], None, False
-        yield sentence
-
-    # the file's lines split in turn give its text's splitlines()
+    # the file's lines split in turn give its text's splitlines(); a blank
+    # line after them ends the last sentence
     split = chain.from_iterable(line.splitlines() for line in lines)
-    for line_no, line in enumerate(split, start=1):
+    for line_no, line in enumerate(chain(split, [""]), start=1):
         if not line.strip():
-            yield from flush()
+            if tokens or sent_id is not None or has_text:
+                count += 1
+                identifier = sent_id if sent_id is not None else str(count)
+                _check_tree(tokens, token_lines, identifier)
+                yield SentenceAnnotation(identifier, tokens)
+                tokens, token_lines, sent_id, has_text = [], [], None, False
             continue
         if line.startswith("#"):
             body = line[1:].strip()
@@ -165,7 +159,6 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         # surface, lemma, UPOS, XPOS and FEATS are columns 1-5
         tokens.append(Token(*columns[1:6], head))
         token_lines.append(line_no)
-    yield from flush()
 
 
 def parse_conllu(text: str) -> list[SentenceAnnotation]:

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring as _quote
 from typing import NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
-from .penman import AmrGraph, PenmanError, parse_penman
+from .penman import AmrNode, PenmanError, parse_penman
 
 
 class CorpusError(ValueError):
@@ -139,9 +139,9 @@ def split_blocks(text: str) -> list[RawBlock]:
     return list(iter_blocks(io.StringIO(text)))
 
 
-def parse_block(raw: RawBlock) -> AmrGraph:
-    """The graph of one block. Blocks without a ``::snt`` line (or with an
-    empty one) are rejected; graph errors carry the block ordinal."""
+def parse_block(raw: RawBlock) -> AmrNode:
+    """The root of one block's graph. Blocks without a ``::snt`` line (or
+    with an empty one) are rejected; graph errors carry the block ordinal."""
     if not raw.sentence:
         raise MissingSentence("block has no ::snt sentence", block=raw.position)
     try:

@@ -4,11 +4,12 @@ An AMR is a rooted, labeled graph. The PENMAN string form nests each node as
 ``(variable / concept :relation value ...)`` where a value is another node, a
 constant (number, quoted string, ``-``, ``+``, bare symbol) or a bare variable
 reference (reentrancy). This module holds PENMAN syntax only: parsing,
-serializing, the triple view and concept labels. It keeps the spanning tree
-induced by the nesting: child order is source order, a relation is its name
-without the colon, inverse relations (``:ARG0-of``) are kept as written, and
-reentrant references stay distinct tree positions that resolve to the single
-defining occurrence of their variable.
+serializing, the triple view and concept labels. A parse is the spanning
+tree induced by the nesting, returned as its root :class:`AmrNode`: child
+order is source order, a relation is its name without the colon, inverse
+relations (``:ARG0-of``) are kept as written, and reentrant references stay
+distinct tree positions, a variable with no concept, that resolve to the
+single defining occurrence of their variable.
 """
 
 from __future__ import annotations
@@ -90,34 +91,24 @@ def strip_sense(label: str) -> str:
 
 
 class AmrNode:
-    """One occurrence of a variable (or constant) in the PENMAN tree.
-
-    Exactly one occurrence per variable carries the concept definition; other
-    occurrences are reentrant references with ``concept`` unset. Constants
-    have no variable. Preprocessing reads these nodes into a tree of its own
-    and does not change them.
+    """One position in the PENMAN tree. A definition has a variable and a
+    concept, a reference (reentrancy) has a variable and no concept, and a
+    constant has a concept and no variable. A parsed graph is its root.
+    Preprocessing reads these nodes into a tree of its own and does not
+    change them.
     """
 
-    __slots__ = ("variable", "concept", "children", "is_reentrant_ref")
+    __slots__ = ("variable", "concept", "children")
 
-    def __init__(self, variable: str | None, concept: Concept | None,
-                 children: list[tuple[str, AmrNode]] | None = None,
-                 is_reentrant_ref: bool = False):
+    def __init__(self, variable: str | None, concept: Concept | None):
         self.variable = variable
         self.concept = concept
-        self.children = [] if children is None else children
-        self.is_reentrant_ref = is_reentrant_ref
-
-
-class AmrGraph:
-    """Rooted AMR graph plus the spanning tree from the PENMAN nesting."""
-
-    def __init__(self, root: AmrNode):
-        self.root = root
+        self.children: list[tuple[str, AmrNode]] = []
 
     def walk(self):
-        """Yield every tree occurrence in depth-first pre-order."""
-        stack = [self.root]
+        """Yield this node and every position below it in depth-first
+        pre-order."""
+        stack = [self]
         while stack:
             node = stack.pop()
             yield node
@@ -130,19 +121,19 @@ def _constant_text(concept: Concept) -> str:
     return concept.label
 
 
-def to_triples(graph: AmrGraph) -> list[tuple[str, str, str]]:
+def to_triples(root: AmrNode) -> list[tuple[str, str, str]]:
     """Logical-triple view: one ``instance`` triple per concept definition in
     pre-order, then one triple per edge in pre-order. Constant targets render
     in their source form (quotes kept)."""
     instances = []
     edges = []
     # each edge is listed when its target is reached, so in pre-order
-    stack = [(graph.root, None)]
+    stack = [(root, None)]
     while stack:
         node, edge = stack.pop()
         if edge is not None:
             edges.append(edge)
-        if node.variable is not None and not node.is_reentrant_ref:
+        if node.variable is not None and node.concept is not None:
             instances.append((node.variable, "instance", node.concept.label))
         for rel, child in reversed(node.children):
             target = child.variable if child.variable is not None else _constant_text(child.concept)
@@ -190,7 +181,7 @@ class _Parser:
         index = self.index if index is None else index
         return next(islice(matches, index, None)).start(1)
 
-    def parse(self) -> AmrGraph:
+    def parse(self) -> AmrNode:
         if self.kind == "EOF":
             raise EmptyInput("empty input", self.offset())
         if self.kind == "RPAREN":
@@ -203,7 +194,7 @@ class _Parser:
                 raise UnbalancedParens("unmatched ')'", self.offset())
             raise MalformedGraph("trailing content after graph", self.offset())
         self.resolve()
-        return AmrGraph(root)
+        return root
 
     def node(self) -> AmrNode:
         """The node whose '(' is the current token."""
@@ -272,7 +263,6 @@ class _Parser:
         for atom, text, index in self.pending:
             if text in self.defined:
                 atom.variable = text
-                atom.is_reentrant_ref = True
             elif _STRICT_VAR_RE.match(text):
                 raise DanglingVariableReference(
                     f"reference to undefined variable {text!r}",
@@ -281,8 +271,8 @@ class _Parser:
                 atom.concept = Concept(text)
 
 
-def parse_penman(text: str) -> AmrGraph:
-    """Parse one PENMAN expression into an :class:`AmrGraph`.
+def parse_penman(text: str) -> AmrNode:
+    """Parse one PENMAN expression into its root :class:`AmrNode`.
 
     Whitespace, newlines, ``~`` alignment markers and ``#`` comment lines are
     tolerated. Raises a :class:`PenmanError` subclass (never anything else)
@@ -295,7 +285,7 @@ def parse_penman(text: str) -> AmrGraph:
 
 
 def _render(node: AmrNode, out: list[str]):
-    if node.is_reentrant_ref:
+    if node.concept is None:
         out.append(node.variable)
         return
     if node.variable is None:
@@ -311,9 +301,9 @@ def _render(node: AmrNode, out: list[str]):
     out.append(")")
 
 
-def serialize_penman(graph: AmrGraph) -> str:
+def serialize_penman(root: AmrNode) -> str:
     """Canonical single-line PENMAN. ``parse_penman(serialize_penman(g))`` is
     isomorphic to ``g``: same triples, same child order."""
     out: list[str] = []
-    _render(graph.root, out)
+    _render(root, out)
     return "".join(out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .penman import AmrGraph, AmrNode, Concept
+from .penman import AmrNode, Concept
 
 DEFAULT_ENTITY_CONCEPTS = frozenset({
     "date-entity",
@@ -83,7 +83,7 @@ def _claim(top: AmrNode, owner: dict[str, AmrNode],
     while stack:
         node, ignored = stack.pop()
         variable = node.variable
-        if variable is None or node.is_reentrant_ref:
+        if variable is None or node.concept is None:
             continue
         if ignored:
             dropped[variable] = node
@@ -96,10 +96,10 @@ def _claim(top: AmrNode, owner: dict[str, AmrNode],
                           or relation in DEFAULT_IGNORED_RELATIONS))
 
 
-def _build(graph: AmrGraph) -> tuple[list[CondensedNode],
-                                     dict[str, CondensedNode],
-                                     list[CondensedNode]]:
-    """The nodes of the condensed tree of ``graph`` without its ignored
+def _build(root: AmrNode) -> tuple[list[CondensedNode],
+                                   dict[str, CondensedNode],
+                                   list[CondensedNode]]:
+    """The nodes of the condensed tree of ``root`` without its ignored
     edges, in pre-order (root first), before the other passes, with its
     definitions by variable and its references, which have no text yet. A
     definition found only under an ignored edge is built at the first
@@ -108,19 +108,19 @@ def _build(graph: AmrGraph) -> tuple[list[CondensedNode],
     a reference there, so each variable has one definition."""
     owner: dict[str, AmrNode] = {}
     dropped: dict[str, AmrNode] = {}
-    _claim(graph.root, owner, dropped)
+    _claim(root, owner, dropped)
     definitions: dict[str, CondensedNode] = {}
     references: list[CondensedNode] = []
     nodes: list[CondensedNode] = []   # popped in pre-order
-    stack = [(graph.root, None, [], graph.root)]   # the root has no parent
+    stack = [(root, None, [], root)]   # the root has no parent
     while stack:
         node, relation, siblings, top = stack.pop()
         variable = node.variable
-        if node.is_reentrant_ref and variable not in owner:
+        if node.concept is None and variable not in owner:
             node = top = dropped[variable]
             _claim(top, owner, dropped)
-        if node.is_reentrant_ref or (variable is not None
-                                     and owner[variable] is not top):
+        if node.concept is None or (variable is not None
+                                    and owner[variable] is not top):
             built = CondensedNode(variable, "", (), relation, True)
             references.append(built)
         else:
@@ -251,7 +251,7 @@ def _hoist_name(node: CondensedNode, referenced: frozenset[str]) -> None:
         break
 
 
-def preprocess(graph: AmrGraph) -> CondensedNode:
+def preprocess(graph: AmrNode) -> CondensedNode:
     """Full pipeline: build the condensed tree without ignored edges, then
     condense entities and merge ops on it, both passes walking the build's
     pre-order list of its nodes. ``graph`` is not changed.

@@ -65,7 +65,7 @@ class TestReadAmrCorpus:
         [(raw, graph)] = read_blocks(path)
         assert raw.label == "x1"
         assert raw.sentence == "Dogs bark ."
-        assert graph.root.concept.label == "bark-01"
+        assert graph.concept.label == "bark-01"
 
     def test_mini_fixture(self):
         blocks = [raw for raw, _ in read_blocks(MINI_AMR)]
@@ -75,7 +75,7 @@ class TestReadAmrCorpus:
     def test_order_preserved(self, tmp_path):
         path = write(tmp_path, "c.amr",
                      "# ::snt one\n(a / alpha)\n\n# ::snt two\n(b / beta)\n")
-        assert [(raw.sentence, graph.root.concept.label)
+        assert [(raw.sentence, graph.concept.label)
                 for raw, graph in read_blocks(path)] == [("one", "alpha"),
                                                          ("two", "beta")]
 

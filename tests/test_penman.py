@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr2qa.penman import (
-    AmrGraph,
+    AmrNode,
     Concept,
     DanglingVariableReference,
     DuplicateVariableDefinition,
@@ -125,29 +125,29 @@ class TestGraphStructure:
         # four tree occurrences: w, b, g and the reentrant b
         occurrences = list(g.walk())
         definitions = {n.variable: n.concept.label for n in occurrences
-                       if not n.is_reentrant_ref}
+                       if n.concept is not None}
         assert definitions == {"w": "want-01", "b": "boy", "g": "go-02"}
         assert len(occurrences) == 4
-        assert sum(1 for n in occurrences if n.is_reentrant_ref) == 1
+        assert sum(1 for n in occurrences if n.concept is None) == 1
 
     def test_child_order_is_source_order(self):
         g = parse_penman("(g / give-01 :ARG2 (r / recipient) :ARG1 (b / book))")
-        assert [rel for rel, _ in g.root.children] == ["ARG2", "ARG1"]
+        assert [rel for rel, _ in g.children] == ["ARG2", "ARG1"]
 
     def test_constants_have_no_variable(self):
         g = parse_penman("(g / go-02 :mode imperative)")
-        _, child = g.root.children[0]
-        assert child.variable is None and not child.is_reentrant_ref
+        _, child = g.children[0]
+        assert child.variable is None and child.concept is not None
         assert child.concept.label == "imperative"
 
     def test_unusual_but_defined_variable_names(self):
         g = parse_penman("(ii / i :mod (s2 / sad))")
-        assert {n.variable for n in g.walk() if not n.is_reentrant_ref} == {"ii", "s2"}
+        assert {n.variable for n in g.walk() if n.concept is not None} == {"ii", "s2"}
 
     def test_relations_are_their_names(self):
         # inverse names are kept as written, without the colon
         g = parse_penman("(b / boy :ARG0-of (r / run-02) :consist-of (c / cell))")
-        assert [rel for rel, _ in g.root.children] == ["ARG0-of", "consist-of"]
+        assert [rel for rel, _ in g.children] == ["ARG0-of", "consist-of"]
         for text in load_penman_corpus():
             for node in parse_penman(text).walk():
                 for rel, _ in node.children:
@@ -226,8 +226,8 @@ class TestErrors:
 
     def test_multiletter_unknown_atom_is_constant_not_dangling(self):
         g = parse_penman("(b / x :ARG0 somebody)")
-        _, child = g.root.children[0]
-        assert child.variable is None and not child.is_reentrant_ref
+        _, child = g.children[0]
+        assert child.variable is None and child.concept is not None
 
     def test_bare_word_input(self):
         with pytest.raises(MalformedGraph) as exc:
@@ -283,12 +283,12 @@ class TestLexicalDetails:
 
     def test_quoted_string_with_spaces_and_escapes(self):
         g = parse_penman('(n / name :op1 "Rio de Janeiro" :op2 "say \\"no\\"")')
-        targets = [child.concept.label for _, child in g.root.children]
+        targets = [child.concept.label for _, child in g.children]
         assert targets == ["Rio de Janeiro", 'say "no"']
 
     def test_numbers_and_signs(self):
         g = parse_penman("(c / change-01 :quant -5 :value 5.50 :polite +)")
-        targets = [child.concept.label for _, child in g.root.children]
+        targets = [child.concept.label for _, child in g.children]
         assert targets == ["-5", "5.50", "+"]
 
     def test_compact_slash(self):
@@ -346,7 +346,7 @@ class TestRoundTrip:
     ])
     def test_backslash_in_quoted_label_round_trips(self, text, label):
         g = parse_penman(text)
-        node = g.root.children[0][1] if g.root.children else g.root
+        node = g.children[0][1] if g.children else g
         assert node.concept.label == label
         once = serialize_penman(g)
         assert once == text
@@ -363,7 +363,17 @@ class TestFuzz:
                 g = parse_penman(text)
             except PenmanError:
                 continue
-            assert isinstance(g, AmrGraph)
+            assert isinstance(g, AmrNode)
+            # a definition's variable is unique, a reference names one and
+            # a constant has a concept
+            nodes = list(g.walk())
+            defined = [n.variable for n in nodes if n.concept is not None
+                       and n.variable is not None]
+            assert len(defined) == len(set(defined)), text
+            assert all(n.variable in defined for n in nodes
+                       if n.concept is None), text
+            assert all(n.concept is not None for n in nodes
+                       if n.variable is None), text
             again = parse_penman(serialize_penman(g))
             assert to_triples(again) == to_triples(g)
 

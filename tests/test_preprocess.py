@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr2qa.penman import (
-    AmrGraph,
     AmrNode,
     Concept,
     parse_penman,
@@ -76,9 +75,10 @@ def as_graph(node: CondensedNode) -> AmrNode:
         concept = Concept(label=node.concept_text)
     else:
         concept = None
-    return AmrNode(node.variable, concept,
-                   [(child.relation_to_parent, as_graph(child))
-                    for child in node.children], node.is_reference)
+    graph = AmrNode(node.variable, concept)
+    graph.children = [(child.relation_to_parent, as_graph(child))
+                      for child in node.children]
+    return graph
 
 
 def built(graph):
@@ -93,11 +93,11 @@ def run_passes(graph):
     nodes, referenced = built(graph)
     condense_entities(nodes, referenced)
     merge_ops(nodes, referenced)
-    return AmrGraph(as_graph(nodes[0]))
+    return as_graph(nodes[0])
 
 
 def dropped(text):
-    return AmrGraph(as_graph(_build(parse_penman(text))[0][0]))
+    return as_graph(_build(parse_penman(text))[0][0])
 
 
 def condensed_tree(text):
@@ -107,7 +107,7 @@ def condensed_tree(text):
 
 
 def condensed(text):
-    return AmrGraph(as_graph(condensed_tree(text)))
+    return as_graph(condensed_tree(text))
 
 
 def merged_tree(text):
@@ -117,13 +117,13 @@ def merged_tree(text):
 
 
 def merged(text):
-    return AmrGraph(as_graph(merged_tree(text)))
+    return as_graph(merged_tree(text))
 
 
 def defined(graph):
     """Variable -> defining node, read from ``walk()``."""
     return {node.variable: node for node in graph.walk()
-            if node.variable is not None and not node.is_reentrant_ref}
+            if node.variable is not None and node.concept is not None}
 
 
 class TestDefaults:
@@ -163,24 +163,24 @@ class TestDropIgnored:
 
     def test_dropped_definition_promoted_at_first_reference(self):
         g = dropped("(x / x-01 :mode (p / person) :ARG0 p :ARG1 p)")
-        kinds = [(rel, child.is_reentrant_ref) for rel, child in g.root.children]
+        kinds = [(rel, child.concept is None) for rel, child in g.children]
         assert kinds == [("ARG0", False), ("ARG1", True)]
         assert defined(g)["p"].concept.label == "person"
 
     def test_promoted_definition_keeps_subtree(self):
         g = dropped('(k / know-01 :polite (p / person :name (n / name :op1 "Bo")) :ARG0 p)')
         assert set(defined(g)) == {"k", "p", "n"}
-        rel, child = g.root.children[0]
+        rel, child = g.children[0]
         assert (rel, child.concept.label) == ("ARG0", "person")
 
     def test_nested_definition_already_promoted_becomes_reference(self):
         g = dropped("(x / x-01 :mode (u / u-thing :ARG0 (v / person))"
                     " :ARG1 v :ARG2 u)")
-        (_, first), (_, second) = g.root.children
-        assert (first.variable, first.is_reentrant_ref) == ("v", False)
-        assert (second.variable, second.is_reentrant_ref) == ("u", False)
+        (_, first), (_, second) = g.children
+        assert (first.variable, first.concept is None) == ("v", False)
+        assert (second.variable, second.concept is None) == ("u", False)
         (_, inner), = second.children
-        assert (inner.variable, inner.is_reentrant_ref) == ("v", True)
+        assert (inner.variable, inner.concept is None) == ("v", True)
         assert inner.concept is None and inner.children == []
 
     def test_placed_subtree_claims_its_definitions_when_placed(self):
@@ -188,8 +188,8 @@ class TestDropIgnored:
         # :ARG1 reference reached first stays a reference
         g = dropped("(r / root-01 :ARG0 a :mode (a / alpha :ARG1 b"
                     " :ARG2 (b / beta)))")
-        (_, alpha), = g.root.children
-        kinds = [(rel, child.variable, child.is_reentrant_ref)
+        (_, alpha), = g.children
+        kinds = [(rel, child.variable, child.concept is None)
                  for rel, child in alpha.children]
         assert kinds == [("ARG1", "b", True), ("ARG2", "b", False)]
         assert defined(g)["b"].concept.label == "beta"
@@ -207,9 +207,9 @@ class TestCondenseEntities:
 
     def test_temporal_quantity(self):
         tree = condensed_tree("(t / temporal-quantity :quant 1 :unit (y / year))")
-        g = AmrGraph(as_graph(tree))
-        assert g.root.concept.label == "1 year"
-        assert g.root.children == []
+        g = as_graph(tree)
+        assert g.concept.label == "1 year"
+        assert g.children == []
         assert [c.label for c in tree.source_concepts] == ["temporal-quantity", "1", "year"]
 
     def test_entity_condensed_before_its_ops_merge(self):
@@ -227,7 +227,7 @@ class TestCondenseEntities:
 
     def test_date_entity_month_name(self):
         g = condensed("(d / date-entity :month 2 :year 2013)")
-        assert g.root.concept.label == "February 2013"
+        assert g.concept.label == "February 2013"
 
     def test_date_entity_brute_force_ordering(self):
         # independent oracle: pull fields out of the source text by regex and
@@ -238,12 +238,12 @@ class TestCondenseEntities:
         expected = " ".join([fields["day"], MONTHS[int(fields["month"])],
                              fields["year"], fields["weekday"]])
         g = condensed(text)
-        assert g.root.concept.label == expected == "5 February 2013 tuesday"
+        assert g.concept.label == expected == "5 February 2013 tuesday"
 
     def test_all_month_names(self):
         for month in range(1, 13):
             g = condensed(f"(d / date-entity :month {month})")
-            assert g.root.concept.label == MONTHS[month]
+            assert g.concept.label == MONTHS[month]
 
     def test_month_name_is_english_whatever_the_locale(self, monkeypatch):
         # calendar.month_name follows LC_TIME after locale.setlocale
@@ -254,12 +254,12 @@ class TestCondenseEntities:
 
     def test_non_numeric_month_kept(self):
         g = condensed('(d / date-entity :month "Feb")')
-        assert g.root.concept.label == "Feb"
+        assert g.concept.label == "Feb"
 
     def test_unabsorbable_children_stay(self):
         g = condensed("(d / date-entity :month 2 :mod (a / approximate))")
-        assert g.root.concept.label == "February"
-        assert [rel for rel, _ in g.root.children] == ["mod"]
+        assert g.concept.label == "February"
+        assert [rel for rel, _ in g.children] == ["mod"]
 
     def test_entity_with_no_absorbable_children_unchanged(self):
         text = "(d / date-entity :mod (a / approximate))"
@@ -284,15 +284,15 @@ class TestMergeOps:
         expected = " ".join(m.group(1) for m in
                             re.finditer(r':op\d+ "([^"]+)"', text))
         tree = merged_tree(text)
-        g = AmrGraph(as_graph(tree))
-        assert g.root.concept.label == expected == "Nikola Tesla"
-        assert g.root.children == []
+        g = as_graph(tree)
+        assert g.concept.label == expected == "Nikola Tesla"
+        assert g.children == []
         assert [c.label for c in tree.source_concepts] == \
             ["person", "name", "Nikola", "Tesla"]
 
     def test_numeric_op_order_beats_source_order(self):
         g = merged('(n / name :op2 "Tesla" :op1 "Nikola")')
-        assert g.root.concept.label == "Nikola Tesla"
+        assert g.concept.label == "Nikola Tesla"
 
     def test_no_op_children_unchanged(self):
         text = "(b / break-01 :ARG1 (e / engine))"
@@ -304,16 +304,16 @@ class TestMergeOps:
 
     def test_constant_ops_merged_on_non_name_node(self):
         g = merged("(a / and :op1 3 :op2 5)")
-        assert g.root.concept.label == "3 5"
+        assert g.concept.label == "3 5"
 
     def test_single_op(self):
         g = merged('(n / name :op1 "Rio de Janeiro")')
-        assert g.root.concept.label == "Rio de Janeiro"
+        assert g.concept.label == "Rio de Janeiro"
 
     def test_mixed_ops_merge_constants_only(self):
         g = merged('(n / name :op1 "Nikola" :op2 (t / thing))')
-        assert g.root.concept.label == "Nikola"
-        assert [rel for rel, _ in g.root.children] == ["op2"]
+        assert g.concept.label == "Nikola"
+        assert [rel for rel, _ in g.children] == ["op2"]
 
     def test_referenced_name_not_hoisted(self):
         g = merged('(s / say-01 :ARG0 (p / person :name (n / name :op1 "Bo")) :ARG1 n)')

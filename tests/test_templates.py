@@ -155,6 +155,13 @@ class TestLoadErrors:
             load_templates(write(tmp_path, "t.txt",
                                  "middling|Agent|past|Who {0} ?|VERB\n"))
 
+    def test_empty_key(self, tmp_path):
+        with pytest.raises(MalformedRecord) as e:
+            load_templates(write(tmp_path, "t.txt",
+                                 "core||any|What {0} ?|VERB\n"))
+        assert str(e.value) == "empty key (line 1)"
+        assert e.value.line == 1
+
     def test_bad_tense(self, tmp_path):
         with pytest.raises(MalformedRecord):
             load_templates(write(tmp_path, "t.txt",
@@ -218,6 +225,12 @@ class TestLoadMapping:
     def test_noncore_relation_rejected(self, tmp_path):
         with pytest.raises(MalformedRecord):
             load_mapping(write(tmp_path, "m.txt", "make|01|location|Place\n"))
+
+    def test_empty_role(self, tmp_path):
+        with pytest.raises(MalformedRecord) as e:
+            load_mapping(write(tmp_path, "m.txt", "break|01|ARG1|\n"))
+        assert str(e.value) == "empty role (line 1)"
+        assert e.value.line == 1
 
     def test_duplicate_entry(self, tmp_path):
         text = "make|01|ARG1|Product\nmake|01|ARG1|Theme\n"
