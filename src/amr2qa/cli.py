@@ -7,8 +7,10 @@ Subcommands:
 
 Settings resolve in precedence order: built-in defaults, then a --config
 JSON file, then command line flags, then the ASQ_SCORER_URL environment
-variable (URL only). Logs and the run report go to standard error; the only
-data written to stdout is stats/inspect output.
+variable (URL only). Warnings and the run report go to standard error; the
+only data written to stdout is stats/inspect output. No logging is set up:
+a warning reaches standard error as its bare message, through the logging
+module's last-resort handler, unless the caller configured handlers.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
 malformed input files, 3 nothing produced.
@@ -17,8 +19,6 @@ malformed input files, 3 nothing produced.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 
@@ -98,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
@@ -153,6 +155,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                           for pair in iter_dataset(args.dataset)})
     stats = compute_stats(iter_dataset(args.dataset), sentence_count)
     if args.json:
+        import json
+
         print(json.dumps(stats, indent=2))
     else:
         print(format_stats_table(stats), end="")
@@ -183,7 +187,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,12 +12,12 @@ each average is rounded half up to two places from its exact total.
 from __future__ import annotations
 
 import io
-import json
 import os
 import re
+# the C function json.encoder quotes with, taken without loading json
+from _json import encode_basestring as _quote
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
-from json.encoder import encode_basestring as _quote
 from typing import NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
@@ -218,6 +218,8 @@ def write_dataset(pairs: Iterable[QaPair], path) -> None:
 def iter_dataset(path) -> Iterator[QaPair]:
     """The pairs of a JSONL dataset, one at a time; a byte-order mark and
     blank lines are skipped."""
+    import json
+
     with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()

@@ -23,7 +23,6 @@ mismatches abort the run.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
@@ -31,6 +30,7 @@ from contextlib import closing
 from itertools import chain, zip_longest
 from typing import NamedTuple
 
+from . import warn
 from .agen import Answer, extract_answer
 from .annotate import SentenceAnnotation, align_concepts, iter_conllu
 from .corpus import (
@@ -52,8 +52,6 @@ from .templates import (
     bundled_template_path,
     load_store,
 )
-
-logger = logging.getLogger("amr2qa")
 
 # Texts a remote scorer's score memo holds at once; bounds its memory
 # whatever the corpus size.
@@ -324,13 +322,13 @@ def run_generate(config: RunConfig) -> RunReport:
         for raw, ann in tasks:
             if ann is None:
                 report.sentences_failed += 1
-                logger.warning("skipped: no annotation with id %r", raw.label)
+                warn("skipped: no annotation with id %r", raw.label)
                 continue
             try:
                 result = process_sentence(raw, ann, store, scorer)
             except Exception as exc:   # per-sentence skip policy
                 report.sentences_failed += 1
-                logger.warning("skipped: sentence %r: %s", raw.label, exc)
+                warn("skipped: sentence %r: %s", raw.label, exc)
                 continue
             report.sentences_processed += 1
             report.non_root_nodes += result.non_root

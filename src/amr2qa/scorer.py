@@ -18,10 +18,11 @@ questions fall back to the smoothed unigram log-probability.
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 from pathlib import Path
+
+from . import warn
 
 BOS = "<s>"
 EOS = "</s>"
@@ -109,7 +110,8 @@ class RemoteScorer:
     One call is one HTTP/1.0 request on a new connection, which it asks the
     server to close, under ``REQUEST_TIMEOUT``. It connects with ``_socket``
     and a ``bytes`` host: ``socket`` loads only with ``ssl``, for ``https``,
-    and the IDNA codec only for a non-ASCII host.
+    and the IDNA codec only for a non-ASCII host. ``json`` loads when the
+    scorer is built.
     Timeouts, connection and protocol errors, non-2xx statuses, malformed
     replies and non-finite logprobs all surface as ScorerUnavailable.
     """
@@ -117,6 +119,7 @@ class RemoteScorer:
     scorer_id = "remote"
 
     def __init__(self, url: str | None):
+        import json
         import os
         from urllib.parse import urlsplit
 
@@ -149,13 +152,11 @@ class RemoteScorer:
         self._head = (f"POST {target} HTTP/1.0\r\nHost: {host}\r\n"
                       "Content-Type: application/json\r\n"
                       "Connection: close\r\nContent-Length: ").encode("ascii")
+        self._dumps, self._loads = json.dumps, json.loads
         proxy = f"{parts.scheme}_proxy"
         if os.environ.get(proxy) or os.environ.get(proxy.upper()):
-            import logging   # loaded only to warn
-
-            logging.getLogger("amr2qa").warning(
-                "%s is set, but the remote scorer does not use a proxy: "
-                "it connects to %s directly", proxy, parts.hostname)
+            warn("%s is set, but the remote scorer does not use a proxy: "
+                 "it connects to %s directly", proxy, parts.hostname)
 
     def _connect(self):
         # addresses in order, as socket.create_connection tries them, through
@@ -187,7 +188,7 @@ class RemoteScorer:
             return self._tls.wrap_socket(sock, server_hostname=self._hostname)
 
     def score(self, question: str) -> float:
-        payload = json.dumps({"text": question}).encode("utf-8")
+        payload = self._dumps({"text": question}).encode("utf-8")
         try:
             sock = self._connect()
             try:
@@ -200,7 +201,7 @@ class RemoteScorer:
         # ValueError covers bad UTF-8, bad JSON and an integer longer than
         # the int() digit limit
         try:
-            decoded = json.loads(body.decode("utf-8"))
+            decoded = self._loads(body.decode("utf-8"))
             value = decoded["logprob"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ScorerUnavailable(f"malformed reply: {exc}") from exc

@@ -30,16 +30,17 @@ TLS_CERT = FIXTURES / "tls" / "cert.pem"   # self-signed: localhost, 127.0.0.1
 SRC = str(pathlib.Path(amr2qa.__file__).resolve().parent.parent)
 
 
-def run_bare(script: str) -> str:
+def run_bare(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a child interpreter started with ``-S``, so no
     ``site`` ``.pth`` file imports anything first, and with ``PYTHONPATH``
     set to the directory that holds the imported ``amr2qa`` package.
-    Return the child's stdout."""
+    Return the finished child, which exited 0, with its stdout and stderr
+    as text."""
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    return result
 
 
 def server_tls() -> ssl.SSLContext:

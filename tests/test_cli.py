@@ -2,7 +2,6 @@
 
 import gc
 import json
-import logging
 import os
 import shutil
 import subprocess
@@ -27,17 +26,6 @@ MINI_AMR = str(FIXTURES / "mini.amr")
 MINI_CONLLU = str(FIXTURES / "mini.conllu")
 MINI_DATASET = str(FIXTURES / "mini_dataset.jsonl")
 MINI_GOLDEN = FIXTURES / "mini_golden.jsonl"
-
-
-@pytest.fixture(autouse=True)
-def isolated_logging():
-    # main() calls logging.basicConfig; bind handlers to the stderr capture
-    # of the current test, not whichever test ran first
-    root = logging.getLogger()
-    saved = root.handlers[:]
-    root.handlers = []
-    yield
-    root.handlers = saved
 
 
 @pytest.fixture(autouse=True)

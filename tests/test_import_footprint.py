@@ -4,6 +4,9 @@ Each check runs its work in a bare child interpreter (``helpers.run_bare``)
 that prints ``sys.modules`` once the work is done.
 """
 
+import re
+
+import pytest
 from helpers import FIXTURES, TLS_CERT, MockLM, run_bare, server_tls
 
 # dataclasses and what it loads to generate methods: inspect, which pulls
@@ -16,11 +19,15 @@ NO_CLASS_GENERATION = ("dataclasses", "inspect", "ast", "dis")
 # the exact numeric types stats no longer uses (its averages are rounded
 # in integers), the remote scorer's request pool, the resource reader the
 # bundled data no longer goes through, and hashlib with its OpenSSL module
-# (template ids are hashed with the built-in SHA-1)
+# (template ids are hashed with the built-in SHA-1), logging and what it
+# pulls in, which load only with a first warning, and the json package,
+# which loads only to parse a config file, a dataset or a remote scorer's
+# reply (dataset lines are quoted with _json, which may load)
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources", "hashlib",
-    "_hashlib",
+    "_hashlib", "logging", "traceback", "linecache", "tokenize", "string",
+    "json", "json.decoder", "json.scanner",
 ) + NO_CLASS_GENERATION
 
 # the remote scorer speaks HTTP/1.0 over a socket: none of the standard
@@ -53,8 +60,12 @@ assert code == 0, code
 
 
 def loaded_after(code: str) -> set[str]:
-    script = code + "\nimport sys\nprint('\\n'.join(sys.modules))\n"
-    return set(run_bare(script).split())
+    return set(run_loaded(code).stdout.split())
+
+
+def run_loaded(code: str):
+    """The bare child that ran ``code`` and then printed ``sys.modules``."""
+    return run_bare(code + "\nimport sys\nprint('\\n'.join(sys.modules))\n")
 
 
 def test_baseline_set_up_loads_none_of_them():
@@ -86,10 +97,49 @@ def test_four_worker_baseline_generate_loads_none_of_them(tmp_path):
         sorted(loaded.intersection(NOT_ON_BASELINE_PATH))
 
 
-def test_stats_loads_no_exact_numeric_types():
+# the run report of mini.amr, whatever is appended that fails, but for the
+# wall time line
+MINI_REPORT = [
+    "sentences processed   3",
+    "sentences failed      1",
+    "questions emitted     9",
+    "  sense questions     3",
+    "non-root nodes        6",
+    "  skipped no-template 0",
+    "  skipped duplicate   0",
+    "scorer fallbacks      0",
+    "scorer memo hits      0",
+]
+
+
+def test_a_skipped_sentence_loads_logging_and_warns_on_stderr(tmp_path):
+    # no logging is configured: the warning reaches stderr as its bare
+    # message, through the last-resort handler
+    corpus = FIXTURES / "corpus"
+    amr, conllu = tmp_path / "bad.amr", tmp_path / "bad.conllu"
+    amr.write_text((corpus / "mini.amr").read_text()
+                   + "\n# ::id bad.1\n# ::snt Broken .\n(x / oops\n")
+    annotations = (corpus / "mini.conllu").read_text()
+    conllu.write_text(annotations + "\n" + annotations.split("\n\n")[0]
+                      + "\n\n")
+    child = run_loaded(GENERATE.format(
+        amr=str(amr), conllu=str(conllu), out=str(tmp_path / "out.jsonl"),
+        workers="1"))
+    assert "logging" in child.stdout.split()
+    warning, *report, wall_time = child.stderr.splitlines()
+    assert warning == ("skipped: sentence 'bad.1': unclosed '(' "
+                       "(at offset 40) (block 4)")
+    assert report == MINI_REPORT
+    assert re.fullmatch(r"wall time             \d+\.\d\ds", wall_time)
+    assert (tmp_path / "out.jsonl").read_bytes() == \
+        (corpus / "mini_golden.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+def test_stats_loads_no_exact_numeric_types(flags):
     loaded = loaded_after(
         "from amr2qa.cli import main\n"
-        f"assert main(['stats', {str(MINI_DATASET)!r}]) == 0\n")
+        f"assert main(['stats', *{flags!r}, {str(MINI_DATASET)!r}]) == 0\n")
     exact = {"fractions", "decimal", "_decimal", "numbers"}
     assert loaded.isdisjoint(exact), sorted(loaded.intersection(exact))
 

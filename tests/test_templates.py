@@ -417,9 +417,9 @@ class TestBundledPack:
     def test_ids_are_the_same_without_the_built_in_sha1(self):
         # a build without the _sha1 module hashes through hashlib
         script = BUNDLED_IDS.format(block='sys.modules["_sha1"] = None')
-        fallback = run_bare(script).splitlines()
+        fallback = run_bare(script).stdout.splitlines()
         assert fallback.pop() == "hashlib loaded: True"
-        built_in = run_bare(BUNDLED_IDS.format(block="")).splitlines()
+        built_in = run_bare(BUNDLED_IDS.format(block="")).stdout.splitlines()
         assert built_in.pop() == "hashlib loaded: False"
         assert fallback == built_in == [t.id for t in self.templates]
 
