@@ -13,7 +13,8 @@ a warning reaches standard error as its bare message, through the logging
 module's last-resort handler, unless the caller configured handlers.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-malformed input files, 3 nothing produced.
+malformed input files, 3 nothing produced. Any other exception is a bug:
+it propagates with its traceback, and the interpreter exits 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .penman import serialize_penman
 from .pipeline import PAIRINGS, RunConfig, run_generate
 from .preprocess import format_tree, preorder, preprocess
 from .scorer import SCORERS
+from .templates import TemplateError
 
 
 class UsageError(ValueError):
@@ -204,6 +206,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        # settings are refused with a plain ValueError, hosts and texts the
+        # codecs cannot take with a UnicodeError; any other ValueError class,
+        # such as qgen.ArityMismatch, is a bug and shows its traceback
+        if type(exc) is not ValueError and not isinstance(
+                exc, (UsageError, TemplateError, UnicodeError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

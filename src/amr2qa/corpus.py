@@ -18,6 +18,7 @@ import re
 from _json import encode_basestring as _quote
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from itertools import chain
 from typing import NamedTuple
 
 from .agen import CONCEPT_FALLBACK, Answer
@@ -25,19 +26,22 @@ from .penman import AmrNode, PenmanError, parse_penman
 
 
 class CorpusError(ValueError):
-    pass
+    def __init__(self, message: str, block: int | None = None):
+        super().__init__(message if block is None
+                         else f"{message} (block {block})")
+        self.block = block
 
 
 class MissingSentence(CorpusError):
-    def __init__(self, message: str, block: int):
-        super().__init__(f"{message} (block {block})")
-        self.block = block
+    pass
 
 
 class BlockParseError(CorpusError):
-    def __init__(self, message: str, block: int):
-        super().__init__(f"{message} (block {block})")
-        self.block = block
+    pass
+
+
+class PairMismatch(CorpusError):
+    """A block's ``::snt`` is not spelled by its annotation's words."""
 
 
 class CountMismatch(CorpusError):
@@ -100,38 +104,28 @@ def metadata_fields(line: str) -> list[tuple[str, str]]:
     return [_FIELD_RE.match(field).groups() for field in fields]
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[str]:
-    r"""The text of ``lines`` cut as ``re.split(r"\n\s*\n", text)`` cuts
-    it: at each line but the first that is whitespace up to its newline."""
-    chunk: list[str] = []
-    for number, line in enumerate(lines):
-        if number and line.endswith("\n") and line.isspace():
-            if chunk:
-                yield "".join(chunk)[:-1]
-            chunk = []
-        else:
-            chunk.append(line)
-    yield "".join(chunk)
-
-
 def iter_blocks(lines: Iterable[str]) -> Iterator[RawBlock]:
-    """Blocks of an AMR file, one at a time, from ``lines``: the lines of
-    a text-mode file. Chunks of whitespace alone are skipped."""
+    r"""Blocks of an AMR file, one at a time, from ``lines``: the lines of a
+    text-mode file, read once. A block ends where ``re.split(r"\n\s*\n",
+    text)`` cuts the whole text, at each whitespace line after the first;
+    blank blocks are skipped. A block's first ``::id`` and ``::snt`` win."""
     position = 0
-    for chunk in _chunks(lines):
-        if not chunk.strip():
+    chunk: list[str] = []
+    fields: dict[str, str] = {}
+    for number, line in enumerate(chain(lines, [None])):
+        if line is None or number and line.endswith("\n") and line.isspace():
+            # a cut takes the newline before it; the end of input takes none
+            body = "".join(chunk)[:None if line is None else -1]
+            if body.strip():
+                position += 1
+                yield RawBlock(position, fields.get("id"), fields.get("snt"),
+                               body)
+            chunk, fields = [], {}
             continue
-        position += 1
-        block_id = None
-        sentence = None
-        for line in chunk.splitlines():
-            for key, value in metadata_fields(line):
-                if key == "id" and block_id is None:
-                    block_id = value
-                elif key == "snt" and sentence is None:
-                    sentence = value
-        yield RawBlock(position=position, id=block_id, sentence=sentence,
-                       body=chunk)
+        chunk.append(line)
+        for piece in line.splitlines():
+            for key, value in metadata_fields(piece):
+                fields.setdefault(key, value)
 
 
 def split_blocks(text: str) -> list[RawBlock]:

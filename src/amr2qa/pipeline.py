@@ -14,11 +14,12 @@ completes. Each sentence's question texts are scored as one batch (see
 come from one scorer, and a remote scorer is asked for a text that
 recurs across sentences once per run (up to ``MEMO_CAPACITY`` texts held
 at a time). Only a remote scorer's requests run on threads, ``workers``
-of them; output bytes do not depend on worker count. A failure inside
-one sentence (malformed graph, missing annotation, any generation
-error) is logged and counted, never fatal.
-Unreadable files, bad template resources, malformed CoNLL-U and count
-mismatches abort the run.
+of them; output bytes do not depend on worker count. An input error in
+one sentence (a block without ``::snt`` or with a malformed graph, no
+annotation, or an annotation whose words do not spell ``::snt``) is
+logged and counted, never fatal. Unreadable files, bad template
+resources, malformed CoNLL-U and count mismatches abort the run, and so
+does any other exception in a sentence: it is a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from . import warn
 from .agen import Answer, extract_answer
 from .annotate import SentenceAnnotation, align_concepts, iter_conllu
 from .corpus import (
+    CorpusError,
     CountMismatch,
+    PairMismatch,
     QaPair,
     RawBlock,
     UnresolvedId,
@@ -43,6 +46,7 @@ from .corpus import (
     parse_block,
     write_dataset,
 )
+from .penman import AmrNode
 from .preprocess import preorder, preprocess
 from .qgen import best_question, generate_candidates, sense_question
 from .scorer import BaselineScorer, ScorerUnavailable, make_scorer
@@ -202,10 +206,20 @@ class _SentenceResult:
         self.non_root = non_root
 
 
-def process_sentence(raw: RawBlock, ann: SentenceAnnotation,
+def check_pair(raw: RawBlock, ann: SentenceAnnotation) -> None:
+    """Raises PairMismatch unless the annotation's words spell the
+    ``::snt`` of ``raw``, a block :func:`parse_block` accepts: the two are
+    equal once all whitespace is removed."""
+    words = "".join(token.surface for token in ann.tokens)
+    if "".join(raw.sentence.split()) != "".join(words.split()):
+        raise PairMismatch(f"::snt is not spelled by the words of annotation "
+                           f"{ann.sentence_id!r}", block=raw.position)
+
+
+def process_sentence(root: AmrNode, label: str, ann: SentenceAnnotation,
                      store: TemplateStore,
                      scorer: BatchScorer) -> _SentenceResult:
-    """QA pairs for one block and its annotation, labelled ``raw.label``.
+    """QA pairs for one parsed graph and its annotation, labelled ``label``.
 
     Primary questions come from non-root nodes in traversal order, then
     sense questions from predicate definitions. Every candidate and sense
@@ -213,7 +227,7 @@ def process_sentence(raw: RawBlock, ann: SentenceAnnotation,
     sentence no two pairs share (question text, answer text); later
     duplicates are skipped.
     """
-    tree = preprocess(parse_block(raw))
+    tree = preprocess(root)
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
     result = _SentenceResult(len(nodes) - 1)
@@ -244,7 +258,7 @@ def process_sentence(raw: RawBlock, ann: SentenceAnnotation,
             continue
         seen.add(key)
         result.pairs.append(QaPair(
-            sentence_id=raw.label,
+            sentence_id=label,
             question=best.filled_text,
             answer=answer,
             relation=best.relation,
@@ -258,7 +272,7 @@ def process_sentence(raw: RawBlock, ann: SentenceAnnotation,
         if key in seen:
             continue
         seen.add(key)
-        result.pairs.append(QaPair(raw.label, key[0], answer, SENSE_RELATION,
+        result.pairs.append(QaPair(label, key[0], answer, SENSE_RELATION,
                                    answer.source_node, SENSE_TEMPLATE_ID,
                                    scores[key[0]], scorer_id))
         result.sense += 1
@@ -325,11 +339,13 @@ def run_generate(config: RunConfig) -> RunReport:
                 warn("skipped: no annotation with id %r", raw.label)
                 continue
             try:
-                result = process_sentence(raw, ann, store, scorer)
-            except Exception as exc:   # per-sentence skip policy
+                root = parse_block(raw)
+                check_pair(raw, ann)
+            except CorpusError as exc:   # bad input costs its sentence
                 report.sentences_failed += 1
                 warn("skipped: sentence %r: %s", raw.label, exc)
                 continue
+            result = process_sentence(root, raw.label, ann, store, scorer)
             report.sentences_processed += 1
             report.non_root_nodes += result.non_root
             report.skipped_no_template += result.no_template

@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 
 import amr2qa
-from amr2qa import cli
+from amr2qa import cli, pipeline
 from amr2qa.cli import main
 from amr2qa.corpus import CorpusError, parse_block, split_blocks
 from amr2qa.penman import serialize_penman
 from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
+from amr2qa.qgen import ArityMismatch
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 MINI_AMR = str(FIXTURES / "mini.amr")
@@ -236,6 +237,49 @@ class TestGenerate:
         out = tmp_path / "o.jsonl"
         rc = main(gen_args(out, "--scorer", "remote",
                            "--scorer-url", "ftp://x/score"))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_swapped_annotations_fail_by_order_not_by_id(self, tmp_path,
+                                                         capsys, caplog):
+        blocks = Path(MINI_CONLLU).read_text().strip().split("\n\n")
+        swapped = tmp_path / "swapped.conllu"
+        swapped.write_text("\n\n".join([blocks[1], blocks[0], blocks[2]])
+                           + "\n")
+        args = ["generate", "--amr", MINI_AMR, "--conllu", str(swapped)]
+        assert main([*args, "--out", str(tmp_path / "order.jsonl")]) == 0
+        assert "sentences failed      2" in capsys.readouterr().err.split("\n")
+        assert caplog.messages == [
+            "skipped: sentence 's1': ::snt is not spelled by the words of "
+            "annotation 's2' (block 1)",
+            "skipped: sentence 's2': ::snt is not spelled by the words of "
+            "annotation 's1' (block 2)"]
+        out = tmp_path / "id.jsonl"
+        assert main([*args, "--pair", "by-id", "--out", str(out)]) == 0
+        assert out.read_bytes() == MINI_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("error", [ArityMismatch("boom"),
+                                       KeyError("boom")])
+    def test_a_bug_propagates(self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(pipeline, "generate_candidates", failing)
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(type(error)):
+            main(gen_args(out))
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("url", ["http://h:99999/s",
+                                     "http://" + "\xfc" * 70 + "/s"],
+                             ids=["port", "idna"])
+    def test_remote_url_the_library_refuses(self, tmp_path, capsys, url):
+        # urllib's plain ValueError and the IDNA codec's UnicodeError are
+        # setting errors, not bugs
+        out = tmp_path / "o.jsonl"
+        rc = main(gen_args(out, "--scorer", "remote", "--scorer-url", url))
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -681,6 +725,23 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "Total questions" in proc.stdout
+
+    def test_a_bug_exits_1_with_its_traceback(self, tmp_path):
+        script = ("import sys\n"
+                  "from amr2qa import cli, pipeline, qgen\n"
+                  "def failing(*args):\n"
+                  "    raise qgen.ArityMismatch('boom')\n"
+                  "pipeline.generate_candidates = failing\n"
+                  f"sys.exit(cli.main({gen_args(tmp_path / 'o.jsonl')!r}))\n")
+        package_root = str(Path(amr2qa.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=package_root))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert proc.stderr.endswith("amr2qa.qgen.ArityMismatch: boom\n")
+        assert "error:" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_console_script(self, tmp_path):
         # Runs the wrapper pip writes for the [project.scripts] entry, so the

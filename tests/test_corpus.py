@@ -268,9 +268,22 @@ class TestIterBlocksMatchesWholeText:
     @pytest.mark.parametrize("text", [
         "", "\n", "  \n(a)", "\n  \n(a)", " \n \n(a)", "(a)\n\n  ",
         "(a)\n \x0c\n(b)", "(a)\x0c\x0c(b)", "(a)\r\n\r\n(b)",
-        "# ::snt one\n(a)\n\n\n\n# ::snt two\n(b)"])
+        "# ::snt one\n(a)\n\n\n\n# ::snt two\n(b)",
+        "# ::id a\x0c# ::snt one\x85two\n(a)",
+        "# ::snt one\x0c# ::id a ::snt two\x85# ::id b\n(a)",
+        "# ::id a\n# ::snt one\n(a\n# ::id b\n# ::snt two\n)"])
     def test_edge_cases(self, text):
         assert split_blocks(text) == whole_text_split_blocks(text)
+
+    @pytest.mark.parametrize("text", [
+        # \x0c and \x85 end a metadata line inside a file line
+        "# ::id a\x0c# ::snt one\x85two\n(a)",
+        "# ::snt one\x0c# ::id a ::snt two\x85# ::id b\n(a)",
+        # metadata after the graph's lines does not replace the first
+        "# ::id a\n# ::snt one\n(a\n# ::id b\n# ::snt two\n)"])
+    def test_first_id_and_sentence_win(self, text):
+        [raw] = split_blocks(text)
+        assert (raw.id, raw.sentence) == ("a", "one")
 
 
 def sample_pair(**overrides):

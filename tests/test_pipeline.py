@@ -27,10 +27,12 @@ from amr2qa.annotate import (
     parse_conllu,
 )
 from amr2qa.corpus import (
+    CorpusError,
     CountMismatch,
     UnresolvedId,
     ZeroSentences,
     iter_dataset,
+    parse_block,
     split_blocks,
     write_dataset,
 )
@@ -45,7 +47,7 @@ from amr2qa.pipeline import (
     run_generate,
 )
 from amr2qa.preprocess import preorder, preprocess
-from amr2qa.qgen import generate_candidates
+from amr2qa.qgen import ArityMismatch, generate_candidates
 from amr2qa.templates import UPOS_TAGS
 from amr2qa.scorer import (
     BaselineScorer,
@@ -57,6 +59,7 @@ from helpers import (
     MockLM,
     RawReplyServer,
     default_store,
+    fuzz_strings,
     no_cyclic_garbage,
     random_amr_text,
     random_promotion_amr_text,
@@ -92,15 +95,19 @@ def batch(baseline):
     return BatchScorer(baseline, workers=1)
 
 
-def block_for(amr_text: str, position: int = 1):
-    return split_blocks(f"# ::id t{position}\n# ::snt dummy\n{amr_text}")[0]
+def parsed_block(amr_text: str, position: int = 1):
+    """The root and label of a one-block corpus, as ``run_generate``
+    hands them to ``process_sentence``."""
+    raw = split_blocks(f"# ::id t{position}\n# ::snt dummy\n{amr_text}")[0]
+    return parse_block(raw), raw.label
 
 
 class TestProcessSentence:
     def test_engine_sentence(self, store, batch):
         text = Path(MINI_AMR).read_text()
         first = split_blocks(text)[0]
-        result = process_sentence(first, BROKEN, store, batch)
+        result = process_sentence(parse_block(first), first.label, BROKEN,
+                                  store, batch)
         assert result.non_root == 1
         assert result.no_template == 0
         assert result.duplicate == 0
@@ -116,8 +123,9 @@ class TestProcessSentence:
         assert primary.scorer_id == "baseline"
 
     def test_sense_pair_carries_block_label(self, store, batch):
-        raw = block_for("(b / break-01 :ARG1 (e / engine))", position=7)
-        result = process_sentence(raw, BROKEN, store, batch)
+        sentence = parsed_block("(b / break-01 :ARG1 (e / engine))",
+                                position=7)
+        result = process_sentence(*sentence, BROKEN, store, batch)
         sense = [p for p in result.pairs if p.relation == "sense"]
         assert len(sense) == 1
         assert sense[0].sentence_id == "t7"
@@ -129,9 +137,9 @@ class TestProcessSentence:
     def test_duplicate_question_answer_skipped(self, store, batch):
         # both ARG1 children are unaligned copies: identical question text
         # and identical fallback answer, so the second one is a duplicate
-        raw = block_for(
+        sentence = parsed_block(
             "(x / xyzzyfy-01 :ARG1 (p / plugh) :ARG1 (p2 / plugh))")
-        result = process_sentence(raw, BROKEN, store, batch)
+        result = process_sentence(*sentence, BROKEN, store, batch)
         assert result.non_root == 2
         assert result.duplicate == 1
         texts = [(p.question, p.answer.text) for p in result.pairs
@@ -139,8 +147,8 @@ class TestProcessSentence:
         assert len(texts) == len(set(texts)) == 1
 
     def test_unknown_relation_counts_as_no_template(self, store, batch):
-        raw = block_for("(b / break-01 :quibble (e / engine))")
-        result = process_sentence(raw, BROKEN, store, batch)
+        sentence = parsed_block("(b / break-01 :quibble (e / engine))")
+        result = process_sentence(*sentence, BROKEN, store, batch)
         assert result.non_root == 1
         assert result.no_template == 1
         assert [p.relation for p in result.pairs] == ["sense"]
@@ -155,9 +163,9 @@ class TestProcessSentence:
             return candidates
 
         monkeypatch.setattr(pipeline, "generate_candidates", recorded)
-        raw = block_for(
+        sentence = parsed_block(
             "(p / person :ARG0-of (i / invent-01 :ARG1 (c / car)))")
-        process_sentence(raw, BROKEN, store, batch)
+        process_sentence(*sentence, BROKEN, store, batch)
         assert [(node.variable, parent.variable)
                 for node, parent, _ in calls] == [("i", "p"), ("c", "i")]
         assert all(node in parent.children for node, parent, _ in calls)
@@ -167,10 +175,10 @@ class TestProcessSentence:
         assert all(c.entity_ref is person for c in candidates)
 
     def test_every_node_lands_in_one_bucket(self, store, batch):
-        raw = block_for(
+        sentence = parsed_block(
             "(s / stand-01 :ARG0 (h / he) :location (m / middle "
             ":part (d / desert)) :quibble (q / quux))")
-        result = process_sentence(raw, BROKEN, store, batch)
+        result = process_sentence(*sentence, BROKEN, store, batch)
         primary = sum(1 for p in result.pairs if p.relation != "sense")
         assert (primary + result.no_template + result.duplicate
                 == result.non_root == 4)
@@ -209,14 +217,14 @@ def random_sentence(rng: random.Random) -> tuple[str, SentenceAnnotation]:
 
 class TestProcessSentenceProperty:
     """Invariants of one sentence's result on random (graph, annotation)
-    pairs. ``run_generate`` turns any exception into one failed sentence,
-    so a fault in a stage shows here and not as a bad input."""
+    pairs. An exception in a stage is a bug that stops a run, so a fault
+    shows here before a corpus meets it."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_invariants(self, store, baseline, seed):
         amr_text, ann = random_sentence(random.Random(seed))
-        result = process_sentence(block_for(amr_text), ann, store,
+        result = process_sentence(*parsed_block(amr_text), ann, store,
                                   BatchScorer(baseline, workers=1))
         primary = [p for p in result.pairs if p.relation != SENSE_RELATION]
         assert (len(primary) + result.no_template + result.duplicate
@@ -522,6 +530,116 @@ class TestBadSentence:
         assert text.splitlines() == [
             line for line in clean_lines
             if json.loads(line)["sentence_id"] != bad_id]
+
+
+def spelling(text: str) -> str:
+    return "".join(text.split())
+
+
+def subclasses(cls) -> list[type]:
+    """``cls`` and every class below it, by name."""
+    found = [cls]
+    for sub in found:
+        found.extend(sub.__subclasses__())
+    return sorted(found, key=lambda c: c.__name__)
+
+
+class TestPairCheck:
+    def test_shifted_annotations_fail_their_sentences(self, tmp_path,
+                                                      caplog):
+        # annotation 101 dropped and the last one repeated, so the counts
+        # still match and by-order pairs each later graph with the words
+        # of the sentence after it
+        amr, conllu = synth_corpus.generate()
+        annotations = conllu.rstrip("\n").split("\n\n")
+        shifted = annotations[:100] + annotations[101:] + annotations[-1:]
+        snts = [raw.sentence for raw in split_blocks(amr)]
+        texts = [ann.split("\n")[1].removeprefix("# text = ")
+                 for ann in shifted]
+        mismatched = sum(spelling(snt) != spelling(text)
+                         for snt, text in zip(snts, texts))
+        assert mismatched > 1400
+        with caplog.at_level("WARNING", logger="amr2qa"):
+            report, _ = run_text(tmp_path, amr, "\n\n".join(shifted) + "\n")
+        assert report.sentences_failed == mismatched
+        assert report.sentences_processed == len(snts) - mismatched
+        assert len(caplog.records) == mismatched
+        assert caplog.records[0].getMessage() == (
+            "skipped: sentence 'lp0101': ::snt is not spelled by the words "
+            "of annotation 'lp0102' (block 101)")
+
+    def test_spacing_and_multiword_ranges_do_not_count(self, tmp_path):
+        # the words of "The engine was broken ." spell the ::snt however
+        # the sentence is spaced; a multiword range is not a word
+        amr = Path(MINI_AMR).read_text().replace(
+            "The engine was broken .", "The\tengine  was broken.")
+        conllu = Path(MINI_CONLLU).read_text().replace(
+            "3\twas", "3-4\twas broken\t_\t_\t_\t_\t_\t_\t_\t_\n3\twas")
+        report, _ = run_text(tmp_path, amr, conllu)
+        assert (report.sentences_processed, report.sentences_failed) == (3, 0)
+
+
+class TestSkipPolicy:
+    @pytest.mark.parametrize("error", [KeyError("boom"),
+                                       ArityMismatch("boom")])
+    def test_a_bug_in_a_stage_stops_the_run(self, tmp_path, monkeypatch,
+                                            error):
+        seen = []
+        real = pipeline.align_concepts
+
+        def align(tree, ann):
+            seen.append(ann.sentence_id)
+            if len(seen) == 2:
+                raise error
+            return real(tree, ann)
+
+        monkeypatch.setattr(pipeline, "align_concepts", align)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(type(error), match="boom"):
+            run_generate(mini_config(out))
+        assert seen == ["s1", "s2"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", subclasses(CorpusError),
+                             ids=lambda cls: cls.__name__)
+    def test_each_input_error_costs_one_sentence(self, tmp_path,
+                                                 monkeypatch, caplog, error):
+        real = pipeline.parse_block
+
+        def parse(raw):
+            if raw.position == 2:
+                raise error("bad input")
+            return real(raw)
+
+        monkeypatch.setattr(pipeline, "parse_block", parse)
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level("WARNING", logger="amr2qa"):
+            report = run_generate(mini_config(out))
+        assert (report.sentences_processed, report.sentences_failed) == (2, 1)
+        assert caplog.messages == ["skipped: sentence 's2': bad input"]
+        assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s3"}
+
+    def test_fuzz_run_fails_exactly_the_refused_blocks(self, tmp_path):
+        # each block gets a one-word annotation spelling its ::snt, so the
+        # blocks that parse pair up, and any exception but a refusal stops
+        # the run
+        amr = "\n\n".join(f"# ::id f{i}\n# ::snt fuzz {i}\n{text}"
+                           for i, text in enumerate(fuzz_strings(1000,
+                                                                 seed=11)))
+        blocks = split_blocks(amr)
+        refused = 0
+        for raw in blocks:
+            try:
+                parse_block(raw)
+            except CorpusError:
+                refused += 1
+        conllu = "".join(
+            f"1\t{spelling(raw.sentence or 'x')}\tx\tX\tX\t_\t0\troot\t_\t_"
+            "\n\n" for raw in blocks)
+        report, _ = run_text(tmp_path, amr, conllu)
+        assert 0 < refused < len(blocks)
+        assert report.sentences_failed == refused
+        assert report.sentences_processed == len(blocks) - refused
 
 
 # every RunReport counter but the float wall time; Python 3.13 adds
@@ -842,7 +960,8 @@ class TestScoreMemo:
         blocks = split_blocks(Path(amr).read_text())
         for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
             batch = BatchScorer(baseline, workers=1)
-            pairs.extend(process_sentence(raw, ann, store, batch).pairs)
+            pairs.extend(process_sentence(parse_block(raw), raw.label, ann,
+                                          store, batch).pairs)
         plain = tmp_path / "plain.jsonl"
         write_dataset(pairs, str(plain))
         assert memoized.read_bytes() == plain.read_bytes()
