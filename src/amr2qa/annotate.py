@@ -10,6 +10,7 @@ token's dependency subtree covers.
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import NamedTuple
@@ -99,11 +100,16 @@ def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
                                  line=line, sentence_id=sentence_id)
 
 
+# the ids that are read and skipped: multiword ranges and empty nodes
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
+
+
 def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
     """Read CoNLL-U blocks into :class:`SentenceAnnotation` objects, one
     sentence at a time, from ``lines``: the lines of a text-mode file.
 
-    Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
+    Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped;
+    any other id that is not an integer is a malformed line.
     The word ids of a sentence must run 1, 2, ... n in order. A block is
     a sentence when it has a word line, a ``# sent_id`` or a ``# text``
     comment; the text itself and MISC are not read. Blocks without
@@ -141,7 +147,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
             raise BadColumnCount(f"expected 10 columns, found {len(columns)}",
                                  line=line_no)
         identifier = columns[0]
-        if "-" in identifier or "." in identifier:
+        if _SKIPPED_ID.fullmatch(identifier):
             continue  # multiword range or empty node
         try:
             index = int(identifier)

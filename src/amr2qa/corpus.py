@@ -196,12 +196,15 @@ def pair_from_json(obj: dict) -> QaPair:
 def write_dataset(pairs: Iterable[QaPair], path) -> None:
     """One JSON object per line, UTF-8, LF, stable field order, written to
     ``<path>.tmp`` as ``pairs`` yields them and renamed onto ``path`` once
-    they run out. On any exception the tmp file is removed instead and
-    ``path`` is left as it was."""
+    they run out and are synced to disk, so after a crash ``path`` holds
+    the old file or the whole new one. On any exception the tmp file is
+    removed instead and ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(map(pair_to_line, pairs))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

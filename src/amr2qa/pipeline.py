@@ -19,7 +19,8 @@ one sentence (a block without ``::snt`` or with a malformed graph, no
 annotation, or an annotation whose words do not spell ``::snt``) is
 logged and counted, never fatal. Unreadable files, bad template
 resources, malformed CoNLL-U and count mismatches abort the run, and so
-does any other exception in a sentence: it is a bug, not bad input.
+does any other exception in a sentence: it is a bug, not bad input. One
+``RunReport`` counts the run, each outcome where it is decided.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class RunReport:
     """Run accounting. Every non-root condensed node of every processed
     sentence lands in exactly one bucket: a primary question, skipped with
     no usable template, or skipped as a duplicate. Sense questions are
-    emitted on top of that. Each counter starts at the class's 0 and
-    ``run_generate`` adds to it."""
+    emitted on top of that. Each counter starts at the class's 0; the
+    line that decides an outcome adds it, in ``run_generate`` (sentences),
+    ``BatchScorer`` (scorer) or ``process_sentence`` (the rest)."""
 
     sentences_processed = 0
     sentences_failed = 0
@@ -124,29 +126,28 @@ class BatchScorer:
     batch once, afresh, which costs less than remembering its score. For
     any other scorer a run-scoped memo holds up to ``MEMO_CAPACITY`` of its
     scores (oldest evicted first); only the texts it lacks are requested,
-    once each, and a batch that falls back stores nothing. ``hits`` and
-    ``fallbacks`` count the distinct texts of each batch that the memo
-    answered or the baseline scored instead, so a repeat counts once. After
-    ``MAX_FAILURES`` consecutive failed batches the circuit opens and every
-    later batch goes straight to the baseline, so an unreachable service
-    costs a bounded number of timeouts per run. With ``workers > 1`` a
-    batch's requests go over a pool of that many threads, made on first use
-    and shut down by ``close()``; a failed request cancels the batch's
-    requests not yet started. Otherwise they run in the calling thread, and
-    the first failure ends the batch.
+    once each, and a batch that falls back stores nothing. It adds to
+    ``report``'s ``scorer_memo_hits`` and ``scorer_fallbacks`` the distinct
+    texts of each batch that the memo answered or the baseline scored
+    instead, so a repeat counts once. After ``MAX_FAILURES`` consecutive
+    failed batches the circuit opens and every later batch goes straight to
+    the baseline, so an unreachable service costs a bounded number of
+    timeouts per run. With ``workers > 1`` a batch's requests go over a pool
+    of that many threads, made on first use and shut down by ``close()``; a
+    failed request cancels the batch's requests not yet started. Otherwise
+    they run in the calling thread, and the first failure ends the batch.
     """
 
-    def __init__(self, scorer, workers: int):
+    def __init__(self, scorer, workers: int, report: RunReport):
         self._scorer = scorer
         self._workers = workers
+        self._report = report
         self._pool = None
         self._fallback = None
         # OrderedDict, not dict: evicting a plain dict's first key scans
         # the deleted slots left at its front.
         self._scores: OrderedDict[str, float] = OrderedDict()
         self._failures = 0
-        self.hits = 0        # distinct texts of a batch the memo answered
-        self.fallbacks = 0   # distinct texts of a batch the baseline scored
 
     @property
     def circuit_open(self) -> bool:
@@ -168,13 +169,13 @@ class BatchScorer:
                 if missing:
                     self._failures = 0
                 self._store(missing, scores)
-                self.hits += len(scores) - len(missing)
+                self._report.scorer_memo_hits += len(scores) - len(missing)
                 return scorer.scorer_id, scores
         if self._fallback is None:
             self._fallback = BaselineScorer.bundled()
         scorer = self._fallback
         scores = {text: scorer.score(text) for text in dict.fromkeys(texts)}
-        self.fallbacks += len(scores)
+        self._report.scorer_fallbacks += len(scores)
         return scorer.scorer_id, scores
 
     def _request(self, texts: list[str]) -> list[float]:
@@ -198,14 +199,6 @@ class BatchScorer:
             self._pool.shutdown()
 
 
-class _SentenceResult:
-    no_template = duplicate = sense = 0
-
-    def __init__(self, non_root: int):
-        self.pairs: list[QaPair] = []
-        self.non_root = non_root
-
-
 def check_pair(raw: RawBlock, ann: SentenceAnnotation) -> None:
     """Raises PairMismatch unless the annotation's words spell the
     ``::snt`` of ``raw``, a block :func:`parse_block` accepts: the two are
@@ -217,20 +210,21 @@ def check_pair(raw: RawBlock, ann: SentenceAnnotation) -> None:
 
 
 def process_sentence(root: AmrNode, label: str, ann: SentenceAnnotation,
-                     store: TemplateStore,
-                     scorer: BatchScorer) -> _SentenceResult:
+                     store: TemplateStore, scorer: BatchScorer,
+                     report: RunReport) -> list[QaPair]:
     """QA pairs for one parsed graph and its annotation, labelled ``label``.
 
     Primary questions come from non-root nodes in traversal order, then
     sense questions from predicate definitions. Every candidate and sense
     question is scored in one batch, before any is selected. Within a
     sentence no two pairs share (question text, answer text); later
-    duplicates are skipped.
+    duplicates are skipped. Counts its nodes and pairs in ``report``.
     """
     tree = preprocess(root)
     alignment = align_concepts(tree, ann)
     nodes = preorder(tree)
-    result = _SentenceResult(len(nodes) - 1)
+    report.non_root_nodes += len(nodes) - 1
+    pairs: list[QaPair] = []
     parent = {child: node for node in nodes for child in node.children}
     per_node = [generate_candidates(node, parent[node], store, ann, alignment)
                 for node in nodes[1:]]
@@ -248,16 +242,17 @@ def process_sentence(root: AmrNode, label: str, ann: SentenceAnnotation,
 
     for node, candidates in zip(nodes[1:], per_node):
         if not candidates:
-            result.no_template += 1
+            report.skipped_no_template += 1
             continue
         best = best_question(candidates, scores)
         answer = extract_answer(best.entity_ref, ann, alignment)
         key = (best.filled_text, answer.text)
         if key in seen:
-            result.duplicate += 1
+            report.skipped_duplicate += 1
             continue
         seen.add(key)
-        result.pairs.append(QaPair(
+        report.questions_emitted += 1
+        pairs.append(QaPair(
             sentence_id=label,
             question=best.filled_text,
             answer=answer,
@@ -272,11 +267,12 @@ def process_sentence(root: AmrNode, label: str, ann: SentenceAnnotation,
         if key in seen:
             continue
         seen.add(key)
-        result.pairs.append(QaPair(label, key[0], answer, SENSE_RELATION,
-                                   answer.source_node, SENSE_TEMPLATE_ID,
-                                   scores[key[0]], scorer_id))
-        result.sense += 1
-    return result
+        report.questions_emitted += 1
+        report.sense_questions += 1
+        pairs.append(QaPair(label, key[0], answer, SENSE_RELATION,
+                            answer.source_node, SENSE_TEMPLATE_ID,
+                            scores[key[0]], scorer_id))
+    return pairs
 
 
 def _lockstep(blocks: Iterable[RawBlock], annotations) -> Iterator[tuple]:
@@ -325,12 +321,12 @@ def run_generate(config: RunConfig) -> RunReport:
     if type(config.workers) is not int or config.workers < 1:
         raise ValueError(f"workers must be an integer >= 1, "
                          f"got {config.workers!r}")
+    report = RunReport()
     # only a remote scorer's requests reach BatchScorer's threads
     scorer = BatchScorer(make_scorer(config.scorer, config.scorer_url),
-                         config.workers)
+                         config.workers, report)
     store = load_store(config.template_path or bundled_template_path(),
                        config.mapping_path or bundled_mapping_path())
-    report = RunReport()
 
     def sentences(tasks) -> Iterator[QaPair]:
         for raw, ann in tasks:
@@ -345,14 +341,9 @@ def run_generate(config: RunConfig) -> RunReport:
                 report.sentences_failed += 1
                 warn("skipped: sentence %r: %s", raw.label, exc)
                 continue
-            result = process_sentence(root, raw.label, ann, store, scorer)
             report.sentences_processed += 1
-            report.non_root_nodes += result.non_root
-            report.skipped_no_template += result.no_template
-            report.skipped_duplicate += result.duplicate
-            report.sense_questions += result.sense
-            report.questions_emitted += len(result.pairs)
-            yield from result.pairs
+            yield from process_sentence(root, raw.label, ann, store, scorer,
+                                        report)
 
     with closing(scorer), open(config.amr_path, encoding="utf-8-sig") as amr:
         blocks = iter_blocks(amr)
@@ -363,7 +354,5 @@ def run_generate(config: RunConfig) -> RunReport:
             tasks = pair_up(chain([first], blocks), iter_conllu(conllu))
             write_dataset(sentences(tasks), config.output_path)
 
-    report.scorer_fallbacks = scorer.fallbacks
-    report.scorer_memo_hits = scorer.hits
     report.wall_time_seconds = time.perf_counter() - started
     return report

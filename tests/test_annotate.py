@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,17 @@ class TestParseConllu:
             parse_conllu(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("identifier", ["a", "x-y", "-", "2.x"])
+    def test_non_integer_id(self, identifier):
+        # only digit ranges (1-2) and empty nodes (1.1) are skipped
+        text = ("# sent_id = x\n1\tHello\thello\tINTJ\tUH\t_\t0\troot\t_\t_\n"
+                f"{identifier}\tw\tw\tX\tX\t_\t1\tdep\t_\t_\n"
+                "2\tthere\tthere\tADV\tRB\t_\t1\tadvmod\t_\t_\n")
+        with pytest.raises(BadColumnCount) as exc:
+            parse_conllu(text)
+        assert exc.value.line == 3
+        assert f"token id {identifier!r} is not an integer" in str(exc.value)
+
     def test_non_integer_head(self):
         text = "1\tHi\thi\tINTJ\tUH\t_\tx\troot\t_\t_\n"
         with pytest.raises(NonIntegerHead) as exc:
@@ -135,8 +147,9 @@ class TestParseConllu:
 
 
 def whole_text_parse_conllu(text):
-    """The whole-text CoNLL-U reader as it was before the streaming one:
-    the oracle for ``iter_conllu``, as ``(sentence_id, tokens)`` pairs."""
+    """The whole-text CoNLL-U reader as it was before the streaming one,
+    skipping only digit ranges and empty nodes: the oracle for
+    ``iter_conllu``, as ``(sentence_id, tokens)`` pairs."""
     sentences = []
     tokens, token_lines = [], []
     sent_id, has_text = None, False
@@ -169,7 +182,7 @@ def whole_text_parse_conllu(text):
             raise BadColumnCount(f"expected 10 columns, found {len(columns)}",
                                  line=line_no)
         identifier = columns[0]
-        if "-" in identifier or "." in identifier:
+        if re.fullmatch(r"[0-9]+[-.][0-9]+", identifier):
             continue
         try:
             index = int(identifier)
@@ -205,7 +218,8 @@ def id_tokens(sentences):
     return [(ann.sentence_id, ann.tokens) for ann in sentences]
 
 
-# token lines (good, bad head, bad column count, bad id, cycle, multiword),
+# token lines (good, bad head, bad column count, bad ids, cycle,
+# multiword),
 # comments, whitespace that splitlines() breaks at, and line endings
 CONLLU_PIECES = [
     "1\tDogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_",
@@ -215,7 +229,8 @@ CONLLU_PIECES = [
     "2\tv\tv\tX\tX\t_\t2\tdep\t_\t_",
     "1\tw\tw\tX\tX\t_\tx\tdep\t_\t_",
     "1-2\tww\t_\t_\t_\t_\t_\t_\t_\t_",
-    "a\tw\tw\tX\tX\t_\t0\troot\t_\t_", "1\tw",
+    "a\tw\tw\tX\tX\t_\t0\troot\t_\t_", "x-y\tw\tw\tX\tX\t_\t0\troot\t_\t_",
+    "1\tw",
     "# sent_id = a", "# sent_id = b", "# text = Dogs bark", "# note",
     "\n", "\n", "\n", " ", "\t", "\x0c", "\x0b", "\x85", "\x1c", "\u2028",
     "\r", "\r\n", "\xa0",

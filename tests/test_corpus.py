@@ -4,6 +4,7 @@ and stats."""
 import io
 import json
 import math
+import os
 import random
 import re
 from decimal import ROUND_HALF_UP, Decimal
@@ -427,6 +428,32 @@ class TestDatasetRoundTrip:
             write_dataset(pairs(), path)
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+    def test_whole_file_is_synced_before_the_rename(self, tmp_path,
+                                                   monkeypatch):
+        # after a crash the rename may reach the disk, so the data must
+        # be there first
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"old\n")
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", info.st_ino, info.st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", renamed)
+        write_dataset([sample_pair()] * 50, path)
+        final = path.stat()
+        assert final.st_size > 1000
+        assert events == [("fsync", final.st_ino, final.st_size),
+                          ("replace", final.st_ino, os.fspath(path))]
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         path = tmp_path / "d.jsonl"

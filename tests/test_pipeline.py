@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -24,6 +25,7 @@ from amr2qa.annotate import (
     SentenceAnnotation,
     Token,
     align_concepts,
+    iter_conllu,
     parse_conllu,
 )
 from amr2qa.corpus import (
@@ -31,6 +33,7 @@ from amr2qa.corpus import (
     CountMismatch,
     UnresolvedId,
     ZeroSentences,
+    iter_blocks,
     iter_dataset,
     parse_block,
     split_blocks,
@@ -43,6 +46,7 @@ from amr2qa.pipeline import (
     SENSE_RELATION,
     RunConfig,
     RunReport,
+    check_pair,
     process_sentence,
     run_generate,
 )
@@ -91,8 +95,13 @@ def baseline():
 
 
 @pytest.fixture
-def batch(baseline):
-    return BatchScorer(baseline, workers=1)
+def report():
+    return RunReport()
+
+
+@pytest.fixture
+def batch(baseline, report):
+    return BatchScorer(baseline, workers=1, report=report)
 
 
 def parsed_block(amr_text: str, position: int = 1):
@@ -103,30 +112,31 @@ def parsed_block(amr_text: str, position: int = 1):
 
 
 class TestProcessSentence:
-    def test_engine_sentence(self, store, batch):
+    def test_engine_sentence(self, store, batch, report):
         text = Path(MINI_AMR).read_text()
         first = split_blocks(text)[0]
-        result = process_sentence(parse_block(first), first.label, BROKEN,
-                                  store, batch)
-        assert result.non_root == 1
-        assert result.no_template == 0
-        assert result.duplicate == 0
-        assert result.sense == 1
-        questions = [p.question for p in result.pairs]
+        pairs = process_sentence(parse_block(first), first.label, BROKEN,
+                                 store, batch, report)
+        assert report.non_root_nodes == 1
+        assert report.skipped_no_template == 0
+        assert report.skipped_duplicate == 0
+        assert report.sense_questions == 1
+        assert report.questions_emitted == 2
+        questions = [p.question for p in pairs]
         assert questions == ["What was broken ?",
                              "What is the sense of broken ?"]
-        primary = result.pairs[0]
+        primary = pairs[0]
         assert primary.answer.text == "The engine"
         assert primary.answer.span == (1, 2)
         assert primary.sentence_id == "s1"
         assert primary.score is not None
         assert primary.scorer_id == "baseline"
 
-    def test_sense_pair_carries_block_label(self, store, batch):
+    def test_sense_pair_carries_block_label(self, store, batch, report):
         sentence = parsed_block("(b / break-01 :ARG1 (e / engine))",
                                 position=7)
-        result = process_sentence(*sentence, BROKEN, store, batch)
-        sense = [p for p in result.pairs if p.relation == "sense"]
+        pairs = process_sentence(*sentence, BROKEN, store, batch, report)
+        sense = [p for p in pairs if p.relation == "sense"]
         assert len(sense) == 1
         assert sense[0].sentence_id == "t7"
         assert sense[0].question == "What is the sense of broken ?"
@@ -134,26 +144,27 @@ class TestProcessSentence:
         assert (sense[0].node, sense[0].template_id) == ("b", "verb-sense")
         assert sense[0].score is not None
 
-    def test_duplicate_question_answer_skipped(self, store, batch):
+    def test_duplicate_question_answer_skipped(self, store, batch, report):
         # both ARG1 children are unaligned copies: identical question text
         # and identical fallback answer, so the second one is a duplicate
         sentence = parsed_block(
             "(x / xyzzyfy-01 :ARG1 (p / plugh) :ARG1 (p2 / plugh))")
-        result = process_sentence(*sentence, BROKEN, store, batch)
-        assert result.non_root == 2
-        assert result.duplicate == 1
-        texts = [(p.question, p.answer.text) for p in result.pairs
+        pairs = process_sentence(*sentence, BROKEN, store, batch, report)
+        assert report.non_root_nodes == 2
+        assert report.skipped_duplicate == 1
+        texts = [(p.question, p.answer.text) for p in pairs
                  if p.relation != "sense"]
         assert len(texts) == len(set(texts)) == 1
 
-    def test_unknown_relation_counts_as_no_template(self, store, batch):
+    def test_unknown_relation_counts_as_no_template(self, store, batch,
+                                                    report):
         sentence = parsed_block("(b / break-01 :quibble (e / engine))")
-        result = process_sentence(*sentence, BROKEN, store, batch)
-        assert result.non_root == 1
-        assert result.no_template == 1
-        assert [p.relation for p in result.pairs] == ["sense"]
+        pairs = process_sentence(*sentence, BROKEN, store, batch, report)
+        assert report.non_root_nodes == 1
+        assert report.skipped_no_template == 1
+        assert [p.relation for p in pairs] == ["sense"]
 
-    def test_candidates_get_their_tree_parent(self, store, batch,
+    def test_candidates_get_their_tree_parent(self, store, batch, report,
                                               monkeypatch):
         calls = []
 
@@ -165,7 +176,7 @@ class TestProcessSentence:
         monkeypatch.setattr(pipeline, "generate_candidates", recorded)
         sentence = parsed_block(
             "(p / person :ARG0-of (i / invent-01 :ARG1 (c / car)))")
-        process_sentence(*sentence, BROKEN, store, batch)
+        process_sentence(*sentence, BROKEN, store, batch, report)
         assert [(node.variable, parent.variable)
                 for node, parent, _ in calls] == [("i", "p"), ("c", "i")]
         assert all(node in parent.children for node, parent, _ in calls)
@@ -174,14 +185,14 @@ class TestProcessSentence:
         assert candidates
         assert all(c.entity_ref is person for c in candidates)
 
-    def test_every_node_lands_in_one_bucket(self, store, batch):
+    def test_every_node_lands_in_one_bucket(self, store, batch, report):
         sentence = parsed_block(
             "(s / stand-01 :ARG0 (h / he) :location (m / middle "
             ":part (d / desert)) :quibble (q / quux))")
-        result = process_sentence(*sentence, BROKEN, store, batch)
-        primary = sum(1 for p in result.pairs if p.relation != "sense")
-        assert (primary + result.no_template + result.duplicate
-                == result.non_root == 4)
+        pairs = process_sentence(*sentence, BROKEN, store, batch, report)
+        primary = sum(1 for p in pairs if p.relation != "sense")
+        assert (primary + report.skipped_no_template
+                + report.skipped_duplicate == report.non_root_nodes == 4)
 
 
 _XPOS = ["NN", "NNS", "NNP", "VB", "VBD", "VBN", "VBG", "VBP", "VBZ", "JJ",
@@ -224,20 +235,23 @@ class TestProcessSentenceProperty:
     @given(st.integers(0, 2**32 - 1))
     def test_invariants(self, store, baseline, seed):
         amr_text, ann = random_sentence(random.Random(seed))
-        result = process_sentence(*parsed_block(amr_text), ann, store,
-                                  BatchScorer(baseline, workers=1))
-        primary = [p for p in result.pairs if p.relation != SENSE_RELATION]
-        assert (len(primary) + result.no_template + result.duplicate
-                == result.non_root)
-        assert len(result.pairs) - len(primary) == result.sense
+        report = RunReport()
+        batch = BatchScorer(baseline, workers=1, report=report)
+        pairs = process_sentence(*parsed_block(amr_text), ann, store, batch,
+                                 report)
+        primary = [p for p in pairs if p.relation != SENSE_RELATION]
+        assert (len(primary) + report.skipped_no_template
+                + report.skipped_duplicate == report.non_root_nodes)
+        assert len(pairs) - len(primary) == report.sense_questions
+        assert len(pairs) == report.questions_emitted
         n = len(ann.tokens)
-        for pair in result.pairs:
+        for pair in pairs:
             if pair.answer.kind == SPAN:
                 start, end = pair.answer.span
                 assert 1 <= start <= end <= n
                 assert pair.answer.text == span_text(ann, pair.answer.span)
-        assert len({p.scorer_id for p in result.pairs}) <= 1
-        keys = [(p.question, p.answer.text) for p in result.pairs]
+        assert len({p.scorer_id for p in pairs}) <= 1
+        keys = [(p.question, p.answer.text) for p in pairs]
         assert len(set(keys)) == len(keys)
 
     @settings(max_examples=300, deadline=None)
@@ -673,6 +687,47 @@ class TestConcatenation:
             for name in COUNTERS}
 
 
+class TestLibraryPath:
+    @pytest.mark.parametrize("kind", ["baseline", "remote"])
+    def test_same_pairs_and_counters_as_run_generate(
+            self, tmp_path, monkeypatch, store, baseline, kind):
+        # one block has no ::snt, so a sentence fails on either path; the
+        # remote stand-in fails two batches and answers the rest, some from
+        # the memo
+        amr, conllu = synth_corpus.generate(120, seed=6)
+        blocks = amr.rstrip("\n").split("\n\n")
+        blocks[9] = corrupt(blocks[9], "drop-snt", 0)
+        amr = "\n\n".join(blocks) + "\n"
+
+        def make_scorer():
+            return (baseline if kind == "baseline"
+                    else FailsOnceOn({"Which harbor ?", "What was waited ?"}))
+
+        monkeypatch.setattr(pipeline, "make_scorer",
+                            lambda *args, **kwargs: make_scorer())
+        report, text = run_text(tmp_path, amr, conllu)
+        library = RunReport()
+        batch = BatchScorer(make_scorer(), workers=1, report=library)
+        pairs = []
+        for raw, ann in zip(iter_blocks(io.StringIO(amr)),
+                            iter_conllu(io.StringIO(conllu)), strict=True):
+            try:
+                root = parse_block(raw)
+                check_pair(raw, ann)
+            except CorpusError:
+                library.sentences_failed += 1
+                continue
+            library.sentences_processed += 1
+            pairs += process_sentence(root, raw.label, ann, store, batch,
+                                      library)
+        assert "".join(map(corpus.pair_to_line, pairs)) == text
+        assert {name: getattr(library, name) for name in COUNTERS} == {
+            name: getattr(report, name) for name in COUNTERS}
+        assert report.sentences_failed == 1
+        if kind == "remote":
+            assert report.scorer_fallbacks and report.scorer_memo_hits
+
+
 class TestPairing:
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -888,22 +943,22 @@ class TestScoreMemo:
                 in report.lines())
 
     def test_text_repeated_within_a_batch_is_no_memo_hit(self):
-        primary = FailsOnceOn(())
-        scorer = BatchScorer(primary, workers=1)
+        primary, report = FailsOnceOn(()), RunReport()
+        scorer = BatchScorer(primary, workers=1, report=report)
         assert scorer.score_all(["a ?", "a ?", "b ?"])[0] == "remote"
-        assert scorer.hits == 0
+        assert report.scorer_memo_hits == 0
         scorer.score_all(["a ?", "a ?", "c ?"])
-        assert scorer.hits == 1
+        assert report.scorer_memo_hits == 1
         assert primary.texts == {"a ?": 1, "b ?": 1, "c ?": 1}
 
-    def test_baseline_keeps_no_memo(self, baseline):
-        scorer = BatchScorer(baseline, workers=1)
+    def test_baseline_keeps_no_memo(self, baseline, report):
+        scorer = BatchScorer(baseline, workers=1, report=report)
         texts = [f"What is item{i} ?" for i in range(5000)]
         for text in texts:
             scorer.score_all([text])
         assert scorer.score_all(texts[:2]) == (
             "baseline", {text: baseline.score(text) for text in texts[:2]})
-        assert (scorer.hits, len(scorer._scores)) == (0, 0)
+        assert (report.scorer_memo_hits, len(scorer._scores)) == (0, 0)
 
     def test_baseline_run_reports_no_memo_hits(self, tmp_path):
         amr, conllu = repeated_corpus(tmp_path)
@@ -934,9 +989,9 @@ class TestScoreMemo:
         assert {scorer for sentence, scorer in ids
                 if sentence != "c0s1"} == {"remote"}
 
-    def test_memo_holds_at_most_capacity(self, baseline):
+    def test_memo_holds_at_most_capacity(self, baseline, report):
         counting = CountingScorer(baseline)
-        memo = BatchScorer(counting, workers=1)
+        memo = BatchScorer(counting, workers=1, report=report)
         texts = [f"What is item{i} ?" for i in range(pipeline.MEMO_CAPACITY
                                                     + 100)]
         for text in texts:
@@ -944,7 +999,7 @@ class TestScoreMemo:
         assert len(memo._scores) == pipeline.MEMO_CAPACITY
         for text in texts[-pipeline.MEMO_CAPACITY:]:
             memo.score_all([text])
-        assert memo.hits == pipeline.MEMO_CAPACITY
+        assert report.scorer_memo_hits == pipeline.MEMO_CAPACITY
         memo.score_all([texts[0]])
         assert counting.texts[texts[0]] == 2
         assert len(memo._scores) == pipeline.MEMO_CAPACITY
@@ -959,9 +1014,10 @@ class TestScoreMemo:
         pairs = []
         blocks = split_blocks(Path(amr).read_text())
         for raw, ann in zip(blocks, parse_conllu(Path(conllu).read_text())):
-            batch = BatchScorer(baseline, workers=1)
+            report = RunReport()
+            batch = BatchScorer(baseline, workers=1, report=report)
             pairs.extend(process_sentence(parse_block(raw), raw.label, ann,
-                                          store, batch).pairs)
+                                          store, batch, report))
         plain = tmp_path / "plain.jsonl"
         write_dataset(pairs, str(plain))
         assert memoized.read_bytes() == plain.read_bytes()
@@ -1028,18 +1084,19 @@ class TestBatchScorer:
         assert outputs[1] == outputs[4]
 
     def test_failed_batch_is_all_baseline_and_stores_nothing(self,
-                                                            baseline):
+                                                            baseline,
+                                                            report):
         primary = FailsOnceOn({"b ?"})
-        scorer = BatchScorer(primary, workers=1)
+        scorer = BatchScorer(primary, workers=1, report=report)
         assert scorer.score_all(["a ?"])[0] == "remote"
         # "a ?" is in the memo, but the batch fails on "b ?"
         failed = scorer.score_all(["a ?", "b ?", "a ?"])
         assert failed == ("baseline", {text: baseline.score(text)
                                        for text in ("a ?", "b ?")})
-        assert (scorer.hits, scorer.fallbacks) == (0, 2)
+        assert (report.scorer_memo_hits, report.scorer_fallbacks) == (0, 2)
         again = scorer.score_all(["a ?", "b ?"])
         assert again[0] == "remote"
-        assert scorer.hits == 1
+        assert report.scorer_memo_hits == 1
         assert primary.texts == {"a ?": 1, "b ?": 2}
         assert not scorer.circuit_open
 
@@ -1055,7 +1112,8 @@ class TestBatchScorer:
 
         monkeypatch.setattr(BaselineScorer, "score", counted)
         scorer = BatchScorer(BaselineScorer.bundled() if direct
-                             else FailsOnceOn({"a ?"}), workers=1)
+                             else FailsOnceOn({"a ?"}), workers=1,
+                             report=RunReport())
         scorer_id, scores = scorer.score_all(["a ?"] * 3)
         assert (scorer_id, list(scores)) == ("baseline", ["a ?"])
         assert calls == {"a ?": 1}
@@ -1066,7 +1124,8 @@ class TestBatchScorer:
         expected = min(4, missing)
         results = []
         with MockLM(held=True) as lm:
-            scorer = BatchScorer(RemoteScorer(lm.url), workers=4)
+            scorer = BatchScorer(RemoteScorer(lm.url), workers=4,
+                                 report=RunReport())
             thread = threading.Thread(
                 target=lambda: results.append(scorer.score_all(texts)))
             thread.start()

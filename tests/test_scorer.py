@@ -26,7 +26,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
-from amr2qa.pipeline import MAX_FAILURES, BatchScorer
+from amr2qa.pipeline import MAX_FAILURES, BatchScorer, RunReport
 from amr2qa.scorer import (
     BOS,
     EOS,
@@ -610,34 +610,36 @@ class TestBatchFallback:
 
     def setup_method(self):
         self.texts = (f"What {n} ?" for n in itertools.count())
+        self.report = RunReport()
 
     def batches(self, scorer, count):
         return [scorer.score_all([next(self.texts)]) for _ in range(count)]
 
     def test_primary_used_when_healthy(self):
         scorer = BatchScorer(_StubScorer(value=-2.0, scorer_id="remote"),
-                             workers=1)
+                             workers=1, report=self.report)
         scorer_id, scores = self.batches(scorer, 1)[0]
         assert (scorer_id, *scores.values()) == ("remote", -2.0)
-        assert scorer.fallbacks == 0
+        assert self.report.scorer_fallbacks == 0
 
     def test_failure_falls_back_and_is_recorded(self):
-        scorer = BatchScorer(_StubScorer(fail=True), workers=1)
+        scorer = BatchScorer(_StubScorer(fail=True), workers=1,
+                             report=self.report)
         scorer_id, scores = self.batches(scorer, 1)[0]
         assert (scorer_id, len(scores)) == ("baseline", 1)
-        assert scorer.fallbacks == 1
+        assert self.report.scorer_fallbacks == 1
 
     def test_circuit_opens_after_consecutive_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary, workers=1)
+        scorer = BatchScorer(primary, workers=1, report=self.report)
         self.batches(scorer, 10)
         assert scorer.circuit_open
         assert primary.calls == 3
-        assert scorer.fallbacks == 10
+        assert self.report.scorer_fallbacks == 10
 
     def test_circuit_closed_until_max_failures(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary, workers=1)
+        scorer = BatchScorer(primary, workers=1, report=self.report)
         self.batches(scorer, MAX_FAILURES - 1)
         assert not scorer.circuit_open
         self.batches(scorer, 1)
@@ -646,7 +648,7 @@ class TestBatchFallback:
 
     def test_success_resets_failure_streak(self):
         primary = _StubScorer(scorer_id="remote")
-        scorer = BatchScorer(primary, workers=1)
+        scorer = BatchScorer(primary, workers=1, report=self.report)
         for _ in range(2):
             for fail in (True, False, True):
                 primary.fail = fail
@@ -656,11 +658,11 @@ class TestBatchFallback:
 
     def test_failed_request_ends_the_batch(self):
         primary = _StubScorer(fail=True)
-        scorer = BatchScorer(primary, workers=1)
+        scorer = BatchScorer(primary, workers=1, report=self.report)
         scorer_id, _ = scorer.score_all(["What ?", "Who ?", "What ?"])
         assert primary.calls == 1
         assert scorer_id == "baseline"
-        assert scorer.fallbacks == 2   # distinct texts
+        assert self.report.scorer_fallbacks == 2   # distinct texts
 
 
 class TestMakeScorer:
@@ -675,7 +677,7 @@ class TestMakeScorer:
     def test_scorer_id_matches_its_own_scores(self, mock_server):
         for scorer in (make_scorer("baseline"),
                        make_scorer("remote", url=mock_server)):
-            batch = BatchScorer(scorer, workers=1)
+            batch = BatchScorer(scorer, workers=1, report=RunReport())
             scorer_id, _ = batch.score_all(["What ?"])
             assert scorer_id == scorer.scorer_id
 
