@@ -109,7 +109,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
     sentence at a time, from ``lines``: the lines of a text-mode file.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped;
-    any other id that is not an integer is a malformed line.
+    any other id, or a HEAD, that is not ASCII digits is a malformed line.
     The word ids of a sentence must run 1, 2, ... n in order. A block is
     a sentence when it has a word line, a ``# sent_id`` or a ``# text``
     comment; the text itself and MISC are not read. Blocks without
@@ -149,19 +149,18 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
         identifier = columns[0]
         if _SKIPPED_ID.fullmatch(identifier):
             continue  # multiword range or empty node
-        try:
-            index = int(identifier)
-        except ValueError:
+        # int() would also take "+1", " 1", "1_0" and non-ASCII digits
+        if not (identifier.isascii() and identifier.isdigit()):
             raise BadColumnCount(f"token id {identifier!r} is not an integer",
-                                 line=line_no) from None
+                                 line=line_no)
+        index = int(identifier)
         if index != len(tokens) + 1:
             raise ConlluError(f"word id {index} out of sequence, expected "
                               f"{len(tokens) + 1}", line=line_no)
-        try:
-            head = int(columns[6])
-        except ValueError:
+        if not (columns[6].isascii() and columns[6].isdigit()):
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
-                                 line=line_no) from None
+                                 line=line_no)
+        head = int(columns[6])
         # surface, lemma, UPOS, XPOS and FEATS are columns 1-5
         tokens.append(Token(*columns[1:6], head))
         token_lines.append(line_no)

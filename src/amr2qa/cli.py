@@ -5,6 +5,11 @@ Subcommands:
   stats      summary table for a previously generated dataset
   inspect    show one graph before and after preprocessing
 
+Flags are read with getopt: ``--flag value`` or ``--flag=value``, a unique
+prefix of a flag's name, ``-h``/``--help`` for usage. Each generate flag is
+a config-file key with - for _, and its value reaches run_generate as the
+key's does, so the library checks it once, with the same message.
+
 Settings resolve in precedence order: built-in defaults, then a --config
 JSON file, then command line flags, then the ASQ_SCORER_URL environment
 variable (URL only). Warnings and the run report go to standard error; the
@@ -19,7 +24,7 @@ it propagates with its traceback, and the interpreter exits 1.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
 import sys
 
@@ -44,59 +49,62 @@ class UsageError(ValueError):
     """Bad flags or bad configuration; maps to exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; route through our own
-    # exception so the documented exit codes hold
-    def error(self, message):
-        raise UsageError(message)
-
-
-# config-file key (the flag's dest) -> RunConfig field
+# config-file key -> RunConfig field; the key with - for _ is its flag
 _FIELDS = {"amr": "amr_path", "conllu": "conllu_path", "out": "output_path",
            "templates": "template_path", "mapping": "mapping_path",
            "scorer": "scorer", "scorer_url": "scorer_url", "pair": "pairing",
            "workers": "workers"}
 
+# each command's long options, as getopt takes them: "name=" has a value
+_OPTIONS = {"generate": [key.replace("_", "-") + "=" for key in _FIELDS]
+                        + ["config="],
+            "stats": ["json"], "inspect": ["amr=", "index="]}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="amr2qa",
-                     description="Generate question-answer pairs from "
-                                 "sentence-aligned AMR graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's usage; -h prints its own, or all three
+_USAGE = {"generate": "generate [-h] --amr F --conllu F --out F [--templates F]"
+                      f"\n{' ' * 14}[--mapping F] [--scorer {'|'.join(SCORERS)}]"
+                      f" [--scorer-url U]\n{' ' * 14}[--pair "
+                      f"{'|'.join(PAIRINGS)}] [--workers N] [--config JSON]\n",
+          "stats": "stats [-h] DATASET [--json]\n",
+          "inspect": "inspect [-h] --amr F --index N\n"}
 
-    gen = sub.add_parser("generate", help="run the full generation pipeline")
-    gen.add_argument("--amr", help="AMR corpus file (blocks of ::id/::snt "
-                                   "metadata plus one graph each)")
-    gen.add_argument("--conllu", help="CoNLL-U annotations for the same "
-                                      "sentences")
-    gen.add_argument("--templates", help="template resource file "
-                                         "(default: bundled pack)")
-    gen.add_argument("--mapping", help="role mapping file "
-                                       "(default: bundled pack)")
-    gen.add_argument("--out", help="output JSONL dataset path")
-    gen.add_argument("--scorer", choices=tuple(SCORERS),
-                     help="question scorer (default baseline)")
-    gen.add_argument("--scorer-url", dest="scorer_url",
-                     help="endpoint for --scorer remote")
-    gen.add_argument("--pair", choices=tuple(PAIRINGS),
-                     help="how graphs match annotations (default by-order)")
-    gen.add_argument("--workers", type=int,
-                     help="concurrent requests to the remote scorer; no "
-                          "effect with the baseline (default 1)")
-    gen.add_argument("--config", help="JSON file with the same keys as the "
-                                      "flags; flags take precedence")
 
-    stats = sub.add_parser("stats", help="summarize a generated dataset")
-    stats.add_argument("dataset", help="JSONL dataset file")
-    stats.add_argument("--json", action="store_true",
-                       help="machine-readable output instead of the table")
-
-    ins = sub.add_parser("inspect", help="show one graph before and after "
-                                         "preprocessing")
-    ins.add_argument("--amr", required=True, help="AMR corpus file")
-    ins.add_argument("--index", type=int, required=True,
-                     help="0-based block index")
-    return parser
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command ``argv`` names ("" for -h alone) and its options, each
+    under its name with _ for - ("help" for -h, "dataset" for stats'
+    operand). Values stay strings but --workers and --index, which become
+    ints; a flag's value is checked where the same config key's is."""
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        return "", {"help": ""}
+    if command not in _OPTIONS:
+        raise UsageError(f"expected a command: {', '.join(_OPTIONS)} "
+                         f"(got {command!r})")
+    try:
+        pairs, operands = getopt.gnu_getopt(rest, "h",
+                                            [*_OPTIONS[command], "help"])
+    except getopt.GetoptError as exc:
+        raise UsageError(str(exc)) from None
+    options = {}
+    for flag, value in pairs:
+        # getopt takes whatever follows as the value: a flag there means
+        # the value is missing (a negative number is not a flag)
+        if value[:1] == "-" and value[1:] and not value[1:].isdecimal():
+            raise UsageError(f"option {flag} requires argument")
+        key = "help" if flag == "-h" else flag[2:].replace("-", "_")
+        if key in ("workers", "index"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"option {flag}: {value!r} is not an "
+                                 "integer") from None
+        options[key] = value
+    if "help" not in options and (
+            len(operands) != (command == "stats") or command == "inspect"
+            and not {"amr", "index"} <= options.keys()):
+        raise UsageError(f"usage: amr2qa {_USAGE[command]}".rstrip())
+    options.update(zip(["dataset"], operands))
+    return command, options
 
 
 def _load_config_file(path: str) -> dict:
@@ -121,15 +129,14 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, flags, and environment into a RunConfig. A
-    setting none of them gives keeps RunConfig's default; run_generate
-    checks the values."""
-    settings = _load_config_file(args.config) if args.config else {}
-    for key in _FIELDS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+def resolve_config(options: dict) -> RunConfig:
+    """Merge config file, flags (``options`` from :func:`parse_args`), and
+    environment into a RunConfig. A setting none of them gives keeps
+    RunConfig's default; run_generate checks the values."""
+    config = options.get("config")
+    settings = _load_config_file(config) if config else {}
+    settings.update((key, value) for key, value in options.items()
+                    if key in _FIELDS)
     env_url = os.environ.get("ASQ_SCORER_URL")
     if env_url:
         settings["scorer_url"] = env_url
@@ -140,8 +147,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                         for key, value in settings.items()})
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def _cmd_generate(options: dict) -> int:
+    config = resolve_config(options)
     report = run_generate(config)
     for line in report.lines():
         print(line, file=sys.stderr)
@@ -151,12 +158,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(options: dict) -> int:
     # two passes over the file, so no more than one pair is held at a time
-    sentence_count = len({pair.sentence_id
-                          for pair in iter_dataset(args.dataset)})
-    stats = compute_stats(iter_dataset(args.dataset), sentence_count)
-    if args.json:
+    dataset = options["dataset"]
+    sentence_count = len({pair.sentence_id for pair in iter_dataset(dataset)})
+    stats = compute_stats(iter_dataset(dataset), sentence_count)
+    if "json" in options:
         import json
 
         print(json.dumps(stats, indent=2))
@@ -165,18 +172,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_inspect(args: argparse.Namespace) -> int:
+def _cmd_inspect(options: dict) -> int:
     # reading stops at the block asked for; only an index out of range
     # reads the whole file, to count its blocks for the message
-    with open(args.amr, encoding="utf-8-sig") as handle:
+    path, index = options["amr"], options["index"]
+    with open(path, encoding="utf-8-sig") as handle:
         count = 0
         for raw in iter_blocks(handle):
-            if count == args.index:
+            if count == index:
                 break
             count += 1
         else:
-            raise UsageError(f"index {args.index} out of range "
-                             f"({count} blocks in {args.amr})")
+            raise UsageError(f"index {index} out of range "
+                             f"({count} blocks in {path})")
     graph = parse_block(raw)
     tree = preprocess(graph)
     print(f"id: {raw.label}")
@@ -189,16 +197,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        return _cmd_inspect(args)
-    except SystemExit as exc:      # argparse --help
-        return exc.code if isinstance(exc.code, int) else 0
+        command, options = parse_args(sys.argv[1:] if argv is None else argv)
+        if "help" in options:
+            usages = [_USAGE[command]] if command else _USAGE.values()
+            print("usage: amr2qa " + "       amr2qa ".join(usages), end="")
+            return 0
+        if command == "generate":
+            return _cmd_generate(options)
+        if command == "stats":
+            return _cmd_stats(options)
+        return _cmd_inspect(options)
     except ZeroSentences as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -86,9 +86,11 @@ class TestParseConllu:
             parse_conllu(text)
         assert exc.value.line == 3
 
-    @pytest.mark.parametrize("identifier", ["a", "x-y", "-", "2.x"])
+    @pytest.mark.parametrize("identifier", ["a", "x-y", "-", "2.x",
+                                            "+2", " 2", "\u0662", "0_2"])
     def test_non_integer_id(self, identifier):
-        # only digit ranges (1-2) and empty nodes (1.1) are skipped
+        # only digit ranges (1-2) and empty nodes (1.1) are skipped; int()
+        # would read the last four as 2
         text = ("# sent_id = x\n1\tHello\thello\tINTJ\tUH\t_\t0\troot\t_\t_\n"
                 f"{identifier}\tw\tw\tX\tX\t_\t1\tdep\t_\t_\n"
                 "2\tthere\tthere\tADV\tRB\t_\t1\tadvmod\t_\t_\n")
@@ -102,6 +104,16 @@ class TestParseConllu:
         with pytest.raises(NonIntegerHead) as exc:
             parse_conllu(text)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("head", ["+0", " 0", "\u0660", "0_0", "-1"])
+    def test_head_that_is_not_ascii_digits(self, head):
+        # int() would read the first four as the root and -1 as a head out
+        # of range
+        text = f"1\tHi\thi\tINTJ\tUH\t_\t{head}\troot\t_\t_\n"
+        with pytest.raises(NonIntegerHead) as exc:
+            parse_conllu(text)
+        assert exc.value.line == 1
+        assert str(exc.value).startswith(f"head {head!r} is not an integer")
 
     def test_cycle_detected(self):
         text = ("# sent_id = loop\n"
@@ -148,8 +160,9 @@ class TestParseConllu:
 
 def whole_text_parse_conllu(text):
     """The whole-text CoNLL-U reader as it was before the streaming one,
-    skipping only digit ranges and empty nodes: the oracle for
-    ``iter_conllu``, as ``(sentence_id, tokens)`` pairs."""
+    skipping only digit ranges and empty nodes and reading ids and heads
+    of ASCII digits only: the oracle for ``iter_conllu``, as
+    ``(sentence_id, tokens)`` pairs."""
     sentences = []
     tokens, token_lines = [], []
     sent_id, has_text = None, False
@@ -184,19 +197,17 @@ def whole_text_parse_conllu(text):
         identifier = columns[0]
         if re.fullmatch(r"[0-9]+[-.][0-9]+", identifier):
             continue
-        try:
-            index = int(identifier)
-        except ValueError:
+        if not (identifier.isascii() and identifier.isdigit()):
             raise BadColumnCount(f"token id {identifier!r} is not an integer",
-                                 line=line_no) from None
+                                 line=line_no)
+        index = int(identifier)
         if index != len(tokens) + 1:
             raise ConlluError(f"word id {index} out of sequence, expected "
                               f"{len(tokens) + 1}", line=line_no)
-        try:
-            head = int(columns[6])
-        except ValueError:
+        if not (columns[6].isascii() and columns[6].isdigit()):
             raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
-                                 line=line_no) from None
+                                 line=line_no)
+        head = int(columns[6])
         tokens.append(Token(surface=columns[1], lemma=columns[2],
                             upos=columns[3], xpos=columns[4],
                             feats=columns[5], head=head))
@@ -219,7 +230,7 @@ def id_tokens(sentences):
 
 
 # token lines (good, bad head, bad column count, bad ids, cycle,
-# multiword),
+# multiword, an id and a head int() would read),
 # comments, whitespace that splitlines() breaks at, and line endings
 CONLLU_PIECES = [
     "1\tDogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_",
@@ -230,7 +241,8 @@ CONLLU_PIECES = [
     "1\tw\tw\tX\tX\t_\tx\tdep\t_\t_",
     "1-2\tww\t_\t_\t_\t_\t_\t_\t_\t_",
     "a\tw\tw\tX\tX\t_\t0\troot\t_\t_", "x-y\tw\tw\tX\tX\t_\t0\troot\t_\t_",
-    "1\tw",
+    "1\tw", "+1\tw\tw\tX\tX\t_\t0\troot\t_\t_",
+    "2\tv\tv\tX\tX\t_\t-1\tdep\t_\t_",
     "# sent_id = a", "# sent_id = b", "# text = Dogs bark", "# note",
     "\n", "\n", "\n", " ", "\t", "\x0c", "\x0b", "\x85", "\x1c", "\u2028",
     "\r", "\r\n", "\xa0",

@@ -22,12 +22,13 @@ NO_CLASS_GENERATION = ("dataclasses", "inspect", "ast", "dis")
 # (template ids are hashed with the built-in SHA-1), logging and what it
 # pulls in, which load only with a first warning, and the json package,
 # which loads only to parse a config file, a dataset or a remote scorer's
-# reply (dataset lines are quoted with _json, which may load)
+# reply (dataset lines are quoted with _json, which may load), and
+# argparse: the CLI reads its flags with getopt
 NOT_ON_BASELINE_PATH = (
     "urllib.request", "http.client", "ssl", "email", "calendar", "decimal",
     "fractions", "concurrent.futures", "importlib.resources", "hashlib",
     "_hashlib", "logging", "traceback", "linecache", "tokenize", "string",
-    "json", "json.decoder", "json.scanner",
+    "json", "json.decoder", "json.scanner", "argparse",
 ) + NO_CLASS_GENERATION
 
 # the remote scorer speaks HTTP/1.0 over a socket: none of the standard
