@@ -4,7 +4,7 @@ The toolkit never runs a tagger or parser itself; it consumes CoNLL-U
 produced by any UD pipeline (tokens, lemmas, POS, dependency heads) and
 offers the three queries question generation needs: which token realizes an
 AMR concept, what tense that token carries, and which contiguous span the
-token's dependency subtree covers.
+token's dependency subtree covers. Malformed input raises ConlluError.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .preprocess import CondensedNode, preorder
 
 
 class ConlluError(ValueError):
-    """Base for annotation ingestion failures."""
+    """Any CoNLL-U ingestion failure; the message names the fault."""
 
     def __init__(self, message: str, line: int | None = None,
                  sentence_id: str | None = None):
@@ -33,22 +33,6 @@ class ConlluError(ValueError):
         super().__init__(message + suffix)
         self.line = line
         self.sentence_id = sentence_id
-
-
-class BadColumnCount(ConlluError):
-    pass
-
-
-class NonIntegerHead(ConlluError):
-    pass
-
-
-class HeadOutOfRange(ConlluError):
-    pass
-
-
-class CyclicTree(ConlluError):
-    pass
 
 
 class Token(NamedTuple):
@@ -65,7 +49,7 @@ class Token(NamedTuple):
 
 
 class SentenceAnnotation:
-    """One sentence's tokens. CyclicTree is raised unless every head
+    """One sentence's tokens. ConlluError is raised unless every head
     chain ends at the root (0)."""
 
     def __init__(self, sentence_id: str, tokens: list[Token]):
@@ -80,8 +64,8 @@ class SentenceAnnotation:
         for index in reached:
             reached.extend(children.get(index, ()))
         if len(reached) != len(tokens) + 1:
-            raise CyclicTree("dependency heads form a cycle",
-                             sentence_id=sentence_id)
+            raise ConlluError("dependency heads form a cycle",
+                              sentence_id=sentence_id)
         self._children = children
 
     def token(self, index: int) -> Token:
@@ -96,8 +80,8 @@ def _check_tree(tokens: list[Token], lines: list[int], sentence_id: str):
     # heads in range; SentenceAnnotation itself refuses a cycle
     for token, line in zip(tokens, lines):
         if not 0 <= token.head <= len(tokens):
-            raise HeadOutOfRange(f"head {token.head} points outside the sentence",
-                                 line=line, sentence_id=sentence_id)
+            raise ConlluError(f"head {token.head} points outside the sentence",
+                              line=line, sentence_id=sentence_id)
 
 
 # the ids that are read and skipped: multiword ranges and empty nodes
@@ -144,22 +128,22 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[SentenceAnnotation]:
             continue
         columns = line.split("\t")
         if len(columns) != 10:
-            raise BadColumnCount(f"expected 10 columns, found {len(columns)}",
-                                 line=line_no)
+            raise ConlluError(f"expected 10 columns, found {len(columns)}",
+                              line=line_no)
         identifier = columns[0]
         if _SKIPPED_ID.fullmatch(identifier):
             continue  # multiword range or empty node
         # int() would also take "+1", " 1", "1_0" and non-ASCII digits
         if not (identifier.isascii() and identifier.isdigit()):
-            raise BadColumnCount(f"token id {identifier!r} is not an integer",
-                                 line=line_no)
+            raise ConlluError(f"token id {identifier!r} is not an integer",
+                              line=line_no)
         index = int(identifier)
         if index != len(tokens) + 1:
             raise ConlluError(f"word id {index} out of sequence, expected "
                               f"{len(tokens) + 1}", line=line_no)
         if not (columns[6].isascii() and columns[6].isdigit()):
-            raise NonIntegerHead(f"head {columns[6]!r} is not an integer",
-                                 line=line_no)
+            raise ConlluError(f"head {columns[6]!r} is not an integer",
+                              line=line_no)
         head = int(columns[6])
         # surface, lemma, UPOS, XPOS and FEATS are columns 1-5
         tokens.append(Token(*columns[1:6], head))

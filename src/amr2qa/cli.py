@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import getopt
 import os
+import re
 import sys
 
 from .annotate import ConlluError
@@ -60,6 +61,9 @@ _OPTIONS = {"generate": [key.replace("_", "-") + "=" for key in _FIELDS]
                         + ["config="],
             "stats": ["json"], "inspect": ["amr=", "index="]}
 
+# an integer value; int() would also take "+2", " 2", "1_0" and "\u0662"
+_INTEGER = re.compile(r"-?[0-9]+")
+
 # each command's usage; -h prints its own, or all three
 _USAGE = {"generate": "generate [-h] --amr F --conllu F --out F [--templates F]"
                       f"\n{' ' * 14}[--mapping F] [--scorer {'|'.join(SCORERS)}]"
@@ -72,8 +76,8 @@ _USAGE = {"generate": "generate [-h] --amr F --conllu F --out F [--templates F]"
 def parse_args(argv: list[str]) -> tuple[str, dict]:
     """The command ``argv`` names ("" for -h alone) and its options, each
     under its name with _ for - ("help" for -h, "dataset" for stats'
-    operand). Values stay strings but --workers and --index, which become
-    ints; a flag's value is checked where the same config key's is."""
+    operand). Values stay strings but --workers and --index, ASCII digits
+    made ints; a flag's value is checked where the same config key's is."""
     command, *rest = argv or [""]
     if command in ("-h", "--help"):
         return "", {"help": ""}
@@ -89,15 +93,13 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
     for flag, value in pairs:
         # getopt takes whatever follows as the value: a flag there means
         # the value is missing (a negative number is not a flag)
-        if value[:1] == "-" and value[1:] and not value[1:].isdecimal():
+        if value[:1] == "-" and value[1:] and not _INTEGER.fullmatch(value):
             raise UsageError(f"option {flag} requires argument")
         key = "help" if flag == "-h" else flag[2:].replace("-", "_")
         if key in ("workers", "index"):
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"option {flag}: {value!r} is not an "
-                                 "integer") from None
+            if not _INTEGER.fullmatch(value):
+                raise UsageError(f"option {flag}: {value!r} is not an integer")
+            value = int(value)
         options[key] = value
     if "help" not in options and (
             len(operands) != (command == "stats") or command == "inspect"

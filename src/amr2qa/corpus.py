@@ -40,6 +40,10 @@ class BlockParseError(CorpusError):
     pass
 
 
+class NoAnnotation(CorpusError):
+    """by-id found no annotation with the block's label."""
+
+
 class PairMismatch(CorpusError):
     """A block's ``::snt`` is not spelled by its annotation's words."""
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 # exactly two digits after the last hyphen, preceded by a real lemma char,
 # so "break-01" and "have-degree-91" have senses but "run-100" does not
-_SENSE_RE = re.compile(r"^(.*[^\d-])-(\d{2})$")
+_SENSE_RE = re.compile(r"^(.*[^\d-])-(\d{2})$", re.ASCII)
 _STRICT_VAR_RE = re.compile(r"^[a-z][0-9]*$")
 # skip whitespace, ``#`` comment lines and ``~`` alignment markers, then
 # capture one token: ( ) /, a string, a '"' that opens none, a relation, an

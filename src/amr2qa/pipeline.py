@@ -38,6 +38,7 @@ from .annotate import SentenceAnnotation, align_concepts, iter_conllu
 from .corpus import (
     CorpusError,
     CountMismatch,
+    NoAnnotation,
     PairMismatch,
     QaPair,
     RawBlock,
@@ -330,11 +331,10 @@ def run_generate(config: RunConfig) -> RunReport:
 
     def sentences(tasks) -> Iterator[QaPair]:
         for raw, ann in tasks:
-            if ann is None:
-                report.sentences_failed += 1
-                warn("skipped: no annotation with id %r", raw.label)
-                continue
             try:
+                if ann is None:
+                    raise NoAnnotation(f"no annotation with id {raw.label!r}",
+                                       block=raw.position)
                 root = parse_block(raw)
                 check_pair(raw, ann)
             except CorpusError as exc:   # bad input costs its sentence

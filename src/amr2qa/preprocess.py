@@ -37,13 +37,13 @@ DEFAULT_IGNORED_RELATIONS = frozenset({
 _DATE_FIELD_ORDER = ("day", "month", "year", "weekday", "time")
 _QUANTITY_FIELD_ORDER = ("quant", "unit")
 
-_OP_RE = re.compile(r"^op(\d+)$")
+_OP_RE = re.compile(r"^op(\d+)$", re.ASCII)
 
-# indexed like calendar.month_name, but English whatever the locale:
-# calendar.month_name follows LC_TIME once a caller runs locale.setlocale
-_MONTH_NAMES = ("", "January", "February", "March", "April", "May", "June",
-                "July", "August", "September", "October", "November",
-                "December")
+# month number -> name, English whatever the locale: calendar.month_name
+# follows LC_TIME once a caller runs locale.setlocale
+_MONTH_NAMES = {str(number): name for number, name in enumerate((
+    "January", "February", "March", "April", "May", "June", "July",
+    "August", "September", "October", "November", "December"), start=1)}
 
 
 class CondensedNode:
@@ -145,13 +145,9 @@ def _is_leaf_value(node: CondensedNode, referenced: frozenset[str]) -> bool:
 
 
 def _month_name(value: str) -> str:
-    try:
-        number = int(value)
-    except ValueError:
-        return value
-    if 1 <= number <= 12:
-        return _MONTH_NAMES[number]
-    return value
+    """The English name of month ``value`` when it is ASCII digits ("3",
+    "03"), else ``value``; int() would also read "+3", "0_3" and "\u0663"."""
+    return _MONTH_NAMES.get(value.lstrip("0"), value)
 
 
 def _absorb(node: CondensedNode, text: str, taken: list[tuple]) -> None:

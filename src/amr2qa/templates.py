@@ -11,7 +11,7 @@ File formats (UTF-8, LF, ``#`` comments):
   templates: ``kind|key|tense|pattern|pos0[,pos1...]`` one record per line,
   where posN constrains blank N; alternatives within one blank join with "/".
   mapping: ``lemma|sense|ARGn|role``; the row ``*|*|ARGn|role`` declares the
-  fallback for ARGn.
+  fallback for ARGn. Any fault in either file raises TemplateError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ WH_OPENERS = frozenset({
     "Who", "What", "When", "Where", "Which", "Whose", "Whom", "Why", "How",
 })
 
-_BLANK_RE = re.compile(r"\{(\d+)\}")
+_BLANK_RE = re.compile(r"\{(\d+)\}", re.ASCII)
 
 
 class TemplateError(ValueError):
@@ -49,26 +49,6 @@ class TemplateError(ValueError):
         suffix = f" (line {line})" if line is not None else ""
         super().__init__(message + suffix)
         self.line = line
-
-
-class MalformedRecord(TemplateError):
-    pass
-
-
-class DuplicateId(TemplateError):
-    pass
-
-
-class UnknownPosTag(TemplateError):
-    pass
-
-
-class BlankIndexGap(TemplateError):
-    pass
-
-
-class IncompleteMapping(TemplateError):
-    """A mapping names a thematic role that has no core template."""
 
 
 class Template(NamedTuple):
@@ -110,7 +90,7 @@ class TemplateStore(NamedTuple):
 def _records(path, fields: int) -> Iterator[tuple[int, list[str]]]:
     """The line number and stripped ``|``-separated fields of each record
     of a resource file. Blank and ``#`` lines are skipped; a record with
-    another field count raises MalformedRecord."""
+    another field count raises TemplateError."""
     with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -118,7 +98,7 @@ def _records(path, fields: int) -> Iterator[tuple[int, list[str]]]:
                 continue
             columns = [c.strip() for c in line.split("|")]
             if len(columns) != fields:
-                raise MalformedRecord(
+                raise TemplateError(
                     f"expected {fields} fields, found {len(columns)}",
                     line=line_no)
             yield line_no, columns
@@ -130,7 +110,7 @@ def _parse_blank_pos(column: str, line_no: int) -> tuple[frozenset[str], ...]:
         tags = frozenset(tag.strip() for tag in spec.split("/"))
         for tag in tags:
             if tag not in UPOS_TAGS:
-                raise UnknownPosTag(f"unknown POS tag {tag!r}", line=line_no)
+                raise TemplateError(f"unknown POS tag {tag!r}", line=line_no)
         blanks.append(tags)
     return tuple(blanks)
 
@@ -146,27 +126,27 @@ def split_pattern(pattern: str) -> tuple[str | int, ...]:
 def _parse_template(columns: list[str], line_no: int) -> Template:
     kind, key, tense, pattern, pos_column = columns
     if kind not in ("core", "noncore"):
-        raise MalformedRecord(f"kind must be core or noncore, found {kind!r}",
-                              line=line_no)
+        raise TemplateError(f"kind must be core or noncore, found {kind!r}",
+                            line=line_no)
     if not key:
-        raise MalformedRecord("empty key", line=line_no)
+        raise TemplateError("empty key", line=line_no)
     if tense not in TENSES:
-        raise MalformedRecord(f"unknown tense {tense!r}", line=line_no)
+        raise TemplateError(f"unknown tense {tense!r}", line=line_no)
     first_word = pattern.split(" ", 1)[0] if pattern else ""
     if first_word not in WH_OPENERS:
-        raise MalformedRecord(
+        raise TemplateError(
             f"pattern must start with a wh-word or How, found {first_word!r}",
             line=line_no)
     pieces = split_pattern(pattern)
     indices = sorted(set(pieces[1::2]))
     if not indices:
-        raise MalformedRecord("pattern has no blank markers", line=line_no)
+        raise TemplateError("pattern has no blank markers", line=line_no)
     if indices != list(range(len(indices))):
-        raise BlankIndexGap(f"blank indices {indices} are not contiguous from 0",
+        raise TemplateError(f"blank indices {indices} are not contiguous from 0",
                             line=line_no)
     blank_pos = _parse_blank_pos(pos_column, line_no)
     if len(blank_pos) != len(indices):
-        raise MalformedRecord(
+        raise TemplateError(
             f"{len(indices)} blanks but {len(blank_pos)} POS constraints",
             line=line_no)
     digest = sha1("|".join(columns).encode("utf-8")).hexdigest()[:8]
@@ -182,7 +162,7 @@ def load_templates(path) -> list[Template]:
     for line_no, columns in _records(path, 5):
         template = _parse_template(columns, line_no)
         if template.id in seen:
-            raise DuplicateId(
+            raise TemplateError(
                 f"duplicate template record {'|'.join(columns)!r}",
                 line=line_no)
         seen.add(template.id)
@@ -196,14 +176,14 @@ def load_mapping(path) -> dict[MappingKey, str]:
     mapping: dict[MappingKey, str] = {}
     for line_no, (lemma, sense, relation, role) in _records(path, 4):
         if relation not in CORE_RELATIONS:
-            raise MalformedRecord(f"{relation!r} is not a core relation",
-                                  line=line_no)
+            raise TemplateError(f"{relation!r} is not a core relation",
+                                line=line_no)
         if not role:
-            raise MalformedRecord("empty role", line=line_no)
+            raise TemplateError("empty role", line=line_no)
         fallback = lemma == "*" and sense == "*"
         key = relation if fallback else (lemma, sense, relation)
         if key in mapping:
-            raise MalformedRecord(
+            raise TemplateError(
                 f"duplicate fallback for {relation}" if fallback
                 else f"duplicate mapping for {key}", line=line_no)
         mapping[key] = role
@@ -213,7 +193,7 @@ def load_mapping(path) -> dict[MappingKey, str]:
 def load_store(template_path, mapping_path) -> TemplateStore:
     """Load templates and mapping together and resolve each mapping key to
     its role's core templates. A role with no core template raises
-    IncompleteMapping, naming the first such role in sorted order."""
+    TemplateError, naming the first such role in sorted order."""
     templates = load_templates(template_path)
     mapping = load_mapping(mapping_path)
     roles: dict[str, list[Template]] = {}
@@ -223,7 +203,7 @@ def load_store(template_path, mapping_path) -> TemplateStore:
         bucket.setdefault(template.key, []).append(template)
     missing = sorted(set(mapping.values()) - roles.keys())
     if missing:
-        raise IncompleteMapping(
+        raise TemplateError(
             f"role {missing[0]!r} is mapped to but has no core template")
     core = {key: roles[role] for key, role in mapping.items()}
     return TemplateStore(core, noncore)

@@ -15,12 +15,18 @@ import pytest
 
 import amr2qa
 from amr2qa import cli, pipeline
+from amr2qa.annotate import ConlluError
 from amr2qa.cli import main
 from amr2qa.corpus import CorpusError, parse_block, split_blocks
 from amr2qa.penman import serialize_penman
 from amr2qa.pipeline import RunConfig, run_generate
 from amr2qa.preprocess import format_tree, preorder, preprocess
 from amr2qa.qgen import ArityMismatch
+from amr2qa.templates import (
+    TemplateError,
+    bundled_mapping_path,
+    bundled_template_path,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 MINI_AMR = str(FIXTURES / "mini.amr")
@@ -154,6 +160,15 @@ class TestGenerate:
                      "--out", "--pair", "by-id"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["\u0662", "+2", "1_0", " 2"])
+    def test_workers_must_be_ascii_digits(self, tmp_path, capsys, value):
+        # int() would read these as 2, 2, 10 and 2
+        out = tmp_path / "o.jsonl"
+        assert main(gen_args(out, "--workers", value)) == 1
+        assert capsys.readouterr().err == (
+            f"error: option --workers: {value!r} is not an integer\n")
+        assert not out.exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -316,6 +331,79 @@ class TestGenerate:
         assert main(gen_args(a, "--workers", "1")) == 0
         assert main(gen_args(b, "--workers", "8")) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _replace(old: str, new: str):
+    def edit(text: str) -> str:
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+# one row per kind of CoNLL-U or template-pack fault: the input it is made
+# in, how, and the error line main gives for it. A CoNLL-U fault exits 2,
+# a template or mapping fault 1.
+INPUT_FAULTS = {
+    "column-count": ("conllu", _replace("5\t.\t.\tPUNCT\t.\t_\t4\tpunct\t_\t_",
+                                        "5\t."),
+                     "expected 10 columns, found 2 (line 7)"),
+    "non-integer-head": ("conllu", _replace("VerbForm=Part\t0\t",
+                                            "VerbForm=Part\tx\t"),
+                         "head 'x' is not an integer (line 6)"),
+    "head-out-of-range": ("conllu", _replace("VerbForm=Part\t0\t",
+                                             "VerbForm=Part\t9\t"),
+                          "head 9 points outside the sentence "
+                          "(line 6, sentence 's1')"),
+    "cyclic-tree": ("conllu", _replace("VerbForm=Part\t0\t",
+                                       "VerbForm=Part\t2\t"),
+                    "dependency heads form a cycle (sentence 's1')"),
+    "malformed-record": ("templates",
+                         _replace("core|Agent|past|Who {0} ?|VERB\n",
+                                  "core|Agent|past|Who {0} ?\n"),
+                         "expected 5 fields, found 4 (line 9)"),
+    "duplicate-record": ("templates",
+                         _replace("core|Agent|past|Who {0} ?|VERB\n",
+                                  "core|Agent|past|Who {0} ?|VERB\n" * 2),
+                         "duplicate template record "
+                         "'core|Agent|past|Who {0} ?|VERB' (line 10)"),
+    "unknown-pos-tag": ("templates",
+                        _replace("core|Agent|past|Who {0} ?|VERB\n",
+                                 "core|Agent|past|Who {0} ?|VRB\n"),
+                        "unknown POS tag 'VRB' (line 9)"),
+    "blank-index-gap": ("templates",
+                        _replace("core|Agent|past|Who {0} ?|VERB\n",
+                                 "core|Agent|past|Who {1} ?|VERB\n"),
+                        "blank indices [1] are not contiguous from 0 "
+                        "(line 9)"),
+    "incomplete-mapping": ("mapping", lambda text: text + "zzz|01|ARG0|Nobody\n",
+                           "role 'Nobody' is mapped to but has no core "
+                           "template"),
+}
+
+
+@pytest.mark.parametrize("name, edit, line", INPUT_FAULTS.values(),
+                         ids=INPUT_FAULTS)
+def test_each_input_fault_has_its_error_line_and_exit_code(tmp_path, capsys,
+                                                           name, edit, line):
+    sources = {"conllu": MINI_CONLLU, "templates": bundled_template_path(),
+               "mapping": bundled_mapping_path()}
+    argv = ["generate", "--amr", MINI_AMR]
+    for key, source in sources.items():
+        text = Path(source).read_text(encoding="utf-8")
+        path = tmp_path / f"{key}.txt"
+        path.write_text(edit(text) if key == name else text, encoding="utf-8")
+        argv += [f"--{key}", str(path)]
+    out = tmp_path / "o.jsonl"
+    code = 2 if name == "conllu" else 1
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not out.exists()
+    assert not (tmp_path / "o.jsonl.tmp").exists()
+
+
+def test_one_error_class_per_resource_reader():
+    # the message names the fault, so no subclass tells one from another
+    assert ConlluError.__subclasses__() == TemplateError.__subclasses__() == []
 
 
 class TestConfigFile:
@@ -676,6 +764,13 @@ class TestInspect:
         assert main(["inspect", "--amr", MINI_AMR, "--index", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: index -1 out of "
                                                   "range")
+
+    def test_negative_index_must_be_ascii_digits(self, capsys):
+        # a "-" before anything but ASCII digits starts a flag, so the
+        # value is missing; int() would read "-\u0663" as -3
+        assert main(["inspect", "--amr", MINI_AMR, "--index", "-\u0663"]) == 1
+        assert capsys.readouterr().err == (
+            "error: option --index requires argument\n")
 
     def test_malformed_block(self, tmp_path, capsys):
         amr = tmp_path / "bad.amr"

@@ -18,6 +18,7 @@ from amr2qa.penman import (
     UnbalancedParens,
     parse_penman,
     serialize_penman,
+    strip_sense,
     to_triples,
 )
 
@@ -174,6 +175,11 @@ class TestConcept:
 
     def test_lemma_requires_real_character_before_suffix(self):
         assert Concept.from_label("-01").sense is None
+
+    def test_sense_is_ascii_digits(self):
+        label = "run-\u0660\u0661"
+        assert Concept.from_label(label).sense is None
+        assert strip_sense(label) == label
 
 
 def nested_graph(depth: int) -> str:

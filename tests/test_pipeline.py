@@ -21,7 +21,7 @@ import synth_corpus
 from amr2qa import corpus, pipeline
 from amr2qa.agen import SPAN, span_text
 from amr2qa.annotate import (
-    BadColumnCount,
+    ConlluError,
     SentenceAnnotation,
     Token,
     align_concepts,
@@ -389,20 +389,24 @@ class TestRunGenerate:
             "(block 2)")
         assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s3"}
 
-    def test_by_id_missing_annotation_fails_that_sentence(self, tmp_path):
+    def test_by_id_missing_annotation_fails_that_sentence(self, tmp_path,
+                                                          caplog):
         blocks = Path(MINI_CONLLU).read_text().strip().split("\n\n")
         partial = tmp_path / "partial.conllu"
         partial.write_text("\n\n".join(blocks[:2]) + "\n")
         out = tmp_path / "out.jsonl"
-        report = run_generate(mini_config(out, conllu_path=str(partial),
-                                          pairing="by-id"))
+        with caplog.at_level("WARNING", logger="amr2qa"):
+            report = run_generate(mini_config(out, conllu_path=str(partial),
+                                              pairing="by-id"))
         assert report.sentences_processed == 2
         assert report.sentences_failed == 1
         assert {p.sentence_id for p in iter_dataset(str(out))} == {"s1", "s2"}
+        assert caplog.messages == [
+            "skipped: sentence 's3': no annotation with id 's3' (block 3)"]
 
     @pytest.mark.parametrize("sent_id, warning", [
         ("", "skipped: sentence '': "),
-        ("s1", "skipped: no annotation with id ''"),
+        ("s1", "skipped: sentence '': no annotation with id '' (block 1)"),
     ], ids=["failed-block", "no-annotation"])
     def test_empty_id_is_logged_under_its_pairing_label(
             self, tmp_path, caplog, sent_id, warning):
@@ -1245,7 +1249,8 @@ class TestAtomicPublish:
                                                                tmp_path):
         out = seeded_out(tmp_path)
         amr, conllu = corpus_files(tmp_path, 3, 3, conllu_tail="7\tbad\n")
-        with pytest.raises(BadColumnCount) as error:
+        with pytest.raises(ConlluError,
+                           match="expected 10 columns, found 2") as error:
             run_generate(mini_config(out, amr_path=amr, conllu_path=conllu))
         assert error.value.line == len(Path(conllu).read_text().splitlines())
         assert_untouched(out)
@@ -1279,7 +1284,7 @@ class TestErrorPrecedence:
         out = seeded_out(tmp_path)
         amr, conllu = corpus_files(tmp_path, amr_copies, conllu_copies,
                                    conllu_tail="7\tbad\n")
-        with pytest.raises(BadColumnCount):
+        with pytest.raises(ConlluError, match="expected 10 columns, found 2"):
             run_generate(mini_config(out, amr_path=amr, conllu_path=conllu))
         assert_untouched(out)
 
@@ -1288,7 +1293,7 @@ class TestErrorPrecedence:
         # the repeated CoNLL-U text repeats its sentence ids
         amr, conllu = repeated_corpus(tmp_path, copies=2)
         Path(conllu).write_text(Path(conllu).read_text() + "7\tbad\n")
-        with pytest.raises(BadColumnCount):
+        with pytest.raises(ConlluError, match="expected 10 columns, found 2"):
             run_generate(mini_config(out, amr_path=amr, conllu_path=conllu,
                                      pairing="by-id"))
         assert_untouched(out)

@@ -6,6 +6,7 @@ import random
 import re
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,6 +253,15 @@ class TestCondenseEntities:
         tree = preprocess(parse_penman("(d / date-entity :month 3)"))
         assert format_tree(tree) == "March [d]\n"
 
+    def test_month_with_a_leading_zero_named(self):
+        assert condensed("(d / date-entity :month 03)").concept.label == "March"
+
+    @pytest.mark.parametrize("month", ["+3", "0_3", "\u0663"])
+    def test_month_that_is_not_ascii_digits_kept(self, month):
+        # int() would read each as 3
+        g = condensed(f"(d / date-entity :month {month})")
+        assert g.concept.label == month
+
     def test_non_numeric_month_kept(self):
         g = condensed('(d / date-entity :month "Feb")')
         assert g.concept.label == "Feb"
@@ -301,6 +311,12 @@ class TestMergeOps:
     def test_node_ops_not_merged(self):
         text = "(a / and :op1 (x / dog) :op2 (y / cat))"
         assert to_triples(merged(text)) == to_triples(parse_penman(text))
+
+    def test_op_number_is_ascii_digits(self):
+        # \d would also take "\u0662", and int() read it as 2
+        g = merged('(n / name :op1 "New" :op\u0662 "York")')
+        assert g.concept.label == "New"
+        assert [rel for rel, _ in g.children] == ["op\u0662"]
 
     def test_constant_ops_merged_on_non_name_node(self):
         g = merged("(a / and :op1 3 :op2 5)")
